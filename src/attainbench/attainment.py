@@ -18,8 +18,13 @@ qualities, and un-negates on output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .loggers import CellKey, Logger, cell_key
 from .problems import Direction, MetaData
@@ -74,6 +79,40 @@ def ecdf(samples: Iterable[float], x: float) -> float:
     return sum(1 for s in values if s <= x) / len(values)
 
 
+def _minimizing(qualities, direction: Direction) -> np.ndarray:
+    """Qualities as float64, negated under maximization so that smaller is
+    better. Negation is exact and its own inverse, so this also maps back."""
+    qualities = np.asarray(qualities, dtype=float)
+    return qualities if direction is Direction.MINIMIZATION else -qualities
+
+
+def _points(times: Sequence, qualities: Sequence) -> list:
+    # tuple.__new__ builds the named tuples without a Python-level call each.
+    return list(map(tuple.__new__, repeat(AttainmentPoint), zip(times, qualities)))
+
+
+def _columns(points: Sequence) -> tuple:
+    """(times, qualities) arrays of a non-empty point list."""
+    times, qualities = zip(*points)
+    return np.array(times), np.array(qualities, dtype=float)
+
+
+def _strict_improvements(runs, times, qualities) -> np.ndarray:
+    """Rows that :func:`improvement_staircase` keeps, per run, by run and time;
+    ``qualities`` are minimization values."""
+    order = np.lexsort((times, runs))
+    runs, times, qualities = runs[order], times[order], qualities[order]
+    best_before = np.empty_like(qualities)
+    bounds = np.flatnonzero(runs[1:] != runs[:-1]) + 1
+    for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(runs)]):
+        best_before[start] = math.inf
+        np.fmin.accumulate(qualities[start:stop - 1], out=best_before[start + 1:stop])
+    kept = np.flatnonzero(qualities < best_before)
+    last = np.ones(len(kept), dtype=bool)
+    last[:-1] = (runs[kept[1:]] != runs[kept[:-1]]) | (times[kept[1:]] != times[kept[:-1]])
+    return order[kept[last]]
+
+
 def improvement_staircase(pairs: Iterable, direction: Direction) -> list:
     """Strict-improvement filter turning raw (time, quality) rows into a staircase.
 
@@ -82,18 +121,13 @@ def improvement_staircase(pairs: Iterable, direction: Direction) -> list:
     share one time stamp, the improving ones collapse onto that time with
     the best quality.
     """
-    points: list = []
-    best = direction.worst
-    for t, q in sorted(pairs, key=lambda row: row[0]):
-        q = float(q)
-        if direction.better(q, best):
-            best = q
-            point = AttainmentPoint(int(t), q)
-            if points and points[-1].time == point.time:
-                points[-1] = point
-            else:
-                points.append(point)
-    return points
+    rows = list(pairs)
+    if not rows:
+        return []
+    times, qualities = _columns(rows)
+    kept = _strict_improvements(np.zeros(len(rows), dtype=np.int64), times,
+                                _minimizing(qualities, direction))
+    return _points(times[kept].astype(np.int64).tolist(), qualities[kept].tolist())
 
 
 class TrajectoryLogger(Logger):
@@ -144,18 +178,19 @@ def _common_direction(trajectories: Sequence[Trajectory]) -> Direction:
     return directions.pop()
 
 
-def _validate_staircase(trajectory: Trajectory, direction: Direction) -> None:
-    if not trajectory.points:
-        raise ValueError(f"run {trajectory.run} has an empty trajectory")
-    previous = None
-    for p in trajectory.points:
-        if previous is not None:
-            if p.time <= previous.time or not direction.better(p.quality, previous.quality):
-                raise ValueError(
-                    f"run {trajectory.run}: points {tuple(previous)} -> {tuple(p)} "
-                    f"do not form a strict staircase"
-                )
-        previous = p
+def _staircase(points: Sequence, direction: Direction, label: str) -> tuple:
+    """Times and minimization qualities of ``points``, checked to form a
+    strict staircase of finite qualities."""
+    if not points:
+        raise ValueError(f"{label} has an empty trajectory")
+    times, qualities = _columns(points)
+    qualities = _minimizing(qualities, direction)
+    broken = ~np.isfinite(qualities)
+    broken[1:] |= ~((times[1:] > times[:-1]) & (qualities[1:] < qualities[:-1]))
+    if broken.any():
+        raise ValueError(f"{label} is not a strict staircase of finite qualities "
+                         f"at point {tuple(points[int(np.argmax(broken))])}")
+    return times, qualities
 
 
 def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int]] = None,
@@ -165,9 +200,10 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
     For each requested level k (1 <= k <= m, defaulting to all of them),
     returns the minimal (time, quality) points attained by at least k of the
     m trajectories. Level 1 is the best-case envelope, level m the
-    worst-case. The sweep walks event times in ascending order, maintains
-    each run's best quality so far and emits a point for level k whenever
-    the k-th order statistic of those bests improves.
+    worst-case. The sweep walks event times in ascending order, keeps the
+    runs' bests so far sorted, and emits a point for level k whenever the
+    k-th of them improves; a run improving from rank r_old to r_new shifts
+    only the ranks in between, so only their levels are checked.
 
     Points tied across runs count each contributing run once, and the
     returned level sets are nested: the region attained at level k+1 is
@@ -178,8 +214,7 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
         raise ValueError("eaf_levels: empty trajectory list")
     if direction is None:
         direction = _common_direction(trajs)
-    for traj in trajs:
-        _validate_staircase(traj, direction)
+    columns = [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
     m = len(trajs)
     if levels is None:
         ks = list(range(1, m + 1))
@@ -189,26 +224,29 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
         if bad:
             raise ValueError(f"attainment level(s) {bad} outside [1, {m}] for {m} run(s)")
 
-    sign = 1.0 if direction is Direction.MINIMIZATION else -1.0
-    events: dict = {}
-    for i, traj in enumerate(trajs):
-        for p in traj.points:
-            events.setdefault(p.time, []).append((i, sign * p.quality))
-
+    events = sorted((t, i, q) for i, (times, qualities) in enumerate(columns)
+                    for t, q in zip(times.tolist(), qualities.tolist()))
     bests = [math.inf] * m
-    last: dict = {}
-    points: dict = {k: [] for k in ks}
-    for t in sorted(events):
-        for i, q in events[t]:
-            if q < bests[i]:
-                bests[i] = q
-        order = sorted(bests)
-        for k in ks:
-            qk = order[k - 1]
-            if math.isfinite(qk) and (k not in last or qk < last[k]):
-                last[k] = qk
-                points[k].append(AttainmentPoint(t, sign * qk))
-    return [LevelSet(k, points[k], direction) for k in ks]
+    ranked = [math.inf] * m                     # bests, sorted
+    last = [math.inf] * (m + 1)                 # last emitted quality per level
+    out_times = [[] for _ in range(m + 1)]      # emitted points per level
+    out_qualities = [[] for _ in range(m + 1)]
+    for t, group in groupby(events, key=itemgetter(0)):
+        lo, hi = m, 0
+        for _, i, q in group:
+            r_old = bisect_left(ranked, bests[i])
+            del ranked[r_old]
+            r_new = bisect_right(ranked, q)
+            ranked.insert(r_new, q)
+            bests[i] = q
+            lo, hi = min(lo, r_new), max(hi, r_old)
+        for k in ks[bisect_left(ks, lo + 1):bisect_right(ks, hi + 1)]:
+            if ranked[k - 1] < last[k]:
+                last[k] = ranked[k - 1]
+                out_times[k].append(t)
+                out_qualities[k].append(last[k])
+    return [LevelSet(k, _points(out_times[k], _minimizing(out_qualities[k], direction).tolist()),
+                     direction) for k in ks]
 
 
 class LevelSelector:
@@ -259,10 +297,9 @@ def default_nadir(trajectories: Sequence[Trajectory],
         raise ValueError("default_nadir: no trajectory points")
     if direction is None:
         direction = _common_direction(trajs)
-    times = [p.time for t in trajs for p in t.points]
-    quals = [p.quality for t in trajs for p in t.points]
-    worst_q = max(quals) if direction is Direction.MINIMIZATION else min(quals)
-    return AttainmentPoint(max(times), worst_q)
+    times, qualities = _columns([p for t in trajs for p in t.points])
+    worst = int(np.argmax(_minimizing(qualities, direction)))
+    return AttainmentPoint(times.max().item(), qualities[worst].item())
 
 
 def surface(level_set: LevelSet, nadir) -> float:
@@ -272,33 +309,25 @@ def surface(level_set: LevelSet, nadir) -> float:
     level-set point, intersected with the box whose worst corner is
     ``nadir``; for a staircase p_1 .. p_n sorted by time this is the sum of
     the rectangles (q_nadir - q_i) * (t_{i+1} - t_i) with t_{n+1} taken as
-    the nadir time. The nadir must be weakly dominated by every level-set
-    point.
+    the nadir time, added up from left to right. The nadir must be weakly
+    dominated by every level-set point.
     """
     points = sorted(level_set.points)
     if not points:
         raise ValueError("surface of an empty level set")
-    direction = level_set.direction
+    times, qualities = _staircase(points, level_set.direction, "level set")
     tn, qn = nadir
-    for p in points:
-        if not weakly_dominates(p, (tn, qn), direction):
-            raise ValueError(f"nadir {(tn, qn)} is not weakly dominated by level-set point {tuple(p)}")
-    sign = 1.0 if direction is Direction.MINIMIZATION else -1.0
-    canonical_nadir = sign * qn
-    area = 0.0
-    for i, p in enumerate(points):
-        if i + 1 < len(points):
-            t_next = points[i + 1].time
-            if t_next <= p.time or not direction.better(points[i + 1].quality, p.quality):
-                raise ValueError(f"level set is not a strict staircase near {tuple(p)}")
-        else:
-            t_next = tn
-        area += (canonical_nadir - sign * p.quality) * (t_next - p.time)
-    return area
+    q_nadir = _minimizing(qn, level_set.direction)
+    outside = ~((times <= tn) & (qualities <= q_nadir))
+    if outside.any():
+        p = points[int(np.argmax(outside))]
+        raise ValueError(f"nadir {(tn, qn)} is not weakly dominated by level-set point {tuple(p)}")
+    rectangles = (q_nadir - qualities) * np.diff(times, append=tn)
+    return float(np.add.accumulate(rectangles)[-1])
 
 
 def volume(level_sets: Sequence[LevelSet], nadir, normalized: bool = False) -> float:
-    """Sum of the level surfaces at a common nadir.
+    """Sum of the level surfaces at a common nadir, added up in order.
 
     With ``normalized`` the sum is divided by (number of levels) * (area of
     the box between the ideal corner and the nadir), so a single level
@@ -308,16 +337,15 @@ def volume(level_sets: Sequence[LevelSet], nadir, normalized: bool = False) -> f
     sets = list(level_sets)
     if not sets:
         raise ValueError("volume of an empty level-set collection")
-    total = sum(surface(ls, nadir) for ls in sets)
+    total = float(np.add.accumulate([surface(ls, nadir) for ls in sets])[-1])
     if not normalized:
         return total
     direction = sets[0].direction
-    sign = 1.0 if direction is Direction.MINIMIZATION else -1.0
-    all_points = [p for ls in sets for p in ls.points]
+    columns = [_columns(ls.points) for ls in sets]
+    ideal_t = min(times.min() for times, _ in columns)
+    ideal_q = min(_minimizing(qualities, direction).min() for _, qualities in columns)
     tn, qn = nadir
-    ideal_t = min(p.time for p in all_points)
-    ideal_q = min(sign * p.quality for p in all_points)
-    box = (tn - ideal_t) * (sign * qn - ideal_q)
+    box = (tn - ideal_t) * (_minimizing(qn, direction) - ideal_q)
     if box <= 0:
         raise ValueError("normalization box is degenerate (nadir equals the ideal corner)")
-    return total / (len(sets) * box)
+    return float(total / (len(sets) * box))

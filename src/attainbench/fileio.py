@@ -12,7 +12,8 @@ Flat run logs
 Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
     evaluation. Rows need not be improvement-filtered: ingestion applies
-    the same strict-improvement filter trajectory capture uses.
+    the same strict-improvement filter trajectory capture uses. Evaluation
+    counts below 1 and non-finite qualities are rejected.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
@@ -21,17 +22,26 @@ Level-set export
 Histogram export
     CSV body ``t_bucket,q_bucket,count`` preceded by ``#`` comment lines
     recording buckets, origin, extent and scale per axis.
+
+Every writer replaces its target atomically, so a failure mid-write leaves
+the earlier file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .attainment import LevelSet, Trajectory, improvement_staircase
+import numpy as np
+
+from .attainment import LevelSet, Trajectory, _minimizing, _points, _strict_improvements
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
@@ -45,6 +55,23 @@ def _render(value: float) -> str:
     # repr() of a Python float is the shortest decimal string that parses
     # back to the same bits.
     return repr(float(value))
+
+
+@contextlib.contextmanager
+def _atomic_writer(path: Path, what: str):
+    """Text handle on a temporary file beside ``path`` that replaces ``path``
+    only once fully written; on any error it is removed instead."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def flat_file_name(cell) -> str:
@@ -64,20 +91,15 @@ def write_flat_files(store: Store, directory) -> list:
     paths = []
     for cell in store.cells():
         path = directory / flat_file_name(cell)
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(["run", "event", "evaluations", *names]) + "\n")
-                for run in store.runs(cell):
-                    for index, record in enumerate(store.events(cell, run)):
-                        if evaluations_watched:
-                            evaluations = _cell_text(record.values["evaluations"])
-                        else:
-                            evaluations = str(record.evaluations)
-                        cells = [str(run), str(index), evaluations]
-                        cells += [_cell_text(record.values[n]) for n in names]
-                        fh.write(",".join(cells) + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write flat file {path}: {exc}") from exc
+        with _atomic_writer(path, "flat file") as fh:
+            fh.write(",".join(["run", "event", "evaluations", *names]) + "\n")
+            for run in store.runs(cell):
+                for index, record in enumerate(store.events(cell, run)):
+                    evaluations = (_cell_text(record.values["evaluations"]) if evaluations_watched
+                                   else str(record.evaluations))
+                    cells = [str(run), str(index), evaluations]
+                    cells += [_cell_text(record.values[n]) for n in names]
+                    fh.write(",".join(cells) + "\n")
         paths.append(path)
     return paths
 
@@ -121,15 +143,30 @@ def read_flat_file(path):
 
 def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
     """Write trajectories as a ``run,evaluations,quality`` CSV."""
-    path = Path(path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("run,evaluations,quality\n")
-            for traj in trajectories:
-                for p in traj.points:
-                    fh.write(f"{traj.run},{p.time},{_render(p.quality)}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write trajectory file {path}: {exc}") from exc
+    with _atomic_writer(Path(path), "trajectory file") as fh:
+        fh.write("run,evaluations,quality\n")
+        for traj in trajectories:
+            fh.writelines(f"{traj.run},{p.time},{_render(p.quality)}\n" for p in traj.points)
+
+
+_TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("quality", np.float64)])
+
+
+def _row_error(path: Path, body: bytes, exc: Optional[ValueError]) -> ValueError:
+    """Error for a trajectory body that ``np.loadtxt`` failed on, or of which
+    it kept too few rows. loadtxt skips blank lines, so those are looked for
+    first; without them data row r is file line r + 2, but numpy counts rows
+    from 1 in column-count errors and from 0 in conversion errors."""
+    for number, line in enumerate(body.splitlines(), start=2):
+        if not line.strip():
+            return ValueError(f"{path}:{number}: blank line")
+    match = re.search(r"(?: but (\d+) were found)? at row (\d+)", str(exc))
+    if match is None:
+        return ValueError(f"{path}: {exc}")
+    cells, row = match.groups()
+    if cells is not None:
+        return ValueError(f"{path}:{int(row) + 1}: expected 3 cells, got {cells}")
+    return ValueError(f"{path}:{int(row) + 2}: {str(exc)[:match.start()]}")
 
 
 def read_trajectories(path, direction: Direction = Direction.MINIMIZATION,
@@ -137,71 +174,89 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION,
     """Read a ``run,evaluations,quality`` CSV into improvement-filtered trajectories.
 
     Rows are grouped by run id and sorted by evaluation count; the strict
-    improvement filter reduces each group to its attainment staircase. When
-    no metadata is supplied, a placeholder carrying the direction is used.
+    improvement filter reduces each group to its attainment staircase. Blank
+    lines, rows without exactly three cells, evaluation counts below 1 and
+    non-finite qualities are rejected with a ``path:line`` message. When no
+    metadata is supplied, a placeholder carrying the direction is used.
     """
     path = Path(path)
     if meta is None:
         meta = MetaData("file", 1, 1, 1, direction)
-    rows: dict = {}
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["run", "evaluations", "quality"]:
-                raise ValueError(f"{path}: not a trajectory file (header {header!r})")
-            for number, line in enumerate(reader, start=2):
-                if len(line) != 3:
-                    raise ValueError(f"{path}:{number}: expected 3 cells, got {len(line)}")
-                try:
-                    run, evaluations, quality = int(line[0]), int(line[1]), float(line[2])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from exc
-                rows.setdefault(run, []).append((evaluations, quality))
+        header, _, body = path.read_bytes().partition(b"\n")
     except OSError as exc:
         raise OSError(f"cannot read trajectory file {path}: {exc}") from exc
-    if not rows:
+    if header.rstrip(b"\r") != b"run,evaluations,quality":
+        header = header.decode(errors="replace")
+        raise ValueError(f"{path}: not a trajectory file (header {header!r})")
+    if not body:
         raise ValueError(f"{path}: no trajectory rows")
-    return [Trajectory(meta, run, improvement_staircase(pairs, meta.direction))
-            for run, pairs in sorted(rows.items())]
+    try:
+        rows = np.loadtxt(io.BytesIO(body), dtype=_TRAJECTORY_ROW, delimiter=",",
+                          comments=None, ndmin=1, encoding="utf-8")
+    except ValueError as exc:
+        raise _row_error(path, body, exc) from exc
+    if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")):
+        raise _row_error(path, body, None)
+    invalid = (rows["evaluations"] < 1) | ~np.isfinite(rows["quality"])
+    if invalid.any():
+        i = int(np.argmax(invalid))
+        evaluations, quality = int(rows["evaluations"][i]), float(rows["quality"][i])
+        problem = (f"evaluation count {evaluations} is below 1" if evaluations < 1
+                   else f"quality {quality!r} is not finite")
+        raise ValueError(f"{path}:{i + 2}: {problem}")
+    kept = _strict_improvements(rows["run"], rows["evaluations"],
+                                _minimizing(rows["quality"], meta.direction))
+    runs, times, qualities = (rows[name][kept] for name in _TRAJECTORY_ROW.names)
+    starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]]).tolist()
+    times, qualities = times.tolist(), qualities.tolist()
+    return [Trajectory(meta, int(runs[a]), _points(times[a:b], qualities[a:b]))
+            for a, b in zip(starts, starts[1:] + [len(times)])]
+
+
+def _json_points(points: Sequence) -> str:
+    """A level's points as ``json.dump(..., indent=2)`` renders them in the document."""
+    if not points:
+        return "[]"
+    times, qualities = zip(*points)
+    # The compact encoder renders each number exactly as the indenting one does,
+    # NaN and Infinity included, but in C.
+    cells = zip(json.dumps(times)[1:-1].split(", "), json.dumps(qualities)[1:-1].split(", "))
+    return ("[\n        [\n          "
+            + "\n        ],\n        [\n          ".join(map(",\n          ".join, cells))
+            + "\n        ]\n      ]")
 
 
 def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
                      group: Optional[dict] = None) -> None:
-    """Write level sets as JSON with group metadata and the nadir used."""
-    path = Path(path)
+    """Write level sets as JSON with group metadata and the nadir used.
+
+    The bytes are those of ``json.dump(document, fh, indent=2)`` plus a final
+    newline; the levels are formatted directly, one at a time.
+    """
     sets = list(level_sets)
-    document = {
+    head = json.dumps({
         "group": dict(group or {}),
         "direction": sets[0].direction.value if sets else None,
         "nadir": [nadir[0], nadir[1]],
-        "levels": [
-            {"level": ls.level, "points": [[p.time, p.quality] for p in ls.points]}
-            for ls in sets
-        ],
-    }
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write level sets {path}: {exc}") from exc
+    }, indent=2)
+    with _atomic_writer(Path(path), "level sets") as fh:
+        fh.write(head[:-2] + ',\n  "levels": [')
+        for n, ls in enumerate(sets):
+            fh.write(f'{"," if n else ""}\n    {{\n      "level": {ls.level},\n'
+                     f'      "points": {_json_points(ls.points)}\n    }}')
+        fh.write("\n  ]\n}\n" if sets else "]\n}\n")
 
 
 def write_histogram(path, histogram: Histogram) -> None:
     """Write a histogram as CSV with a ``#`` header block describing the axes."""
-    path = Path(path)
     disc = histogram.discretization
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# axis,buckets,origin,extent,scale\n")
-            for label, axis in (("time", disc.time), ("quality", disc.quality)):
-                fh.write(f"# {label},{axis.buckets},{_render(axis.origin)},"
-                         f"{_render(axis.extent)},{axis.scale}\n")
-            fh.write(f"# runs,{histogram.runs}\n")
-            fh.write("t_bucket,q_bucket,count\n")
-            for i in range(disc.time.buckets):
-                for j in range(disc.quality.buckets):
-                    fh.write(f"{i},{j},{int(histogram.counts[i, j])}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write histogram {path}: {exc}") from exc
+    with _atomic_writer(Path(path), "histogram") as fh:
+        fh.write("# axis,buckets,origin,extent,scale\n")
+        for label, axis in (("time", disc.time), ("quality", disc.quality)):
+            fh.write(f"# {label},{axis.buckets},{_render(axis.origin)},"
+                     f"{_render(axis.extent)},{axis.scale}\n")
+        fh.write(f"# runs,{histogram.runs}\n")
+        fh.write("t_bucket,q_bucket,count\n")
+        for i, row in enumerate(histogram.counts.astype(np.int64).tolist()):
+            fh.write("".join(f"{i},{j},{count}\n" for j, count in enumerate(row)))

@@ -21,8 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attainment import Trajectory, _common_direction, _validate_staircase
-from .problems import Direction
+from .attainment import Trajectory, _columns, _common_direction, _minimizing, _staircase
 
 SCALES = ("linear", "log")
 
@@ -103,18 +102,22 @@ def fit_discretization(trajectories: Sequence[Trajectory],
 
     Origins are the observed minima and extents the observed spans, so no
     point falls outside the grid; a degenerate span (all values equal) is
-    widened to 1 to keep the extent positive.
+    widened to 1 to keep the extent positive. Non-finite coordinates are
+    rejected.
     """
     points = [p for t in trajectories for p in t.points]
     if not points:
         raise ValueError("cannot fit a discretization to empty trajectories")
-    times = [p.time for p in points]
-    quals = [p.quality for p in points]
-    t_span = max(times) - min(times)
-    q_span = max(quals) - min(quals)
+    times, quals = _columns(points)
+    infinite = ~(np.isfinite(times) & np.isfinite(quals))
+    if infinite.any():
+        raise ValueError(f"cannot fit a discretization to the non-finite point "
+                         f"{tuple(points[int(np.argmax(infinite))])}")
+    t_span = times.max() - times.min()
+    q_span = quals.max() - quals.min()
     return Discretization(
-        Axis(buckets[0], min(times), t_span if t_span > 0 else 1.0, scales[0]),
-        Axis(buckets[1], min(quals), q_span if q_span > 0 else 1.0, scales[1]),
+        Axis(buckets[0], times.min(), t_span if t_span > 0 else 1.0, scales[0]),
+        Axis(buckets[1], quals.min(), q_span if q_span > 0 else 1.0, scales[1]),
     )
 
 
@@ -147,37 +150,25 @@ def eah(trajectories: Sequence[Trajectory], discretization: Discretization,
     if not trajs:
         raise ValueError("eah: empty trajectory list")
     direction = _common_direction(trajs)
-    for traj in trajs:
-        _validate_staircase(traj, direction)
+    columns = [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
 
     t_axis, q_axis = discretization.time, discretization.quality
     reps_t = np.asarray(t_axis.representatives)
-    reps_q = np.asarray(q_axis.representatives)
+    reps_q = _minimizing(q_axis.representatives, direction)
+    q_lo, q_hi = np.sort(_minimizing([q_axis.origin, q_axis.top], direction))
     counts = np.zeros((t_axis.buckets, q_axis.buckets), dtype=int)
-    minimizing = direction is Direction.MINIMIZATION
 
-    for traj in trajs:
-        times = np.array([p.time for p in traj.points], dtype=float)
-        quals = np.array([p.quality for p in traj.points], dtype=float)
-        if clamp:
-            times = np.clip(times, t_axis.origin, t_axis.top)
-            quals = np.clip(quals, q_axis.origin, q_axis.top)
-        else:
-            for p in traj.points:
-                if not t_axis.origin <= p.time <= t_axis.top or \
-                        not q_axis.origin <= p.quality <= q_axis.top:
-                    raise ValueError(
-                        f"run {traj.run}: point {tuple(p)} outside the histogram box "
-                        f"and clamping is disabled"
-                    )
+    for traj, (times, quals) in zip(trajs, columns):
+        clipped = np.clip(times, t_axis.origin, t_axis.top), np.clip(quals, q_lo, q_hi)
+        outside = (clipped[0] != times) | (clipped[1] != quals)
+        if not clamp and outside.any():
+            raise ValueError(f"run {traj.run}: point {tuple(traj.points[int(np.argmax(outside))])} "
+                             f"outside the histogram box and clamping is disabled")
+        times, quals = clipped
         # Best quality attained by each time representative: trajectories are
         # time-sorted with improving quality, so it is the quality of the last
         # point no later than the representative.
         idx = np.searchsorted(times, reps_t, side="right") - 1
-        best = np.where(idx >= 0, quals[np.maximum(idx, 0)], direction.worst)
-        if minimizing:
-            attained = best[:, None] <= reps_q[None, :]
-        else:
-            attained = best[:, None] >= reps_q[None, :]
-        counts += attained.astype(int)
+        best = np.where(idx >= 0, quals[np.maximum(idx, 0)], math.inf)
+        counts += best[:, None] <= reps_q[None, :]
     return Histogram(discretization, counts, len(trajs))

@@ -131,3 +131,39 @@ def as_trajectories(runs_points, direction, suite="oracle"):
     meta = MetaData(suite, 1, 1, 1, direction)
     return [Trajectory(meta, i, [AttainmentPoint(int(t), float(q)) for t, q in pts])
             for i, pts in enumerate(runs_points)]
+
+
+def improvement_staircase_rowwise(pairs, direction):
+    """Row-by-row strict-improvement filter, frozen from the pre-array implementation.
+
+    Rows are taken in time order (ties in input order); a row is kept if it
+    strictly improves the running best, replacing an earlier kept point at
+    the same time.
+    """
+    points = []
+    best = math.inf if direction is MIN else -math.inf
+    for t, q in sorted(pairs, key=lambda row: row[0]):
+        q = float(q)
+        if (q < best) if direction is MIN else (q > best):
+            best = q
+            point = AttainmentPoint(int(t), q)
+            if points and points[-1].time == point.time:
+                points[-1] = point
+            else:
+                points.append(point)
+    return points
+
+
+def surface_sequential(points, nadir, direction):
+    """Staircase area summed rectangle by rectangle, frozen from the pre-array loop.
+
+    ``points`` must be a strict staircase weakly dominating ``nadir``.
+    """
+    sign = 1.0 if direction is MIN else -1.0
+    points = sorted(points)
+    tn, qn = nadir
+    area = 0.0
+    for i, (t, q) in enumerate(points):
+        t_next = points[i + 1][0] if i + 1 < len(points) else tn
+        area += (sign * qn - sign * q) * (t_next - t)
+    return area

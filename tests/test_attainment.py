@@ -1,5 +1,7 @@
 """Attainment analysis: trajectory capture, level sets, surfaces, volumes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,12 @@ class TestLevelSets:
     def test_non_staircase_trajectories_are_rejected(self):
         bad = as_trajectories([[(1, 5.0), (2, 5.0)]], MIN)
         with pytest.raises(ValueError, match="strict staircase"):
+            eaf_levels(bad)
+
+    @pytest.mark.parametrize("quality", [-math.inf, math.nan])
+    def test_non_finite_qualities_are_rejected(self, quality):
+        bad = as_trajectories([[(1, 5.0), (2, quality)]], MIN)
+        with pytest.raises(ValueError, match="finite qualities"):
             eaf_levels(bad)
 
     def test_mixed_directions_are_rejected(self):

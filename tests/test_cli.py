@@ -174,6 +174,15 @@ class TestStats:
         out = capsys.readouterr().out
         assert "volume\t1,2\t0.45" in out
 
+    @pytest.mark.parametrize("row", ["0,0,4", "1,3,nan", "1,3,-inf"])
+    def test_rejected_rows_exit_2_with_their_line(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(AB_CSV + row + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stats", "--in", str(path), "--levels", "0"])
+        assert exc.value.code == 2
+        assert "bad.csv:6:" in capsys.readouterr().err
+
     def test_invalid_nadir_exits_2(self, ab_file, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["stats", "--in", str(ab_file), "--levels", "0", "--nadir", "3,12"])

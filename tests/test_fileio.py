@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from attainbench.attainment import AttainmentPoint, default_nadir, eaf_levels
+from attainbench.attainment import AttainmentPoint, LevelSet, default_nadir, eaf_levels
 from attainbench.fileio import (
     NA,
     flat_file_name,
@@ -172,6 +172,71 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match=":2:"):
             read_trajectories(path)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("0,0,-3", "evaluation count 0 is below 1"),
+        ("0,-2,4", "evaluation count -2 is below 1"),
+        ("0,5,nan", "quality nan is not finite"),
+        ("0,5,inf", "quality inf is not finite"),
+        ("0,5,-inf", "quality -inf is not finite"),
+        ("", "blank line"),
+        ("# comment", "expected 3 cells, got 1"),
+        ("0,5", "expected 3 cells, got 2"),
+        ("0,5,1,2", "expected 3 cells, got 4"),
+        ("0,5,x", "could not convert string 'x'"),
+    ])
+    def test_bad_rows_are_rejected_with_their_line(self, tmp_path, row, problem):
+        path = tmp_path / "t.csv"
+        path.write_text(f"run,evaluations,quality\n0,1,9\n0,2,8\n{row}\n0,4,3\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"t.csv:4: {problem}"):
+            read_trajectories(path)
+
+    def test_windows_line_endings_are_accepted_and_blank_lines_still_found(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"run,evaluations,quality\r\n0,1,9\r\n0,2,8\r\n")
+        (traj,) = read_trajectories(path)
+        assert traj.points == [AttainmentPoint(1, 9.0), AttainmentPoint(2, 8.0)]
+        path.write_bytes(b"run,evaluations,quality\r\n0,1,9\r\n\r\n0,2,8\r\n")
+        with pytest.raises(ValueError, match="t.csv:3: blank line"):
+            read_trajectories(path)
+
+
+class TestAtomicWrites:
+    """A writer that fails mid-document leaves the earlier file and no temporary file."""
+
+    @staticmethod
+    def level_sets(path):
+        sets = eaf_levels(as_trajectories([[(1, 10.0), (3, 5.0)], [(2, 8.0), (4, 2.0)]], MIN))
+        sets[1].points = [AttainmentPoint(2, object())]  # not JSON-serializable
+        write_level_sets(path, sets, (4, 10.0))
+
+    @staticmethod
+    def histogram(path):
+        trajs = as_trajectories([[(1, 10.0), (3, 5.0)]], MIN)
+        hist = eah(trajs, fit_discretization(trajs, buckets=(2, 2)))
+        hist.counts = None  # fails after the header block is written
+        write_histogram(path, hist)
+
+    @staticmethod
+    def trajectories(path):
+        trajs = as_trajectories([[(1, 10.0)], [(2, 8.0)]], MIN)
+        trajs[1].points = [AttainmentPoint(2, "not a number")]
+        write_trajectories(path, trajs)
+
+    @pytest.mark.parametrize("writer", ["level_sets", "histogram", "trajectories"])
+    def test_failure_mid_document_keeps_the_earlier_file(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_text("earlier\n", encoding="utf-8")
+        with pytest.raises((TypeError, ValueError, AttributeError)):
+            getattr(self, writer)(path)
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_unwritable_target_names_the_path(self, tmp_path):
+        trajs = as_trajectories([[(1, 10.0)]], MIN)
+        with pytest.raises(OSError, match="cannot write trajectory file .*missing"):
+            write_trajectories(tmp_path / "missing" / "t.csv", trajs)
+
 
 class TestLevelSetExport:
     def test_document_shape(self, tmp_path):
@@ -187,6 +252,24 @@ class TestLevelSetExport:
         assert [lv["level"] for lv in document["levels"]] == [1, 2]
         assert document["levels"][0]["points"] == [[1, 10.0], [2, 8.0], [3, 5.0], [4, 2.0]]
         assert document["levels"][1]["points"] == [[2, 10.0], [3, 8.0], [4, 5.0]]
+
+    def test_bytes_match_the_json_module(self, tmp_path):
+        trajs = as_trajectories([[(1, 10.0), (3, 0.1)], [(2, 1e-300), (4, -2.5e20)]], MIN)
+        sets = eaf_levels(trajs) + [LevelSet(3, [AttainmentPoint(5, math.inf),
+                                                 AttainmentPoint(6, math.nan)], MIN),
+                                    LevelSet(4, [], MIN)]
+        group = {"source": "caf\u00e9.csv", "runs": 2, "tags": ["a", {"b": None}], "empty": {}}
+        path = tmp_path / "levels.json"
+        for level_sets in (sets, []):
+            write_level_sets(path, level_sets, (4, 10.0), group)
+            document = {
+                "group": group,
+                "direction": "min" if level_sets else None,
+                "nadir": [4, 10.0],
+                "levels": [{"level": ls.level, "points": [[p.time, p.quality] for p in ls.points]}
+                           for ls in level_sets],
+            }
+            assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
 
 
 class TestHistogramExport:

@@ -1,5 +1,7 @@
 """Attainment histograms: grid counting against the brute-force oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,12 @@ class TestClamping:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("point", [(3, math.inf), (3, -math.inf), (3, math.nan)])
+    def test_fit_rejects_non_finite_coordinates(self, point):
+        trajs = as_trajectories([[(1, 10.0), point]], MIN)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_discretization(trajs)
+
     def test_empty_inputs_are_rejected(self):
         with pytest.raises(ValueError, match="empty trajectory list"):
             eah([], Discretization(Axis(2, 0.0, 1.0), Axis(2, 0.0, 1.0)))
