@@ -21,8 +21,8 @@ from .histogram import (Axis, Discretization, Histogram, discretize_linear,
 from .loggers import (CellKey, Combine, Cursor, Logger, LogInfo, Record,
                       Store, Watcher)
 from .problems import (SUITES, ContinuousSuite, Direction, LeadingOnes,
-                       MetaData, OneMax, Problem, ProblemState,
-                       PseudoBooleanSuite, Rastrigin, Sphere, Suite)
+                       MetaData, OneMax, Problem, PseudoBooleanSuite,
+                       Rastrigin, Sphere, Suite)
 from .properties import (ABSENT, Evaluations, External, LoggedValue,
                          Property, RawY, RawYBest, TransformedY,
                          TransformedYBest)
@@ -36,8 +36,8 @@ __all__ = [
     "ContinuousSuite", "Cursor", "Direction", "Discretization", "Evaluations",
     "External", "Histogram", "LeadingOnes", "LevelSelector", "LevelSet",
     "LogInfo", "LoggedValue", "Logger", "MetaData", "OneMax", "Problem",
-    "ProblemState", "Property", "PseudoBooleanSuite", "Rastrigin", "RawY",
-    "RawYBest", "Record", "SOLVERS", "SUITES", "Sphere", "Store", "Suite",
+    "Property", "PseudoBooleanSuite", "Rastrigin", "RawY", "RawYBest",
+    "Record", "SOLVERS", "SUITES", "Sphere", "Store", "Suite",
     "Trajectory", "TrajectoryLogger", "TransformedY", "TransformedYBest",
     "Watcher", "default_nadir", "discretize_linear", "discretize_log",
     "eaf_levels", "eah", "ecdf", "fit_discretization", "hill_climber",

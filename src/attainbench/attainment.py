@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .loggers import CellKey, Logger, cell_key
+from .loggers import CellKey, Watcher
 from .problems import Direction, MetaData
 from .triggers import OnImprovement
 
@@ -130,44 +130,32 @@ def improvement_staircase(pairs: Iterable, direction: Direction) -> list:
     return _points(times[kept].astype(np.int64).tolist(), qualities[kept].tolist())
 
 
-class TrajectoryLogger(Logger):
+class TrajectoryLogger(Watcher):
     """Logger capturing one attainment trajectory per run.
 
-    Fires on strict improvement of the transformed quality and appends the
-    (evaluation count, best so far) pair. Data is grouped per benchmark
-    cell and zero-based run index; run boundaries come from reset
-    notifications, so the capture loop is: evaluate, reset, repeat.
+    A :class:`Watcher` that fires on strict improvement of the transformed
+    quality and records the (evaluation count, best so far) pair. Data is
+    grouped per benchmark cell and zero-based run index; run boundaries come
+    from reset notifications, so the capture loop is: evaluate, reset, repeat.
     """
 
     def __init__(self):
-        super().__init__()
-        self._gate = OnImprovement()
+        super().__init__([OnImprovement()])
         self._metas: dict = {}
-        self._points: dict = {}
 
     def _on_attach(self, meta) -> None:
-        self._metas[cell_key(meta)] = meta
-        self._gate.reset()
+        self._metas[self._cell] = meta
+        super()._on_attach(meta)
 
-    def _on_reset(self) -> None:
-        self._gate.reset()
-
-    def _on_call(self, info) -> None:
-        if self._gate(info, self._meta):
-            runs = self._points.setdefault(cell_key(self._meta), {})
-            point = AttainmentPoint(int(info.evaluations), float(info.transformed_y_best))
-            runs.setdefault(self.current_run, []).append(point)
-
-    def cells(self) -> list:
-        """Benchmark cells with at least one recorded point, sorted."""
-        return sorted(self._points)
+    def _entry(self, info, values: dict) -> AttainmentPoint:
+        return AttainmentPoint(int(info.evaluations), float(info.transformed_y_best))
 
     def trajectories(self, cell: Optional[CellKey] = None) -> list:
         """Trajectories of one cell (or of all cells, cell-major, run order)."""
         if cell is None:
             return [t for c in self.cells() for t in self.trajectories(c)]
         meta = self._metas[cell]
-        runs = self._points.get(cell, {})
+        runs = self._cells.get(cell, {})
         return [Trajectory(meta, run, list(points)) for run, points in sorted(runs.items())]
 
 

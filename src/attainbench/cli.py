@@ -17,16 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .attainment import LevelSet, TrajectoryLogger, default_nadir, eaf_levels, surface, volume
-from .fileio import (read_trajectories, write_flat_files, write_histogram,
+from .fileio import (cell_stem, read_trajectories, write_flat_files, write_histogram,
                      write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
-from .loggers import Combine, Store
+from .loggers import Store
 from .problems import Direction, SUITES
 from .properties import TransformedY, TransformedYBest
 from .solvers import SOLVERS
 from .triggers import Always
 
-LOG_CHOICES = ("eaf", "eah", "flatfile", "store")
+LOG_CHOICES = ("eaf", "eah", "flatfile")
 
 
 @dataclass
@@ -59,10 +59,10 @@ def run_benchmark(config: RunConfig) -> dict:
     wants = set(config.loggers)
 
     trajectory_logger = TrajectoryLogger() if wants & {"eaf", "eah"} else None
-    store = (Store([Always()], [TransformedY(), TransformedYBest()])
-             if wants & {"flatfile", "store"} else None)
-    children = [lg for lg in (trajectory_logger, store) if lg is not None]
-    suite.attach_logger(Combine(children))
+    store = Store([Always()], [TransformedY(), TransformedYBest()]) if "flatfile" in wants else None
+    for logger in (trajectory_logger, store):
+        if logger is not None:
+            suite.attach_logger(logger)
 
     cells = 0
     for problem in suite:
@@ -79,7 +79,7 @@ def run_benchmark(config: RunConfig) -> dict:
     files = []
     if trajectory_logger is not None:
         for cell in trajectory_logger.cells():
-            stem = f"{cell.suite_name}_f{cell.problem_id}_d{cell.dimension}_i{cell.instance}"
+            stem = cell_stem(cell)
             trajectories = trajectory_logger.trajectories(cell)
             if "eaf" in wants:
                 path = out / f"{stem}_traj.csv"
@@ -159,7 +159,7 @@ def _cmd_run(args, parser) -> int:
             budget=args.budget,
             solver=args.solver,
             seed=args.seed,
-            loggers=tuple(dict.fromkeys(args.log)),
+            loggers=tuple(dict.fromkeys(args.log or ["eaf"])),
             out_dir=Path(args.out),
             eah_buckets=_buckets(parser, args.buckets),
             eah_scales=_scales(parser, args.scale),
@@ -188,22 +188,16 @@ def _cmd_eaf(args, parser) -> int:
 
 def _cmd_eah(args, parser) -> int:
     trajectories = _read(parser, args.infile, _direction(args))
-    buckets = _buckets(parser, args.buckets)
-    scales = _scales(parser, args.scale)
-    if args.time_range or args.quality_range:
-        default = fit_discretization(trajectories, buckets, scales)
-        axes = []
-        for axis, override, flag in ((default.time, args.time_range, "--time-range"),
-                                     (default.quality, args.quality_range, "--quality-range")):
-            if override:
-                lo, hi = _range(parser, override, flag)
-                axes.append(Axis(axis.buckets, lo, hi - lo, axis.scale))
-            else:
-                axes.append(axis)
-        disc = Discretization(*axes)
-    else:
-        disc = fit_discretization(trajectories, buckets, scales)
-    write_histogram(args.out, eah(trajectories, disc))
+    fitted = fit_discretization(trajectories, _buckets(parser, args.buckets),
+                                _scales(parser, args.scale))
+    axes = []
+    for axis, override, flag in ((fitted.time, args.time_range, "--time-range"),
+                                 (fitted.quality, args.quality_range, "--quality-range")):
+        if override:
+            lo, hi = _range(parser, override, flag)
+            axis = Axis(axis.buckets, lo, hi - lo, axis.scale)
+        axes.append(axis)
+    write_histogram(args.out, eah(trajectories, Discretization(*axes)))
     return 0
 
 
@@ -254,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--solver", choices=sorted(SOLVERS), default="random")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--log", action="append", choices=LOG_CHOICES, default=None,
-                     help="logger to attach (repeatable; default eaf; store is "
-                          "materialized as flat files)")
+                     help="logger to attach (repeatable; default eaf)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--buckets", default="20x20", help="eah bucket counts, TxQ")
     run.add_argument("--scale", default="linear,linear", help="eah scales, time,quality")
@@ -286,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "log", None) is not None:
-        args.log = list(args.log)
-    elif args.command == "run":
-        args.log = ["eaf"]
     try:
         return args.func(args, parser)
     except OSError as exc:

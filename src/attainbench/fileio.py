@@ -74,8 +74,13 @@ def _atomic_writer(path: Path, what: str):
         raise OSError(f"cannot write {what} {path}: {exc}") from exc
 
 
+def cell_stem(cell) -> str:
+    """``<suite>_f<problem>_d<dimension>_i<instance>``, the start of every per-cell file name."""
+    return f"{cell.suite_name}_f{cell.problem_id}_d{cell.dimension}_i{cell.instance}"
+
+
 def flat_file_name(cell) -> str:
-    return f"{cell.suite_name}_f{cell.problem_id}_d{cell.dimension}_i{cell.instance}.csv"
+    return f"{cell_stem(cell)}.csv"
 
 
 def write_flat_files(store: Store, directory) -> list:

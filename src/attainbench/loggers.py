@@ -69,6 +69,7 @@ class Logger:
 
     def __init__(self):
         self._meta = None
+        self._cell: Optional[CellKey] = None
         self._run_index: dict[CellKey, int] = {}
 
     @property
@@ -80,10 +81,11 @@ class Logger:
     def current_run(self) -> int:
         if self._meta is None:
             return 0
-        return self._run_index[cell_key(self._meta)]
+        return self._run_index[self._cell]
 
     def attach(self, meta) -> None:
-        self._run_index.setdefault(cell_key(meta), 0)
+        self._cell = cell_key(meta)
+        self._run_index.setdefault(self._cell, 0)
         self._meta = meta
         self._on_attach(meta)
 
@@ -96,7 +98,7 @@ class Logger:
 
     def reset(self) -> None:
         if self._meta is not None:
-            self._run_index[cell_key(self._meta)] += 1
+            self._run_index[self._cell] += 1
         self._on_reset()
 
     def _on_attach(self, meta) -> None:
@@ -141,6 +143,9 @@ class Watcher(Logger):
     trigger combinators for all-of behaviour. Trigger state is cleared at
     run boundaries and when a new context attaches.
 
+    Recorded entries are grouped by benchmark cell and zero-based run index,
+    in the order they were logged; subclasses say what one entry is.
+
     Property names must be unique within one watcher. The evaluation count
     is always captured alongside the watched properties.
     """
@@ -153,27 +158,41 @@ class Watcher(Logger):
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
             raise ValueError(f"duplicate property name(s) in one watcher: {duplicates}")
+        self._cells: dict[CellKey, dict[int, list]] = {}
 
     @property
     def property_names(self) -> list:
         return [p.name for p in self.properties]
 
     def _on_attach(self, meta) -> None:
+        self._reset_triggers()
+
+    def _reset_triggers(self) -> None:
         for t in self.triggers:
             t.reset()
 
-    def _on_reset(self) -> None:
-        for t in self.triggers:
-            t.reset()
+    _on_reset = _reset_triggers
 
     def _on_call(self, info: LogInfo) -> None:
         fired = [t(info, self._meta) for t in self.triggers]
         if any(fired):
             values = {p.name: p(info) for p in self.properties}
-            self._record(info, values)
+            runs = self._cells.setdefault(self._cell, {})
+            runs.setdefault(self._run_index[self._cell], []).append(self._entry(info, values))
 
-    def _record(self, info: LogInfo, values: dict) -> None:
+    def _entry(self, info: LogInfo, values: dict):
+        """The entry recorded for one event that fired."""
         raise NotImplementedError
+
+    def cells(self) -> list:
+        """Benchmark cells with at least one recorded entry, sorted."""
+        return sorted(self._cells)
+
+    def runs(self, cell: CellKey) -> list:
+        return sorted(self._cells.get(cell, ()))
+
+    def events(self, cell: CellKey, run: int) -> list:
+        return list(self._cells.get(cell, {}).get(run, ()))
 
 
 @dataclass
@@ -185,30 +204,14 @@ class Record:
 
 
 class Store(Watcher):
-    """Watcher with in-memory, cursor-addressable storage.
+    """Watcher keeping one :class:`Record` per event, addressable by cursor.
 
-    Records are grouped by benchmark cell and zero-based run index, in the
-    order they were logged. :meth:`at` resolves a cursor to a single
-    reading; anything the cursor fails to address comes back absent rather
-    than raising.
+    :meth:`at` resolves a cursor to a single reading; anything the cursor
+    fails to address comes back absent rather than raising.
     """
 
-    def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
-        super().__init__(triggers, properties)
-        self._cells: dict[CellKey, dict[int, list[Record]]] = {}
-
-    def _record(self, info: LogInfo, values: dict) -> None:
-        runs = self._cells.setdefault(cell_key(self._meta), {})
-        runs.setdefault(self.current_run, []).append(Record(int(info.evaluations), values))
-
-    def cells(self) -> list:
-        return sorted(self._cells)
-
-    def runs(self, cell: CellKey) -> list:
-        return sorted(self._cells.get(cell, ()))
-
-    def events(self, cell: CellKey, run: int) -> list:
-        return list(self._cells.get(cell, {}).get(run, ()))
+    def _entry(self, info: LogInfo, values: dict) -> Record:
+        return Record(int(info.evaluations), values)
 
     def at(self, cursor: Cursor, prop) -> LoggedValue:
         """Reading of ``prop`` (a property or its name) at one event.

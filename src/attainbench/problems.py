@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,25 +74,13 @@ class MetaData:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
 
-@dataclass
-class ProblemState:
-    """Mutable per-run bookkeeping; cleared by :meth:`Problem.reset`."""
-
-    evaluations: int = 0
-    raw_y: float = math.nan
-    raw_y_best: float = math.inf
-    transformed_y: float = math.nan
-    transformed_y_best: float = math.inf
-    current_solution: Optional[np.ndarray] = None
-
-
 class Problem:
     """Base objective function with evaluation counting and logging hooks.
 
     Calling the problem with a solution vector evaluates it and returns the
-    transformed quality. Each call increments the evaluation counter,
-    refreshes current and best values, and hands a fresh :class:`LogInfo`
-    snapshot (bests already updated) to every attached logger.
+    transformed quality. Each call builds the :class:`LogInfo` of that
+    evaluation (counter incremented, bests already updated), keeps it as
+    :attr:`state` and hands it to every attached logger.
 
     A problem object is not thread-safe; concurrent use is supported across
     distinct problem objects, which share no mutable state.
@@ -128,9 +116,9 @@ class Problem:
             return raw
         return self._raw(x - self._shift) + self._offset
 
-    def _fresh_state(self) -> ProblemState:
+    def _fresh_state(self) -> LogInfo:
         worst = self.direction.worst
-        return ProblemState(raw_y_best=worst, transformed_y_best=worst)
+        return LogInfo(raw_y_best=worst, transformed_y_best=worst)
 
     def _coerce(self, solution) -> np.ndarray:
         if self.domain == "continuous":
@@ -154,16 +142,11 @@ class Problem:
         raw = float(self._raw(x))
         transformed = float(self._transformed(x, raw))
         st = self.state
-        st.evaluations += 1
-        st.raw_y = raw
-        st.transformed_y = transformed
-        if self.direction.better(raw, st.raw_y_best):
-            st.raw_y_best = raw
-        if self.direction.better(transformed, st.transformed_y_best):
-            st.transformed_y_best = transformed
-        st.current_solution = x
-        info = LogInfo(st.evaluations, raw, st.raw_y_best, transformed,
-                       st.transformed_y_best, tuple(x.tolist()))
+        better = self.direction.better
+        raw_best = raw if better(raw, st.raw_y_best) else st.raw_y_best
+        best = transformed if better(transformed, st.transformed_y_best) else st.transformed_y_best
+        self.state = info = LogInfo(st.evaluations + 1, raw, raw_best, transformed, best,
+                                    tuple(x.tolist()))
         for lg in self._loggers:
             lg.call(info)
         return transformed

@@ -43,54 +43,47 @@ class Property:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class Evaluations(Property):
+class _Field(Property):
+    """Reads the :class:`LogInfo` field named by the subclass's ``field``,
+    which is also the default property name."""
+
+    field: str
+
+    def __init__(self, name: Optional[str] = None):
+        super().__init__(self.field if name is None else name)
+
+    def __call__(self, info) -> LoggedValue:
+        return LoggedValue.of(float(getattr(info, self.field)))
+
+
+class Evaluations(_Field):
     """Number of objective calls made so far in the current run."""
 
-    def __init__(self, name: str = "evaluations"):
-        super().__init__(name)
-
-    def __call__(self, info) -> LoggedValue:
-        return LoggedValue.of(float(info.evaluations))
+    field = "evaluations"
 
 
-class RawY(Property):
+class RawY(_Field):
     """Objective value of the current solution, before the instance transformation."""
 
-    def __init__(self, name: str = "raw_y"):
-        super().__init__(name)
-
-    def __call__(self, info) -> LoggedValue:
-        return LoggedValue.of(float(info.raw_y))
+    field = "raw_y"
 
 
-class RawYBest(Property):
+class RawYBest(_Field):
     """Best untransformed value seen so far in the run."""
 
-    def __init__(self, name: str = "raw_y_best"):
-        super().__init__(name)
-
-    def __call__(self, info) -> LoggedValue:
-        return LoggedValue.of(float(info.raw_y_best))
+    field = "raw_y_best"
 
 
-class TransformedY(Property):
+class TransformedY(_Field):
     """Objective value of the current solution on the instance actually run."""
 
-    def __init__(self, name: str = "transformed_y"):
-        super().__init__(name)
-
-    def __call__(self, info) -> LoggedValue:
-        return LoggedValue.of(float(info.transformed_y))
+    field = "transformed_y"
 
 
-class TransformedYBest(Property):
+class TransformedYBest(_Field):
     """Best transformed value seen so far in the run."""
 
-    def __init__(self, name: str = "transformed_y_best"):
-        super().__init__(name)
-
-    def __call__(self, info) -> LoggedValue:
-        return LoggedValue.of(float(info.transformed_y_best))
+    field = "transformed_y_best"
 
 
 class External(Property):

@@ -98,8 +98,8 @@ class During(Trigger):
         return any(lo <= e <= hi for lo, hi in self.intervals)
 
 
-class Any(Trigger):
-    """Logical OR over child triggers; empty means never.
+class _Junction(Trigger):
+    """Child triggers of :class:`Any` and :class:`All`.
 
     Every child is evaluated on every event (no short-circuiting) so that
     stateful children advance uniformly whatever their position in the list.
@@ -108,28 +108,20 @@ class Any(Trigger):
     def __init__(self, triggers: Iterable[Trigger]):
         self.triggers = list(triggers)
 
-    def __call__(self, info, meta) -> bool:
-        fired = [t(info, meta) for t in self.triggers]
-        return any(fired)
-
     def reset(self) -> None:
         for t in self.triggers:
             t.reset()
 
 
-class All(Trigger):
-    """Logical AND over child triggers; empty means always.
-
-    Like :class:`Any`, children are all evaluated on every event.
-    """
-
-    def __init__(self, triggers: Iterable[Trigger]):
-        self.triggers = list(triggers)
+class Any(_Junction):
+    """Logical OR over child triggers; empty means never."""
 
     def __call__(self, info, meta) -> bool:
-        fired = [t(info, meta) for t in self.triggers]
-        return all(fired)
+        return any([t(info, meta) for t in self.triggers])
 
-    def reset(self) -> None:
-        for t in self.triggers:
-            t.reset()
+
+class All(_Junction):
+    """Logical AND over child triggers; empty means always."""
+
+    def __call__(self, info, meta) -> bool:
+        return all([t(info, meta) for t in self.triggers])

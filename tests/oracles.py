@@ -167,3 +167,55 @@ def surface_sequential(points, nadir, direction):
         t_next = points[i + 1][0] if i + 1 < len(points) else tn
         area += (sign * qn - sign * q) * (t_next - t)
     return area
+
+
+class TrajectoryLoggerFrozen:
+    """Per-run improvement staircases, frozen from the logger that kept its own
+    improvement gate, run indices and cell -> run grouping.
+
+    The gate fires when ``transformed_y`` strictly improves on the best seen
+    since the last attach or reset; a firing event records
+    ``(evaluations, transformed_y_best)`` under the attached cell and its
+    current run. Every reset advances the run of the attached cell.
+    """
+
+    def __init__(self):
+        self._meta = None
+        self._run_index = {}
+        self._best = None
+        self._metas = {}
+        self._points = {}
+
+    def _cell(self):
+        m = self._meta
+        return (m.suite_name, m.problem_id, m.dimension, m.instance)
+
+    def attach(self, meta):
+        self._meta = meta
+        self._run_index.setdefault(self._cell(), 0)
+        self._metas[self._cell()] = meta
+        self._best = None
+
+    def call(self, info):
+        if self._meta is None:
+            raise RuntimeError("call() before attach()")
+        direction = self._meta.direction
+        best = self._best if self._best is not None else direction.worst
+        if direction.better(info.transformed_y, best):
+            self._best = info.transformed_y
+            runs = self._points.setdefault(self._cell(), {})
+            point = AttainmentPoint(int(info.evaluations), float(info.transformed_y_best))
+            runs.setdefault(self._run_index[self._cell()], []).append(point)
+
+    def reset(self):
+        if self._meta is not None:
+            self._run_index[self._cell()] += 1
+        self._best = None
+
+    def cells(self):
+        return sorted(self._points)
+
+    def trajectories(self, cell):
+        runs = self._points.get(cell, {})
+        return [Trajectory(self._metas[cell], run, list(points))
+                for run, points in sorted(runs.items())]

@@ -1,8 +1,12 @@
 """End-to-end command line behaviour."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attainbench import cli
 from attainbench.fileio import read_flat_file, read_trajectories
@@ -48,12 +52,16 @@ class TestRun:
 
     def test_store_logging_is_materialized_as_flat_files(self, tmp_path):
         out = tmp_path / "out"
-        cli.main(["run", "--problems", "1", "--instances", "1", "--dims", "3",
-                  "--runs", "1", "--budget", "4", "--out", str(out), "--log", "store"])
+        args = ["run", "--problems", "1", "--instances", "1", "--dims", "3",
+                "--runs", "1", "--budget", "4", "--out", str(out)]
+        cli.main(args + ["--log", "flatfile"])
         (name,) = run_files(out)
         names, rows = read_flat_file(out / name)
         assert names == ["transformed_y", "transformed_y_best"]
         assert len(rows) == 4  # every evaluation of the single run
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--log", "store"])
+        assert exc.value.code == 2
 
     def test_trajectories_cover_each_run(self, tmp_path):
         out = tmp_path / "out"
@@ -188,3 +196,61 @@ class TestStats:
             cli.main(["stats", "--in", str(ab_file), "--levels", "0", "--nadir", "3,12"])
         assert exc.value.code == 2
         assert "not weakly dominated" in capsys.readouterr().err
+
+
+valid_rows = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 50),
+                                st.integers(-20, 20).map(lambda q: q / 4)),
+                      min_size=1, max_size=12)
+numbers = st.integers(-3, 60).map(str)
+words = st.text("abcxyz_.-", min_size=1, max_size=4)
+malformed_lines = st.one_of(
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(numbers, min_size=2, max_size=2).map(",".join),
+    st.lists(numbers, min_size=4, max_size=4).map(",".join),
+    st.tuples(numbers, numbers, numbers, words, st.integers(0, 2)).map(
+        lambda c: ",".join(c[3] if i == c[4] else c[i] for i in range(3))),
+    st.tuples(st.integers(0, 3), st.integers(-5, 0)).map(lambda c: f"{c[0]},{c[1]},1.5"),
+    st.tuples(st.integers(0, 3), st.integers(1, 50),
+              st.sampled_from(["nan", "NaN", "inf", "-inf", "+inf", "Infinity"])).map(
+        lambda c: f"{c[0]},{c[1]},{c[2]}"),
+)
+
+
+def run_cli_expecting_usage_error(argv):
+    """Run ``bench`` in process; return its stderr after checking it exited 2."""
+    with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in err.getvalue()
+    return err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=valid_rows, bad=malformed_lines, data=st.data())
+def test_a_malformed_line_exits_2_naming_it_and_writes_nothing(tmp_path_factory, rows, bad, data):
+    lines = [f"{r},{e},{q!r}" for r, e, q in rows]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    lines[index] = bad
+    directory = tmp_path_factory.mktemp("malformed")
+    path = directory / "t.csv"
+    path.write_text("run,evaluations,quality\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    out = directory / "levels.json"
+    err = run_cli_expecting_usage_error(["eaf", "--in", str(path), "--levels", "0",
+                                         "--out", str(out)])
+    assert f"{path}:{index + 2}:" in err
+    assert sorted(p.name for p in directory.iterdir()) == ["t.csv"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(good=st.lists(st.integers(0, 1), max_size=3), data=st.data(),
+       bad=st.integers(-50, -1).map(str) | st.integers(2, 50).map(str)
+       | st.sampled_from(["", "x", "1.5", "0x1", "1e0", " "]))
+def test_bad_level_indices_exit_2_and_write_nothing(tmp_path_factory, good, data, bad):
+    entries = [str(j) for j in good]
+    entries.insert(data.draw(st.integers(0, len(entries))), bad)
+    directory = tmp_path_factory.mktemp("levels")
+    path = directory / "ab.csv"
+    path.write_text(AB_CSV, encoding="utf-8")  # two runs: valid indices are 0 and 1
+    run_cli_expecting_usage_error(["eaf", "--in", str(path), f"--levels={','.join(entries)}",
+                                   "--out", str(directory / "levels.json")])
+    assert sorted(p.name for p in directory.iterdir()) == ["ab.csv"]

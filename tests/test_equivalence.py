@@ -1,19 +1,24 @@
-"""The array kernels against brute force and frozen copies of the row-by-row code.
+"""The array kernels and the trajectory logger against brute force and frozen
+copies of the code they replaced.
 
 Groups are drawn from small coordinate ranges so that times are shared
 across runs and qualities tie across runs; raw trajectory rows repeat
 evaluation counts within a run.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attainbench.attainment import LevelSet, eaf_levels, improvement_staircase, surface, volume
+from attainbench.attainment import (LevelSet, TrajectoryLogger, eaf_levels,
+                                    improvement_staircase, surface, volume)
 from attainbench.fileio import read_trajectories
-from attainbench.problems import Direction
+from attainbench.loggers import LogInfo
+from attainbench.problems import Direction, MetaData
 
-from oracles import (as_trajectories, eaf_levels_bruteforce, improvement_staircase_rowwise,
-                     surface_sequential)
+from oracles import (TrajectoryLoggerFrozen, as_trajectories, eaf_levels_bruteforce,
+                     improvement_staircase_rowwise, surface_sequential)
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
@@ -93,3 +98,32 @@ def test_surface_and_volume_keep_the_sequential_bits(group, slack):
     for area in areas:
         total += area
     assert volume(sets, (tn, qn)) == total
+
+
+# A NaN value never improves, so a run can have calls but no recorded point.
+logger_steps = st.one_of(
+    st.tuples(st.just("attach"), st.integers(0, 2)),
+    st.tuples(st.just("call"), small_qualities | st.just(math.nan), small_qualities),
+    st.tuples(st.just("reset")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_directions=st.lists(directions, min_size=2, max_size=3),
+       first=st.integers(0, 2), steps=st.lists(logger_steps, max_size=60))
+def test_trajectory_logger_equals_the_frozen_logger(cell_directions, first, steps):
+    metas = [MetaData("script", p, 1, 2, d) for p, d in enumerate(cell_directions, start=1)]
+    new, old = TrajectoryLogger(), TrajectoryLoggerFrozen()
+    steps = [("attach", first)] + steps
+    for evaluations, step in enumerate(steps, start=1):
+        for logger in (new, old):
+            if step[0] == "attach":
+                logger.attach(metas[step[1] % len(metas)])
+            elif step[0] == "call":
+                logger.call(LogInfo(evaluations=evaluations, transformed_y=step[1],
+                                    transformed_y_best=step[2]))
+            else:
+                logger.reset()
+    assert new.cells() == old.cells()
+    for cell in old.cells():
+        assert new.trajectories(cell) == old.trajectories(cell)
