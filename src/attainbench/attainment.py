@@ -181,8 +181,7 @@ def _staircase(points: Sequence, direction: Direction, label: str) -> tuple:
     return times, qualities
 
 
-def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int]] = None,
-               direction: Optional[Direction] = None) -> list:
+def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int]] = None) -> list:
     """Attainment level sets over a group of runs.
 
     For each requested level k (1 <= k <= m, defaulting to all of them),
@@ -200,8 +199,7 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
     trajs = list(trajectories)
     if not trajs:
         raise ValueError("eaf_levels: empty trajectory list")
-    if direction is None:
-        direction = _common_direction(trajs)
+    direction = _common_direction(trajs)
     columns = [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
     m = len(trajs)
     if levels is None:
@@ -271,8 +269,7 @@ class LevelSelector:
         return out
 
 
-def default_nadir(trajectories: Sequence[Trajectory],
-                  direction: Optional[Direction] = None) -> AttainmentPoint:
+def default_nadir(trajectories: Sequence[Trajectory]) -> AttainmentPoint:
     """Componentwise worst corner over all trajectory points.
 
     The time coordinate is the largest observed time; the quality coordinate
@@ -283,10 +280,8 @@ def default_nadir(trajectories: Sequence[Trajectory],
     trajs = list(trajectories)
     if not trajs or not any(t.points for t in trajs):
         raise ValueError("default_nadir: no trajectory points")
-    if direction is None:
-        direction = _common_direction(trajs)
     times, qualities = _columns([p for t in trajs for p in t.points])
-    worst = int(np.argmax(_minimizing(qualities, direction)))
+    worst = int(np.argmax(_minimizing(qualities, _common_direction(trajs))))
     return AttainmentPoint(times.max().item(), qualities[worst].item())
 
 

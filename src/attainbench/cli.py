@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .attainment import LevelSet, TrajectoryLogger, default_nadir, eaf_levels, surface, volume
+from .attainment import TrajectoryLogger, default_nadir, eaf_levels, surface, volume
 from .fileio import (cell_stem, read_trajectories, write_flat_files, write_histogram,
                      write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
@@ -102,73 +102,74 @@ def run_benchmark(config: RunConfig) -> dict:
     return summary
 
 
-def _int_list(parser: argparse.ArgumentParser, text: str, flag: str) -> tuple:
+def _int_list(text: str) -> tuple:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        parser.error(f"{flag} expects a comma-separated integer list, got {text!r}")
-    if not values:
-        parser.error(f"{flag} must not be empty")
-    return values
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}") from None
 
 
-def _buckets(parser, text: str) -> tuple:
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _buckets(text: str) -> tuple:
     parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.isdigit() and int(p) >= 1 for p in parts):
-        parser.error(f"--buckets expects TxQ positive counts, got {text!r}")
+    if len(parts) != 2 or not all(p.isdecimal() and int(p) >= 1 for p in parts):
+        raise argparse.ArgumentTypeError(f"expects TxQ positive counts, got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
-def _scales(parser, text: str) -> tuple:
+def _scales(text: str) -> tuple:
     parts = tuple(text.split(","))
     if len(parts) != 2 or any(p not in SCALES for p in parts):
-        parser.error(f"--scale expects time,quality from {SCALES}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects time,quality from {SCALES}, got {text!r}")
     return parts
 
 
-def _range(parser, text: str, flag: str) -> tuple:
+def _range(text: str) -> tuple:
     try:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
-        parser.error(f"{flag} expects lo:hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects lo:hi, got {text!r}") from None
     if not hi > lo:
-        parser.error(f"{flag}: upper bound must exceed lower bound")
+        raise argparse.ArgumentTypeError(f"upper bound must exceed lower bound, got {text!r}")
     return lo, hi
 
 
-def _direction(args) -> Direction:
-    return Direction.MINIMIZATION if args.direction == "min" else Direction.MAXIMIZATION
-
-
-def _level_indices(parser, text: str, m: int) -> list:
-    indices = sorted(set(_int_list(parser, text, "--levels")))
-    bad = [j for j in indices if j < 0 or j >= m]
-    if bad:
-        parser.error(f"--levels index(es) {bad} out of range: input has {m} run(s)")
-    return indices
-
-
-def _cmd_run(args, parser) -> int:
+def _nadir(text: str) -> tuple:
     try:
-        config = RunConfig(
-            suite=args.suite,
-            problems=_int_list(parser, args.problems, "--problems"),
-            instances=_int_list(parser, args.instances, "--instances"),
-            dimensions=_int_list(parser, args.dims, "--dims"),
-            runs=args.runs,
-            budget=args.budget,
-            solver=args.solver,
-            seed=args.seed,
-            loggers=tuple(dict.fromkeys(args.log or ["eaf"])),
-            out_dir=Path(args.out),
-            eah_buckets=_buckets(parser, args.buckets),
-            eah_scales=_scales(parser, args.scale),
-        )
-        if config.runs < 1 or config.budget < 1:
-            parser.error("--runs and --budget must be >= 1")
-        summary = run_benchmark(config)
-    except ValueError as exc:
-        parser.error(str(exc))
+        t, q = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects T,Q, got {text!r}") from None
+    return t, q
+
+
+def _levels(indices: tuple, m: int) -> list:
+    """Attainment levels of zero-based ``--levels`` indices, checked against the run count."""
+    bad = sorted({j for j in indices if not 0 <= j < m})
+    if bad:
+        raise ValueError(f"--levels index(es) {bad} out of range: input has {m} run(s)")
+    return [j + 1 for j in indices]
+
+
+def _cmd_run(args) -> int:
+    summary = run_benchmark(RunConfig(
+        suite=args.suite,
+        problems=args.problems,
+        instances=args.instances,
+        dimensions=args.dims,
+        runs=args.runs,
+        budget=args.budget,
+        solver=args.solver,
+        seed=args.seed,
+        loggers=tuple(dict.fromkeys(args.log or ["eaf"])),
+        out_dir=Path(args.out),
+        eah_buckets=args.buckets,
+        eah_scales=args.scale,
+    ))
     print(f"cells\t{summary['cells']}")
     print(f"runs\t{summary['runs']}")
     print(f"evaluations\t{summary['evaluations']}")
@@ -176,60 +177,39 @@ def _cmd_run(args, parser) -> int:
     return 0
 
 
-def _cmd_eaf(args, parser) -> int:
-    trajectories = _read(parser, args.infile, _direction(args))
-    indices = _level_indices(parser, args.levels, len(trajectories))
-    sets = eaf_levels(trajectories, [j + 1 for j in indices])
+def _cmd_eaf(args) -> int:
+    trajectories = read_trajectories(args.infile, args.direction)
+    sets = eaf_levels(trajectories, _levels(args.levels, len(trajectories)))
     nadir = default_nadir(trajectories)
     group = {"source": str(args.infile), "runs": len(trajectories)}
     write_level_sets(args.out, sets, nadir, group)
     return 0
 
 
-def _cmd_eah(args, parser) -> int:
-    trajectories = _read(parser, args.infile, _direction(args))
-    fitted = fit_discretization(trajectories, _buckets(parser, args.buckets),
-                                _scales(parser, args.scale))
+def _cmd_eah(args) -> int:
+    trajectories = read_trajectories(args.infile, args.direction)
+    fitted = fit_discretization(trajectories, args.buckets, args.scale)
     axes = []
-    for axis, override, flag in ((fitted.time, args.time_range, "--time-range"),
-                                 (fitted.quality, args.quality_range, "--quality-range")):
-        if override:
-            lo, hi = _range(parser, override, flag)
+    for axis, override in ((fitted.time, args.time_range), (fitted.quality, args.quality_range)):
+        if override is not None:
+            lo, hi = override
             axis = Axis(axis.buckets, lo, hi - lo, axis.scale)
         axes.append(axis)
     write_histogram(args.out, eah(trajectories, Discretization(*axes)))
     return 0
 
 
-def _cmd_stats(args, parser) -> int:
-    trajectories = _read(parser, args.infile, _direction(args))
-    indices = _level_indices(parser, args.levels, len(trajectories))
-    sets = eaf_levels(trajectories, [j + 1 for j in indices])
-    if args.nadir:
-        try:
-            t_text, q_text = args.nadir.split(",")
-            nadir = (float(t_text), float(q_text))
-        except ValueError:
-            parser.error(f"--nadir expects T,Q got {args.nadir!r}")
-    else:
-        nadir = default_nadir(trajectories)
+def _cmd_stats(args) -> int:
+    trajectories = read_trajectories(args.infile, args.direction)
+    sets = eaf_levels(trajectories, _levels(args.levels, len(trajectories)))
+    nadir = args.nadir or default_nadir(trajectories)
     print(f"# nadir\t{repr(float(nadir[0]))}\t{repr(float(nadir[1]))}")
     print("metric\tlevel\tvalue")
-    try:
-        for level_set in sets:
-            print(f"surface\t{level_set.level}\t{repr(surface(level_set, nadir))}")
-        label = ",".join(str(ls.level) for ls in sets)
-        print(f"volume\t{label}\t{repr(volume(sets, nadir, args.normalized))}")
-    except ValueError as exc:
-        parser.error(str(exc))
+    for level_set in sets:
+        print(f"surface\t{level_set.level}\t{repr(surface(level_set, nadir))}")
+    label = ",".join(str(ls.level) for ls in sets)
+    print(f"volume\t{label}\t{repr(volume(sets, nadir, args.normalized))}")
     return 0
-
-
-def _read(parser, path, direction: Direction):
-    try:
-        return read_trajectories(path, direction)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,18 +220,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a reference solver over a suite")
     run.add_argument("--suite", choices=sorted(SUITES), default="continuous")
-    run.add_argument("--problems", default="1,2", help="comma-separated problem ids")
-    run.add_argument("--instances", default="1", help="comma-separated instance numbers")
-    run.add_argument("--dims", default="10", help="comma-separated dimensions")
-    run.add_argument("--runs", type=int, default=10, help="runs per cell")
-    run.add_argument("--budget", type=int, default=100, help="evaluations per run")
+    run.add_argument("--problems", type=_int_list, default="1,2",
+                     help="comma-separated problem ids")
+    run.add_argument("--instances", type=_int_list, default="1",
+                     help="comma-separated instance numbers")
+    run.add_argument("--dims", type=_int_list, default="10", help="comma-separated dimensions")
+    run.add_argument("--runs", type=_positive_int, default=10, help="runs per cell")
+    run.add_argument("--budget", type=_positive_int, default=100, help="evaluations per run")
     run.add_argument("--solver", choices=sorted(SOLVERS), default="random")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--log", action="append", choices=LOG_CHOICES, default=None,
                      help="logger to attach (repeatable; default eaf)")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--buckets", default="20x20", help="eah bucket counts, TxQ")
-    run.add_argument("--scale", default="linear,linear", help="eah scales, time,quality")
+    run.add_argument("--buckets", type=_buckets, default="20x20", help="eah bucket counts, TxQ")
+    run.add_argument("--scale", type=_scales, default="linear,linear",
+                     help="eah scales, time,quality")
     run.set_defaults(func=_cmd_run)
 
     eaf_cmd = sub.add_parser("eaf", help="level sets of a trajectory file, as JSON")
@@ -259,18 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="surface/volume statistics of a trajectory file")
     for p in (eaf_cmd, eah_cmd, stats):
         p.add_argument("--in", dest="infile", required=True, help="trajectory CSV")
-        p.add_argument("--direction", choices=("min", "max"), default="min")
-    eaf_cmd.add_argument("--levels", required=True, help="zero-based level indices, comma-separated")
+        p.add_argument("--direction", type=Direction, default=Direction.MINIMIZATION,
+                       metavar="{min,max}")
+    for p in (eaf_cmd, stats):
+        p.add_argument("--levels", type=_int_list, required=True,
+                       help="zero-based level indices, comma-separated")
     eaf_cmd.add_argument("--out", required=True, help="output JSON path")
     eaf_cmd.set_defaults(func=_cmd_eaf)
-    eah_cmd.add_argument("--buckets", default="20x20", help="bucket counts, TxQ")
-    eah_cmd.add_argument("--scale", default="linear,linear", help="scales, time,quality")
-    eah_cmd.add_argument("--time-range", default=None, help="time axis bounds, lo:hi")
-    eah_cmd.add_argument("--quality-range", default=None, help="quality axis bounds, lo:hi")
+    eah_cmd.add_argument("--buckets", type=_buckets, default="20x20", help="bucket counts, TxQ")
+    eah_cmd.add_argument("--scale", type=_scales, default="linear,linear",
+                         help="scales, time,quality")
+    eah_cmd.add_argument("--time-range", type=_range, help="time axis bounds, lo:hi")
+    eah_cmd.add_argument("--quality-range", type=_range, help="quality axis bounds, lo:hi")
     eah_cmd.add_argument("--out", required=True, help="output CSV path")
     eah_cmd.set_defaults(func=_cmd_eah)
-    stats.add_argument("--levels", required=True, help="zero-based level indices, comma-separated")
-    stats.add_argument("--nadir", default=None, help="nadir as T,Q (default: worst observed point)")
+    stats.add_argument("--nadir", type=_nadir, help="nadir as T,Q (default: worst observed point)")
     stats.add_argument("--normalized", action="store_true", help="normalize the volume")
     stats.set_defaults(func=_cmd_stats)
     return parser
@@ -280,7 +266,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     except OSError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 1

@@ -124,7 +124,8 @@ class FlatRow:
 
 
 def read_flat_file(path):
-    """Parse a flat run log back into (property names, rows)."""
+    """Parse a flat run log back into (property names, rows); a row with the
+    wrong cell count or a non-numeric cell is rejected with a ``path:line`` message."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -135,12 +136,15 @@ def read_flat_file(path):
             names = header[3:]
             rows = []
             for line in reader:
+                where = f"{path}:{reader.line_num}"
                 if len(line) != len(header):
-                    raise ValueError(f"{path}: row has {len(line)} cells, expected {len(header)}")
-                values = {}
-                for name, text in zip(names, line[3:]):
-                    values[name] = ABSENT if text == NA else LoggedValue.of(float(text))
-                rows.append(FlatRow(int(line[0]), int(line[1]), float(line[2]), values))
+                    raise ValueError(f"{where}: row has {len(line)} cells, expected {len(header)}")
+                try:
+                    values = {name: ABSENT if text == NA else LoggedValue.of(float(text))
+                              for name, text in zip(names, line[3:])}
+                    rows.append(FlatRow(int(line[0]), int(line[1]), float(line[2]), values))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
     except OSError as exc:
         raise OSError(f"cannot read flat file {path}: {exc}") from exc
     return names, rows
@@ -174,19 +178,17 @@ def _row_error(path: Path, body: bytes, exc: Optional[ValueError]) -> ValueError
     return ValueError(f"{path}:{int(row) + 2}: {str(exc)[:match.start()]}")
 
 
-def read_trajectories(path, direction: Direction = Direction.MINIMIZATION,
-                      meta: Optional[MetaData] = None) -> list:
+def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> list:
     """Read a ``run,evaluations,quality`` CSV into improvement-filtered trajectories.
 
     Rows are grouped by run id and sorted by evaluation count; the strict
     improvement filter reduces each group to its attainment staircase. Blank
     lines, rows without exactly three cells, evaluation counts below 1 and
-    non-finite qualities are rejected with a ``path:line`` message. When no
-    metadata is supplied, a placeholder carrying the direction is used.
+    non-finite qualities are rejected with a ``path:line`` message. The
+    trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
-    if meta is None:
-        meta = MetaData("file", 1, 1, 1, direction)
+    meta = MetaData("file", 1, 1, 1, direction)
     try:
         header, _, body = path.read_bytes().partition(b"\n")
     except OSError as exc:
@@ -196,6 +198,8 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION,
         raise ValueError(f"{path}: not a trajectory file (header {header!r})")
     if not body:
         raise ValueError(f"{path}: no trajectory rows")
+    if body.isspace():  # loadtxt would warn that it found no data
+        raise _row_error(path, body, None)
     try:
         rows = np.loadtxt(io.BytesIO(body), dtype=_TRAJECTORY_ROW, delimiter=",",
                           comments=None, ndmin=1, encoding="utf-8")

@@ -31,7 +31,6 @@ class LogInfo:
     raw_y_best: float = float("nan")
     transformed_y: float = float("nan")
     transformed_y_best: float = float("nan")
-    solution: tuple = ()
 
 
 class CellKey(NamedTuple):

@@ -121,18 +121,18 @@ class Problem:
         return LogInfo(raw_y_best=worst, transformed_y_best=worst)
 
     def _coerce(self, solution) -> np.ndarray:
-        if self.domain == "continuous":
-            x = np.asarray(solution, dtype=float)
-        else:
-            x = np.asarray(solution, dtype=int)
+        x = np.asarray(solution)
         if x.ndim != 1 or x.size != self.meta.dimension:
             raise ValueError(
                 f"{type(self).__name__} f{self.meta.problem_id} expects a vector of "
                 f"length {self.meta.dimension}, got shape {x.shape}"
             )
-        if self.domain == "boolean" and not np.isin(x, (0, 1)).all():
+        if self.domain == "continuous":
+            return x.astype(float, copy=False)
+        # Checked before the cast, which would truncate 0.5 or parse "1".
+        if not ((x == 0) | (x == 1)).all():
             raise ValueError(f"{type(self).__name__} expects a 0/1 vector")
-        return x
+        return x.astype(int, copy=False)
 
     def __call__(self, solution) -> float:
         """Evaluate one solution and return its transformed quality."""
@@ -145,8 +145,7 @@ class Problem:
         better = self.direction.better
         raw_best = raw if better(raw, st.raw_y_best) else st.raw_y_best
         best = transformed if better(transformed, st.transformed_y_best) else st.transformed_y_best
-        self.state = info = LogInfo(st.evaluations + 1, raw, raw_best, transformed, best,
-                                    tuple(x.tolist()))
+        self.state = info = LogInfo(st.evaluations + 1, raw, raw_best, transformed, best)
         for lg in self._loggers:
             lg.call(info)
         return transformed

@@ -254,3 +254,53 @@ def test_bad_level_indices_exit_2_and_write_nothing(tmp_path_factory, good, data
     run_cli_expecting_usage_error(["eaf", "--in", str(path), f"--levels={','.join(entries)}",
                                    "--out", str(directory / "levels.json")])
     assert sorted(p.name for p in directory.iterdir()) == ["ab.csv"]
+
+
+MALFORMED_FLAGS = [
+    ("run", "--problems", "1,x"),
+    ("run", "--instances", ""),
+    ("run", "--dims", "3,,4"),
+    ("run", "--runs", "0"),
+    ("run", "--budget", "-5"),
+    ("run", "--buckets", "5"),
+    ("run", "--scale", "linear,cubic"),
+    ("eaf", "--levels", "0,one"),
+    ("eaf", "--direction", "up"),
+    ("eah", "--buckets", "0x3"),
+    ("eah", "--scale", "log"),
+    ("eah", "--time-range", "5:1"),
+    ("eah", "--quality-range", "a:b"),
+    ("eah", "--direction", "MAX"),
+    ("stats", "--levels", ""),
+    ("stats", "--nadir", "3"),
+    ("stats", "--direction", "minimize"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", MALFORMED_FLAGS)
+def test_a_malformed_flag_is_named_by_argparse_and_writes_nothing(
+        tmp_path, capsys, ab_file, command, flag, value):
+    out = tmp_path / "out"
+    valid = {"run": ["--out", str(out)],
+             "eaf": ["--in", str(ab_file), "--levels", "0", "--out", str(out)],
+             "eah": ["--in", str(ab_file), "--out", str(out)],
+             "stats": ["--in", str(ab_file), "--levels", "0"]}[command]
+    err = run_cli_expecting_usage_error([command, *valid, f"{flag}={value}"])
+    assert f"argument {flag}: " in err
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_direction_max_reaches_the_kernels(ab_file, tmp_path, capsys):
+    out = tmp_path / "levels.json"
+    assert cli.main(["eaf", "--in", str(ab_file), "--levels", "0,1", "--direction", "max",
+                     "--out", str(out)]) == 0
+    document = {"group": {"source": str(ab_file), "runs": 2}, "direction": "max",
+                "nadir": [2, 8.0],
+                "levels": [{"level": 1, "points": [[1, 10.0]]},
+                           {"level": 2, "points": [[2, 8.0]]}]}
+    assert out.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
+    assert cli.main(["stats", "--in", str(ab_file), "--levels", "0,1",
+                     "--direction", "max"]) == 0
+    assert capsys.readouterr().out == ("# nadir\t2.0\t8.0\nmetric\tlevel\tvalue\n"
+                                       "surface\t1\t2.0\nsurface\t2\t0.0\nvolume\t1,2\t2.0\n")

@@ -125,6 +125,20 @@ class TestFlatFiles:
         with pytest.raises(OSError, match="missing.csv"):
             read_flat_file(tmp_path / "missing.csv")
 
+    @pytest.mark.parametrize("row, problem", [
+        ("0,2,3", "row has 3 cells, expected 4"),
+        ("0,2,3,4,5", "row has 5 cells, expected 4"),
+        ("0,2,3,abc", "could not convert string to float: 'abc'"),
+        ("0,x,3,4.0", "invalid literal for int"),
+        ("0,2,NA,4.0", "could not convert string to float: 'NA'"),
+    ])
+    def test_bad_rows_name_path_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "x.csv"
+        path.write_text(f"run,event,evaluations,y\n0,0,1,2.5\n0,1,2,NA\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"x.csv:4: {problem}"):
+            read_flat_file(path)
+
 
 class TestTrajectoryFiles:
     def test_write_then_read_roundtrip(self, tmp_path):
@@ -164,6 +178,13 @@ class TestTrajectoryFiles:
             read_trajectories(path)
         path.write_text("run,evaluations,quality\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no trajectory rows"):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("body", ["\n", " \n", "\n\t\n"])
+    def test_an_all_blank_body_reports_its_first_blank_line(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("run,evaluations,quality\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match="t.csv:2: blank line"):
             read_trajectories(path)
 
     def test_malformed_rows_name_the_line(self, tmp_path):

@@ -69,6 +69,19 @@ class TestObjectives:
         with pytest.raises(ValueError, match="0/1"):
             OneMax(1, 1, 3)((0, 2, 1))
 
+    @pytest.mark.parametrize("solution", [(0.5, 1, 1), (1.9, 0, 0), (2, 0, 1), ("1", "0", "1"),
+                                          ("0", "1", "2"), (np.nan, 1, 1)])
+    @pytest.mark.parametrize("problem", [OneMax, LeadingOnes])
+    def test_non_bits_are_rejected_before_any_cast(self, problem, solution):
+        with pytest.raises(ValueError, match="0/1"):
+            problem(1, 1, 3)(solution)
+
+    @pytest.mark.parametrize("problem", [OneMax, LeadingOnes])
+    def test_bool_and_whole_float_bits_evaluate_as_ints(self, problem):
+        expected = problem(1, 1, 4)((1, 1, 0, 1))
+        assert problem(1, 1, 4)(np.array([True, True, False, True])) == expected
+        assert problem(1, 1, 4)((1.0, 1.0, 0.0, 1.0)) == expected
+
 
 class TestStateTracking:
     def test_evaluations_count_from_one(self):
@@ -93,7 +106,7 @@ class TestStateTracking:
         assert pb.state.raw_y_best == 3.0
         assert pb.state.raw_y == 1.0
 
-    def test_log_info_carries_updated_bests_and_solution(self):
+    def test_log_info_carries_updated_bests(self):
         pb = Sphere(1, 1, 2)
         rec = Recorder()
         pb.attach_logger(rec)
@@ -101,7 +114,6 @@ class TestStateTracking:
         info = rec.infos[-1]
         assert info.raw_y == info.raw_y_best == 5.0
         assert info.transformed_y_best == 5.0
-        assert info.solution == (1.0, 2.0)
 
     def test_reset_clears_state_and_advances_runs(self):
         pb = Sphere(1, 1, 2)
