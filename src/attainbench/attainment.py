@@ -97,20 +97,26 @@ def _columns(points: Sequence) -> tuple:
     return np.array(times), np.array(qualities, dtype=float)
 
 
-def _strict_improvements(runs, times, qualities) -> np.ndarray:
-    """Rows that :func:`improvement_staircase` keeps, per run, by run and time;
-    ``qualities`` are minimization values."""
+def _staircases(runs, times, qualities, direction: Direction) -> list:
+    """(run id, staircase) of each run in non-empty row columns, by run id: the
+    run's rows in time order that strictly improve on all earlier ones, the last
+    (best) of several at one time. A run with no such row is left out."""
     order = np.lexsort((times, runs))
-    runs, times, qualities = runs[order], times[order], qualities[order]
-    best_before = np.empty_like(qualities)
-    bounds = np.flatnonzero(runs[1:] != runs[:-1]) + 1
+    by_run, by_time, minimized = runs[order], times[order], _minimizing(qualities, direction)[order]
+    best_before = np.empty_like(minimized)
+    bounds = np.flatnonzero(by_run[1:] != by_run[:-1]) + 1
     for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(runs)]):
         best_before[start] = math.inf
-        np.fmin.accumulate(qualities[start:stop - 1], out=best_before[start + 1:stop])
-    kept = np.flatnonzero(qualities < best_before)
+        np.fmin.accumulate(minimized[start:stop - 1], out=best_before[start + 1:stop])
+    kept = np.flatnonzero(minimized < best_before)
     last = np.ones(len(kept), dtype=bool)
-    last[:-1] = (runs[kept[1:]] != runs[kept[:-1]]) | (times[kept[1:]] != times[kept[:-1]])
-    return order[kept[last]]
+    last[:-1] = (by_run[kept[1:]] != by_run[kept[:-1]]) | (by_time[kept[1:]] != by_time[kept[:-1]])
+    kept = order[kept[last]]
+    del by_run, by_time, minimized, order, best_before  # before the output: less heap fragmentation
+    points = _points(times[kept].astype(np.int64).tolist(), qualities[kept].tolist())
+    runs = runs[kept]
+    starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]]).tolist()
+    return [(int(runs[a]), points[a:b]) for a, b in zip(starts, starts[1:] + [len(points)])]
 
 
 def improvement_staircase(pairs: Iterable, direction: Direction) -> list:
@@ -125,9 +131,7 @@ def improvement_staircase(pairs: Iterable, direction: Direction) -> list:
     if not rows:
         return []
     times, qualities = _columns(rows)
-    kept = _strict_improvements(np.zeros(len(rows), dtype=np.int64), times,
-                                _minimizing(qualities, direction))
-    return _points(times[kept].astype(np.int64).tolist(), qualities[kept].tolist())
+    return dict(_staircases(np.zeros_like(times), times, qualities, direction)).get(0, [])
 
 
 class TrajectoryLogger(Watcher):
@@ -181,6 +185,16 @@ def _staircase(points: Sequence, direction: Direction, label: str) -> tuple:
     return times, qualities
 
 
+def _runs(trajectories: Iterable[Trajectory], caller: str) -> tuple:
+    """The trajectories as a non-empty list (else a ``caller:`` error), their
+    common direction and the checked :func:`_staircase` columns of each."""
+    trajs = list(trajectories)
+    if not trajs:
+        raise ValueError(f"{caller}: empty trajectory list")
+    direction = _common_direction(trajs)
+    return trajs, direction, [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
+
+
 def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int]] = None) -> list:
     """Attainment level sets over a group of runs.
 
@@ -196,19 +210,12 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
     returned level sets are nested: the region attained at level k+1 is
     contained in the region attained at level k.
     """
-    trajs = list(trajectories)
-    if not trajs:
-        raise ValueError("eaf_levels: empty trajectory list")
-    direction = _common_direction(trajs)
-    columns = [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
+    trajs, direction, columns = _runs(trajectories, "eaf_levels")
     m = len(trajs)
-    if levels is None:
-        ks = list(range(1, m + 1))
-    else:
-        ks = sorted({int(k) for k in levels})
-        bad = [k for k in ks if not 1 <= k <= m]
-        if bad:
-            raise ValueError(f"attainment level(s) {bad} outside [1, {m}] for {m} run(s)")
+    ks = list(range(1, m + 1)) if levels is None else sorted({int(k) for k in levels})
+    bad = [k for k in ks if not 1 <= k <= m]
+    if bad:
+        raise ValueError(f"attainment level(s) {bad} outside [1, {m}] for {m} run(s)")
 
     events = sorted((t, i, q) for i, (times, qualities) in enumerate(columns)
                     for t, q in zip(times.tolist(), qualities.tolist()))

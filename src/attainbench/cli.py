@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +64,7 @@ def run_benchmark(config: RunConfig) -> dict:
         if logger is not None:
             suite.attach_logger(logger)
 
-    cells = 0
     for problem in suite:
-        cells += 1
         meta = problem.meta
         for run in range(config.runs):
             seed = np.random.SeedSequence(
@@ -93,13 +91,9 @@ def run_benchmark(config: RunConfig) -> dict:
     if store is not None:
         files.extend(write_flat_files(store, out))
 
-    summary = {
-        "cells": cells,
-        "runs": cells * config.runs,
-        "evaluations": cells * config.runs * config.budget,
-        "files": files,
-    }
-    return summary
+    cells = len(suite)
+    return {"cells": cells, "runs": cells * config.runs,
+            "evaluations": cells * config.runs * config.budget, "files": files}
 
 
 def _int_list(text: str) -> tuple:
@@ -156,24 +150,10 @@ def _levels(indices: tuple, m: int) -> list:
 
 
 def _cmd_run(args) -> int:
-    summary = run_benchmark(RunConfig(
-        suite=args.suite,
-        problems=args.problems,
-        instances=args.instances,
-        dimensions=args.dims,
-        runs=args.runs,
-        budget=args.budget,
-        solver=args.solver,
-        seed=args.seed,
-        loggers=tuple(dict.fromkeys(args.log or ["eaf"])),
-        out_dir=Path(args.out),
-        eah_buckets=args.buckets,
-        eah_scales=args.scale,
-    ))
-    print(f"cells\t{summary['cells']}")
-    print(f"runs\t{summary['runs']}")
-    print(f"evaluations\t{summary['evaluations']}")
-    print(f"files\t{len(summary['files'])}")
+    names = {f.name for f in fields(RunConfig)}
+    summary = run_benchmark(RunConfig(**{k: v for k, v in vars(args).items() if k in names}))
+    summary["files"] = len(summary["files"])
+    print("\n".join(f"{key}\t{value}" for key, value in summary.items()))
     return 0
 
 
@@ -181,8 +161,7 @@ def _cmd_eaf(args) -> int:
     trajectories = read_trajectories(args.infile, args.direction)
     sets = eaf_levels(trajectories, _levels(args.levels, len(trajectories)))
     nadir = default_nadir(trajectories)
-    group = {"source": str(args.infile), "runs": len(trajectories)}
-    write_level_sets(args.out, sets, nadir, group)
+    write_level_sets(args.out, sets, nadir, {"source": str(args.infile), "runs": len(trajectories)})
     return 0
 
 
@@ -203,12 +182,12 @@ def _cmd_stats(args) -> int:
     trajectories = read_trajectories(args.infile, args.direction)
     sets = eaf_levels(trajectories, _levels(args.levels, len(trajectories)))
     nadir = args.nadir or default_nadir(trajectories)
-    print(f"# nadir\t{repr(float(nadir[0]))}\t{repr(float(nadir[1]))}")
-    print("metric\tlevel\tvalue")
-    for level_set in sets:
-        print(f"surface\t{level_set.level}\t{repr(surface(level_set, nadir))}")
+    # Every value is computed before the first line is printed, so a failure prints nothing.
+    rows = [f"surface\t{ls.level}\t{surface(ls, nadir)!r}" for ls in sets]
     label = ",".join(str(ls.level) for ls in sets)
-    print(f"volume\t{label}\t{repr(volume(sets, nadir, args.normalized))}")
+    rows.append(f"volume\t{label}\t{volume(sets, nadir, args.normalized)!r}")
+    print(f"# nadir\t{float(nadir[0])!r}\t{float(nadir[1])!r}", "metric\tlevel\tvalue", *rows,
+          sep="\n")
     return 0
 
 
@@ -218,22 +197,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmark anytime optimizers and analyze attainment data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a reference solver over a suite")
-    run.add_argument("--suite", choices=sorted(SUITES), default="continuous")
-    run.add_argument("--problems", type=_int_list, default="1,2",
-                     help="comma-separated problem ids")
-    run.add_argument("--instances", type=_int_list, default="1",
-                     help="comma-separated instance numbers")
-    run.add_argument("--dims", type=_int_list, default="10", help="comma-separated dimensions")
-    run.add_argument("--runs", type=_positive_int, default=10, help="runs per cell")
-    run.add_argument("--budget", type=_positive_int, default=100, help="evaluations per run")
-    run.add_argument("--solver", choices=sorted(SOLVERS), default="random")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--log", action="append", choices=LOG_CHOICES, default=None,
+    # Each flag's dest is a RunConfig field, and a flag not given leaves its field's default.
+    run = sub.add_parser("run", help="run a reference solver over a suite",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--suite", choices=sorted(SUITES))
+    run.add_argument("--problems", type=_int_list, help="comma-separated problem ids")
+    run.add_argument("--instances", type=_int_list, help="comma-separated instance numbers")
+    run.add_argument("--dims", dest="dimensions", type=_int_list, metavar="DIMS",
+                     help="comma-separated dimensions")
+    run.add_argument("--runs", type=_positive_int, help="runs per cell")
+    run.add_argument("--budget", type=_positive_int, help="evaluations per run")
+    run.add_argument("--solver", choices=sorted(SOLVERS))
+    run.add_argument("--seed", type=int)
+    run.add_argument("--log", dest="loggers", action="append", choices=LOG_CHOICES,
                      help="logger to attach (repeatable; default eaf)")
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--buckets", type=_buckets, default="20x20", help="eah bucket counts, TxQ")
-    run.add_argument("--scale", type=_scales, default="linear,linear",
+    run.add_argument("--out", dest="out_dir", type=Path, required=True, metavar="OUT",
+                     help="output directory")
+    run.add_argument("--buckets", dest="eah_buckets", type=_buckets, metavar="BUCKETS",
+                     help="eah bucket counts, TxQ")
+    run.add_argument("--scale", dest="eah_scales", type=_scales, metavar="SCALE",
                      help="eah scales, time,quality")
     run.set_defaults(func=_cmd_run)
 

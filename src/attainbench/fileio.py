@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attainment import LevelSet, Trajectory, _minimizing, _points, _strict_improvements
+from .attainment import LevelSet, Trajectory, _staircases
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
@@ -124,8 +124,8 @@ class FlatRow:
 
 
 def read_flat_file(path):
-    """Parse a flat run log back into (property names, rows); a row with the
-    wrong cell count or a non-numeric cell is rejected with a ``path:line`` message."""
+    """Parse a flat run log back into (property names, rows); a line that is not UTF-8,
+    a row with the wrong cell count or a non-numeric cell is rejected as ``path:line``."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -145,9 +145,20 @@ def read_flat_file(path):
                     rows.append(FlatRow(int(line[0]), int(line[1]), float(line[2]), values))
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path, path.read_bytes(), 1) from None
     except OSError as exc:
         raise OSError(f"cannot read flat file {path}: {exc}") from exc
     return names, rows
+
+
+def _not_utf8(path: Path, data: bytes, first_line: int) -> ValueError:
+    """Error naming the first line of ``data``, file line ``first_line`` on, that is not UTF-8."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        first_line += data.count(b"\n", 0, exc.start)
+    return ValueError(f"{path}:{first_line}: not UTF-8 text")
 
 
 def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
@@ -182,9 +193,9 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     """Read a ``run,evaluations,quality`` CSV into improvement-filtered trajectories.
 
     Rows are grouped by run id and sorted by evaluation count; the strict
-    improvement filter reduces each group to its attainment staircase. Blank
-    lines, rows without exactly three cells, evaluation counts below 1 and
-    non-finite qualities are rejected with a ``path:line`` message. The
+    improvement filter reduces each group to its attainment staircase. Lines
+    that are not UTF-8, blank lines, rows without exactly three cells, evaluation
+    counts below 1 and non-finite qualities are rejected as ``path:line``. The
     trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
@@ -203,6 +214,8 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     try:
         rows = np.loadtxt(io.BytesIO(body), dtype=_TRAJECTORY_ROW, delimiter=",",
                           comments=None, ndmin=1, encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, body, 2) from None
     except ValueError as exc:
         raise _row_error(path, body, exc) from exc
     if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")):
@@ -214,13 +227,8 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
         problem = (f"evaluation count {evaluations} is below 1" if evaluations < 1
                    else f"quality {quality!r} is not finite")
         raise ValueError(f"{path}:{i + 2}: {problem}")
-    kept = _strict_improvements(rows["run"], rows["evaluations"],
-                                _minimizing(rows["quality"], meta.direction))
-    runs, times, qualities = (rows[name][kept] for name in _TRAJECTORY_ROW.names)
-    starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]]).tolist()
-    times, qualities = times.tolist(), qualities.tolist()
-    return [Trajectory(meta, int(runs[a]), _points(times[a:b], qualities[a:b]))
-            for a, b in zip(starts, starts[1:] + [len(times)])]
+    return [Trajectory(meta, run, points) for run, points
+            in _staircases(rows["run"], rows["evaluations"], rows["quality"], direction)]
 
 
 def _json_points(points: Sequence) -> str:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attainment import Trajectory, _columns, _common_direction, _minimizing, _staircase
+from .attainment import Trajectory, _columns, _minimizing, _runs
 
 SCALES = ("linear", "log")
 
@@ -146,11 +146,7 @@ def eah(trajectories: Sequence[Trajectory], discretization: Discretization,
     are clamped into the boundary buckets; otherwise such points are
     rejected.
     """
-    trajs = list(trajectories)
-    if not trajs:
-        raise ValueError("eah: empty trajectory list")
-    direction = _common_direction(trajs)
-    columns = [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
+    trajs, direction, columns = _runs(trajectories, "eah")
 
     t_axis, q_axis = discretization.time, discretization.quality
     reps_t = np.asarray(t_axis.representatives)

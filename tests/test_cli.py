@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,36 @@ class TestRun:
         assert exc.value.code == 2
 
 
+class TestRunFlagsAreConfigFields:
+    @staticmethod
+    def config_of(monkeypatch, argv):
+        configs = []
+
+        def run_benchmark(config):
+            configs.append(config)
+            return {"cells": 0, "runs": 0, "evaluations": 0, "files": []}
+
+        monkeypatch.setattr(cli, "run_benchmark", run_benchmark)
+        assert cli.main(["run", *argv]) == 0
+        (config,) = configs
+        return config
+
+    def test_flags_not_given_keep_the_config_defaults(self, monkeypatch, tmp_path):
+        config = self.config_of(monkeypatch, ["--out", str(tmp_path)])
+        assert config == cli.RunConfig(out_dir=Path(tmp_path))
+
+    def test_every_flag_lands_in_its_field(self, monkeypatch, tmp_path):
+        config = self.config_of(monkeypatch, [
+            "--suite", "pseudo-boolean", "--problems", "3,1", "--instances", "2,4",
+            "--dims", "8,16", "--runs", "7", "--budget", "55", "--solver", "hill",
+            "--seed", "-9", "--log", "eah", "--log", "flatfile", "--out", str(tmp_path),
+            "--buckets", "3x4", "--scale", "log,linear"])
+        assert config == cli.RunConfig(
+            suite="pseudo-boolean", problems=(3, 1), instances=(2, 4), dimensions=(8, 16),
+            runs=7, budget=55, solver="hill", seed=-9, loggers=["eah", "flatfile"],
+            out_dir=Path(tmp_path), eah_buckets=(3, 4), eah_scales=("log", "linear"))
+
+
 class TestEaf:
     def test_writes_the_reference_level_sets(self, ab_file, tmp_path, capsys):
         out = tmp_path / "levels.json"
@@ -131,6 +162,16 @@ class TestEaf:
                          "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert "bench:" in capsys.readouterr().err
+
+    def test_a_line_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(AB_CSV.replace("1,2,8", "1,2,8\xff").encode("latin-1"))
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eaf", "--in", str(path), "--levels", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "bad.csv:4: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEah:
@@ -195,7 +236,9 @@ class TestStats:
         with pytest.raises(SystemExit) as exc:
             cli.main(["stats", "--in", str(ab_file), "--levels", "0", "--nadir", "3,12"])
         assert exc.value.code == 2
-        assert "not weakly dominated" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "not weakly dominated" in captured.err
+        assert captured.out == ""
 
 
 valid_rows = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 50),

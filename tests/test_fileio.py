@@ -139,6 +139,15 @@ class TestFlatFiles:
         with pytest.raises(ValueError, match=f"x.csv:4: {problem}"):
             read_flat_file(path)
 
+    @pytest.mark.parametrize("line", [1, 2, 3000])
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, line):
+        lines = ["run,event,evaluations,y"] + [f"0,{i},{i + 1},2.5" for i in range(3000)]
+        lines[line - 1] += "\udcff"
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(ValueError, match=f"{path.name}:{line}: not UTF-8 text$"):
+            read_flat_file(path)
+
 
 class TestTrajectoryFiles:
     def test_write_then_read_roundtrip(self, tmp_path):
@@ -210,6 +219,15 @@ class TestTrajectoryFiles:
         path.write_text(f"run,evaluations,quality\n0,1,9\n0,2,8\n{row}\n0,4,3\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match=f"t.csv:4: {problem}"):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("line", [2, 3, 3000])
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, line):
+        lines = ["run,evaluations,quality"] + [f"0,{i + 1},{3000 - i}" for i in range(3000)]
+        lines[line - 1] += "\udcff"
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(ValueError, match=f"{path.name}:{line}: not UTF-8 text$"):
             read_trajectories(path)
 
     def test_windows_line_endings_are_accepted_and_blank_lines_still_found(self, tmp_path):
