@@ -13,9 +13,8 @@ The ``bench`` console script exposes the run/ingest/analyze pipeline.
 """
 
 from .attainment import (AttainmentPoint, LevelSelector, LevelSet, Trajectory,
-                         TrajectoryLogger, default_nadir, eaf_levels, ecdf,
-                         improvement_staircase, surface, volume,
-                         weakly_dominates)
+                         TrajectoryLogger, default_nadir, eaf_levels,
+                         improvement_staircase, surface, volume)
 from .histogram import (Axis, Discretization, Histogram, discretize_linear,
                         discretize_log, eah, fit_discretization)
 from .loggers import (CellKey, Combine, Cursor, Logger, LogInfo, Record,
@@ -40,7 +39,7 @@ __all__ = [
     "Record", "SOLVERS", "SUITES", "Sphere", "Store", "Suite",
     "Trajectory", "TrajectoryLogger", "TransformedY", "TransformedYBest",
     "Watcher", "default_nadir", "discretize_linear", "discretize_log",
-    "eaf_levels", "eah", "ecdf", "fit_discretization", "hill_climber",
+    "eaf_levels", "eah", "fit_discretization", "hill_climber",
     "improvement_staircase", "random_search", "surface", "triggers",
-    "volume", "weakly_dominates",
+    "volume",
 ]

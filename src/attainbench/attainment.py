@@ -60,25 +60,6 @@ class LevelSet:
     direction: Direction = Direction.MINIMIZATION
 
 
-def weakly_dominates(a, b, direction: Direction = Direction.MINIMIZATION) -> bool:
-    """True iff point ``a`` attains at least everything ``b`` does.
-
-    ``a`` must be no later in time and no worse in quality; both points are
-    (time, quality) pairs.
-    """
-    ta, qa = a
-    tb, qb = b
-    return ta <= tb and direction.better_equal(qa, qb)
-
-
-def ecdf(samples: Iterable[float], x: float) -> float:
-    """Empirical cumulative distribution: fraction of samples <= x."""
-    values = list(samples)
-    if not values:
-        raise ValueError("ecdf of an empty sample")
-    return sum(1 for s in values if s <= x) / len(values)
-
-
 def _minimizing(qualities, direction: Direction) -> np.ndarray:
     """Qualities as float64, negated under maximization so that smaller is
     better. Negation is exact and its own inverse, so this also maps back."""
@@ -247,12 +228,11 @@ class LevelSelector:
 
     Index j maps to level k = j + 1, so with m runs the indices
     {0, m // 2, m - 1} pick the best-case, median and worst-case envelopes.
-    Level sets are computed per benchmark cell; merge trajectories yourself
-    and call :func:`eaf_levels` for any other grouping.
+    Level sets are computed per benchmark cell, in the cell's direction;
+    merge trajectories yourself and call :func:`eaf_levels` otherwise.
     """
 
-    def __init__(self, direction: Direction, indices: Iterable[int]):
-        self.direction = direction
+    def __init__(self, indices: Iterable[int]):
         self.indices = sorted({int(j) for j in indices})
         if not self.indices:
             raise ValueError("no level indices given")
@@ -263,11 +243,6 @@ class LevelSelector:
         out = {}
         for cell in logger.cells():
             trajs = logger.trajectories(cell)
-            if trajs[0].meta.direction is not self.direction:
-                raise ValueError(
-                    f"selector direction {self.direction.value} does not match "
-                    f"cell {cell} ({trajs[0].meta.direction.value})"
-                )
             m = len(trajs)
             bad = [j for j in self.indices if j >= m]
             if bad:

@@ -10,6 +10,7 @@ TSV. Exit status: 0 on success, 1 on I/O failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -103,10 +104,12 @@ def _int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expects an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(least: int):
+    def convert(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expects an integer >= {least}, got {text!r}")
+        return int(text)
+    return convert
 
 
 def _buckets(text: str) -> tuple:
@@ -123,22 +126,25 @@ def _scales(text: str) -> tuple:
     return parts
 
 
-def _range(text: str) -> tuple:
+def _finite_pair(text: str, sep: str, form: str) -> tuple:
     try:
-        lo, hi = (float(part) for part in text.split(":"))
+        a, b = (float(part) for part in text.split(sep))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expects lo:hi, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise argparse.ArgumentTypeError(f"expects finite {form}, got {text!r}")
+    return a, b
+
+
+def _range(text: str) -> tuple:
+    lo, hi = _finite_pair(text, ":", "lo:hi")
     if not hi > lo:
         raise argparse.ArgumentTypeError(f"upper bound must exceed lower bound, got {text!r}")
     return lo, hi
 
 
 def _nadir(text: str) -> tuple:
-    try:
-        t, q = (float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects T,Q, got {text!r}") from None
-    return t, q
+    return _finite_pair(text, ",", "T,Q")
 
 
 def _levels(indices: tuple, m: int) -> list:
@@ -167,7 +173,8 @@ def _cmd_eaf(args) -> int:
 
 def _cmd_eah(args) -> int:
     trajectories = read_trajectories(args.infile, args.direction)
-    fitted = fit_discretization(trajectories, args.buckets, args.scale)
+    given = {k: v for k, v in vars(args).items() if k in ("buckets", "scales")}
+    fitted = fit_discretization(trajectories, **given)
     axes = []
     for axis, override in ((fitted.time, args.time_range), (fitted.quality, args.quality_range)):
         if override is not None:
@@ -205,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instances", type=_int_list, help="comma-separated instance numbers")
     run.add_argument("--dims", dest="dimensions", type=_int_list, metavar="DIMS",
                      help="comma-separated dimensions")
-    run.add_argument("--runs", type=_positive_int, help="runs per cell")
-    run.add_argument("--budget", type=_positive_int, help="evaluations per run")
+    run.add_argument("--runs", type=_int_at_least(1), help="runs per cell")
+    run.add_argument("--budget", type=_int_at_least(1), help="evaluations per run")
     run.add_argument("--solver", choices=sorted(SOLVERS))
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", type=_int_at_least(0))
     run.add_argument("--log", dest="loggers", action="append", choices=LOG_CHOICES,
                      help="logger to attach (repeatable; default eaf)")
     run.add_argument("--out", dest="out_dir", type=Path, required=True, metavar="OUT",
@@ -231,9 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="zero-based level indices, comma-separated")
     eaf_cmd.add_argument("--out", required=True, help="output JSON path")
     eaf_cmd.set_defaults(func=_cmd_eaf)
-    eah_cmd.add_argument("--buckets", type=_buckets, default="20x20", help="bucket counts, TxQ")
-    eah_cmd.add_argument("--scale", type=_scales, default="linear,linear",
-                         help="scales, time,quality")
+    eah_cmd.add_argument("--buckets", type=_buckets, default=argparse.SUPPRESS,
+                         help="bucket counts, TxQ")
+    eah_cmd.add_argument("--scale", dest="scales", type=_scales, default=argparse.SUPPRESS,
+                         metavar="SCALE", help="scales, time,quality")
     eah_cmd.add_argument("--time-range", type=_range, help="time axis bounds, lo:hi")
     eah_cmd.add_argument("--quality-range", type=_range, help="quality axis bounds, lo:hi")
     eah_cmd.add_argument("--out", required=True, help="output CSV path")

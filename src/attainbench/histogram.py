@@ -136,15 +136,13 @@ class Histogram:
     runs: int
 
 
-def eah(trajectories: Sequence[Trajectory], discretization: Discretization,
-        clamp: bool = True) -> Histogram:
+def eah(trajectories: Sequence[Trajectory], discretization: Discretization) -> Histogram:
     """Attainment histogram of a group of runs.
 
     For every grid cell, counts the runs with a trajectory point weakly
     dominating the cell's representative (time edge, quality edge) point.
-    With ``clamp`` (the default), trajectory points outside the grid's box
-    are clamped into the boundary buckets; otherwise such points are
-    rejected.
+    Trajectory points outside the grid's box are clamped into the boundary
+    buckets.
     """
     trajs, direction, columns = _runs(trajectories, "eah")
 
@@ -154,13 +152,8 @@ def eah(trajectories: Sequence[Trajectory], discretization: Discretization,
     q_lo, q_hi = np.sort(_minimizing([q_axis.origin, q_axis.top], direction))
     counts = np.zeros((t_axis.buckets, q_axis.buckets), dtype=int)
 
-    for traj, (times, quals) in zip(trajs, columns):
-        clipped = np.clip(times, t_axis.origin, t_axis.top), np.clip(quals, q_lo, q_hi)
-        outside = (clipped[0] != times) | (clipped[1] != quals)
-        if not clamp and outside.any():
-            raise ValueError(f"run {traj.run}: point {tuple(traj.points[int(np.argmax(outside))])} "
-                             f"outside the histogram box and clamping is disabled")
-        times, quals = clipped
+    for times, quals in columns:
+        times, quals = np.clip(times, t_axis.origin, t_axis.top), np.clip(quals, q_lo, q_hi)
         # Best quality attained by each time representative: trajectories are
         # time-sorted with improving quality, so it is the quality of the last
         # point no later than the representative.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .properties import ABSENT, LoggedValue, Property
+from .triggers import Any
 
 log = logging.getLogger(__name__)
 
@@ -136,11 +137,11 @@ class Combine:
 class Watcher(Logger):
     """Logger gated by triggers, recording a fixed set of properties.
 
-    The trigger list has any-of semantics: one firing trigger is enough to
-    record the event. Every trigger is evaluated on every event regardless,
-    so stateful triggers (improvement tracking) advance uniformly; use the
-    trigger combinators for all-of behaviour. Trigger state is cleared at
-    run boundaries and when a new context attaches.
+    The trigger list becomes one :class:`~attainbench.triggers.Any`,
+    :attr:`trigger`, which evaluates every trigger on every event, so stateful
+    triggers (improvement tracking) advance uniformly; nest an ``All`` for
+    all-of behaviour. Trigger state is cleared at run boundaries and when a
+    new context attaches.
 
     Recorded entries are grouped by benchmark cell and zero-based run index,
     in the order they were logged; subclasses say what one entry is.
@@ -151,7 +152,7 @@ class Watcher(Logger):
 
     def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
         super().__init__()
-        self.triggers = list(triggers)
+        self.trigger = Any(triggers)
         self.properties = list(properties)
         names = [p.name for p in self.properties]
         duplicates = sorted({n for n in names if names.count(n) > 1})
@@ -164,17 +165,13 @@ class Watcher(Logger):
         return [p.name for p in self.properties]
 
     def _on_attach(self, meta) -> None:
-        self._reset_triggers()
+        self.trigger.reset()
 
-    def _reset_triggers(self) -> None:
-        for t in self.triggers:
-            t.reset()
-
-    _on_reset = _reset_triggers
+    def _on_reset(self) -> None:
+        self.trigger.reset()
 
     def _on_call(self, info: LogInfo) -> None:
-        fired = [t(info, self._meta) for t in self.triggers]
-        if any(fired):
+        if self.trigger(info, self._meta):
             values = {p.name: p(info) for p in self.properties}
             runs = self._cells.setdefault(self._cell, {})
             runs.setdefault(self._run_index[self._cell], []).append(self._entry(info, values))

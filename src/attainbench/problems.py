@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .loggers import LogInfo
+from .loggers import Combine, LogInfo
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +50,6 @@ class Direction(Enum):
     def better(self, a: float, b: float) -> bool:
         """True iff ``a`` is strictly better than ``b``."""
         return a < b if self is Direction.MINIMIZATION else a > b
-
-    def better_equal(self, a: float, b: float) -> bool:
-        return a <= b if self is Direction.MINIMIZATION else a >= b
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class Problem:
     Calling the problem with a solution vector evaluates it and returns the
     transformed quality. Each call builds the :class:`LogInfo` of that
     evaluation (counter incremented, bests already updated), keeps it as
-    :attr:`state` and hands it to every attached logger.
+    :attr:`state` and hands it to one :class:`Combine` of the attached loggers.
 
     A problem object is not thread-safe; concurrent use is supported across
     distinct problem objects, which share no mutable state.
@@ -95,7 +92,7 @@ class Problem:
                  suite_name: str = "adhoc"):
         self.meta = MetaData(suite_name, problem_id, instance, dimension, self.direction)
         self.state = self._fresh_state()
-        self._loggers: list = []
+        self._loggers = Combine()
         self._torn_down = False
         self._offset, self._shift = self._instance_transform()
 
@@ -146,8 +143,7 @@ class Problem:
         raw_best = raw if better(raw, st.raw_y_best) else st.raw_y_best
         best = transformed if better(transformed, st.transformed_y_best) else st.transformed_y_best
         self.state = info = LogInfo(st.evaluations + 1, raw, raw_best, transformed, best)
-        for lg in self._loggers:
-            lg.call(info)
+        self._loggers.call(info)
         return transformed
 
     def reset(self) -> None:
@@ -156,21 +152,20 @@ class Problem:
         Safe to call repeatedly; each call advances attached loggers' run
         index even if nothing was evaluated in between.
         """
-        for lg in self._loggers:
-            lg.reset()
+        self._loggers.reset()
         self.state = self._fresh_state()
 
     def attach_logger(self, logger) -> None:
         """Register a logger; it is notified of this context immediately."""
-        if any(lg is logger for lg in self._loggers):
+        if any(lg is logger for lg in self._loggers.loggers):
             log.warning("logger %r already attached to %s; ignoring", logger, self.meta)
             return
-        self._loggers.append(logger)
+        self._loggers.loggers.append(logger)
         logger.attach(self.meta)
 
     def detach_logger(self, logger) -> None:
         """Remove a logger; it receives no further notifications."""
-        self._loggers = [lg for lg in self._loggers if lg is not logger]
+        self._loggers.loggers = [lg for lg in self._loggers.loggers if lg is not logger]
 
     def teardown(self) -> None:
         self._torn_down = True

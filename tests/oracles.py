@@ -43,6 +43,11 @@ def attain_count(runs_points, t, q, direction):
     return count
 
 
+def weakly_dominates(a, b):
+    """True iff (time, quality) point ``a`` is no later and no worse than ``b``, minimizing."""
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
 def attain_counts_grid(runs_points, direction):
     """Attainment counts at every observed-coordinate grid point.
 

@@ -196,7 +196,7 @@ def test_criterion_08_end_to_end_suite_run():
                 [8, meta.problem_id, meta.dimension, meta.instance, run])
             random_search(problem, 10, np.random.default_rng(seed))
             problem.reset()
-    selections = LevelSelector(MIN, {0, 5, 9})(logger)
+    selections = LevelSelector({0, 5, 9})(logger)
     elapsed = time.perf_counter() - start
 
     problems = []

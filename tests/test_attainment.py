@@ -13,17 +13,15 @@ from attainbench.attainment import (
     TrajectoryLogger,
     default_nadir,
     eaf_levels,
-    ecdf,
     improvement_staircase,
     surface,
     volume,
-    weakly_dominates,
 )
 from attainbench.loggers import CellKey, LogInfo
 from attainbench.problems import Direction, MetaData
 
 import oracles
-from oracles import as_trajectories, eaf_levels_bruteforce, random_staircases
+from oracles import as_trajectories, eaf_levels_bruteforce, random_staircases, weakly_dominates
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
@@ -44,30 +42,6 @@ def trajectories_ab(direction=MIN):
 
 def points(level_set):
     return [(p.time, p.quality) for p in level_set.points]
-
-
-class TestDominance:
-    def test_weak_dominance_under_minimization(self):
-        assert weakly_dominates((1, 10.0), (2, 10.0))
-        assert weakly_dominates((2, 8.0), (2, 8.0))
-        assert not weakly_dominates((2, 8.0), (1, 10.0))
-        assert not weakly_dominates((1, 10.0), (2, 9.0))
-
-    def test_weak_dominance_under_maximization(self):
-        assert weakly_dominates((1, 5.0), (2, 3.0), MAX)
-        assert not weakly_dominates((1, 3.0), (2, 5.0), MAX)
-
-
-class TestEcdf:
-    def test_fraction_at_or_below(self):
-        samples = [1.0, 2.0, 2.0, 4.0]
-        assert ecdf(samples, 2.0) == 0.75
-        assert ecdf(samples, 0.0) == 0.0
-        assert ecdf(samples, 5.0) == 1.0
-
-    def test_empty_sample_is_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf([], 1.0)
 
 
 class TestStaircaseFilter:
@@ -220,27 +194,22 @@ class TestLevelSelector:
         return logger
 
     def test_indices_map_to_levels_per_cell(self):
-        selector = LevelSelector(MIN, {0, 2})
+        selector = LevelSelector({0, 2})
         out = selector(self.build_logger())
         assert sorted(c.problem_id for c in out) == [1, 2]
         for sets in out.values():
             assert [ls.level for ls in sets] == [1, 3]
 
     def test_out_of_range_index_names_the_run_count(self):
-        selector = LevelSelector(MIN, [5])
+        selector = LevelSelector([5])
         with pytest.raises(ValueError, match=r"\[5\] out of range.*3 run"):
-            selector(self.build_logger())
-
-    def test_direction_mismatch_is_rejected(self):
-        selector = LevelSelector(MAX, [0])
-        with pytest.raises(ValueError, match="direction"):
             selector(self.build_logger())
 
     def test_invalid_indices_are_rejected(self):
         with pytest.raises(ValueError):
-            LevelSelector(MIN, [])
+            LevelSelector([])
         with pytest.raises(ValueError):
-            LevelSelector(MIN, [-1])
+            LevelSelector([-1])
 
 
 class TestNadir:

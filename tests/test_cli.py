@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attainbench import cli
-from attainbench.fileio import read_flat_file, read_trajectories
+from attainbench.fileio import read_flat_file, read_trajectories, write_histogram
+from attainbench.histogram import eah, fit_discretization
 
 AB_CSV = ("run,evaluations,quality\n"
           "0,1,10\n0,3,5\n"
@@ -130,11 +131,11 @@ class TestRunFlagsAreConfigFields:
         config = self.config_of(monkeypatch, [
             "--suite", "pseudo-boolean", "--problems", "3,1", "--instances", "2,4",
             "--dims", "8,16", "--runs", "7", "--budget", "55", "--solver", "hill",
-            "--seed", "-9", "--log", "eah", "--log", "flatfile", "--out", str(tmp_path),
+            "--seed", "9", "--log", "eah", "--log", "flatfile", "--out", str(tmp_path),
             "--buckets", "3x4", "--scale", "log,linear"])
         assert config == cli.RunConfig(
             suite="pseudo-boolean", problems=(3, 1), instances=(2, 4), dimensions=(8, 16),
-            runs=7, budget=55, solver="hill", seed=-9, loggers=["eah", "flatfile"],
+            runs=7, budget=55, solver="hill", seed=9, loggers=["eah", "flatfile"],
             out_dir=Path(tmp_path), eah_buckets=(3, 4), eah_scales=("log", "linear"))
 
 
@@ -191,6 +192,18 @@ class TestEah:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert "# time,2,0.0,8.0,linear" in lines
         assert "# quality,2,0.0,16.0,linear" in lines
+
+    @pytest.mark.parametrize("flags, fitted", [
+        ([], {}),
+        (["--buckets", "3x4"], {"buckets": (3, 4)}),
+        (["--scale", "log,linear"], {"scales": ("log", "linear")}),
+    ])
+    def test_flags_not_given_keep_the_fit_defaults(self, ab_file, tmp_path, flags, fitted):
+        out, expected = tmp_path / "h.csv", tmp_path / "expected.csv"
+        assert cli.main(["eah", "--in", str(ab_file), *flags, "--out", str(out)]) == 0
+        trajectories = read_trajectories(ab_file)
+        write_histogram(expected, eah(trajectories, fit_discretization(trajectories, **fitted)))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_bad_range_exits_2(self, ab_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -307,15 +320,19 @@ MALFORMED_FLAGS = [
     ("run", "--budget", "-5"),
     ("run", "--buckets", "5"),
     ("run", "--scale", "linear,cubic"),
+    ("run", "--seed", "-1"),
     ("eaf", "--levels", "0,one"),
     ("eaf", "--direction", "up"),
     ("eah", "--buckets", "0x3"),
     ("eah", "--scale", "log"),
     ("eah", "--time-range", "5:1"),
     ("eah", "--quality-range", "a:b"),
+    ("eah", "--time-range", "0:inf"),
+    ("eah", "--quality-range", "0:nan"),
     ("eah", "--direction", "MAX"),
     ("stats", "--levels", ""),
     ("stats", "--nadir", "3"),
+    ("stats", "--nadir", "inf,3"),
     ("stats", "--direction", "minimize"),
 ]
 

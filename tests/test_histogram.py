@@ -90,17 +90,6 @@ class TestClamping:
         assert hist.counts.tolist() == [[1, 1], [1, 1]]
         assert hist.counts.tolist() == eah_bruteforce(runs, self.DISC, MIN)
 
-    def test_out_of_box_points_are_rejected_without_clamping(self):
-        runs = as_trajectories([[(1, 3.0)]], MIN)
-        with pytest.raises(ValueError, match="outside the histogram box"):
-            eah(runs, self.DISC, clamp=False)
-
-    def test_in_box_points_need_no_clamping(self):
-        runs = as_trajectories([[(2, 8.0), (3, 5.0)]], MIN)
-        with_clamp = eah(runs, self.DISC).counts
-        without = eah(runs, self.DISC, clamp=False).counts
-        assert (with_clamp == without).all()
-
 
 class TestValidation:
     @pytest.mark.parametrize("point", [(3, math.inf), (3, -math.inf), (3, math.nan)])

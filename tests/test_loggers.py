@@ -5,7 +5,7 @@ import pytest
 from attainbench.loggers import CellKey, Combine, Cursor, LogInfo, Logger, Store, cell_key
 from attainbench.problems import Direction, MetaData
 from attainbench.properties import ABSENT, Evaluations, External, LoggedValue, TransformedY
-from attainbench.triggers import Always, OnImprovement
+from attainbench.triggers import Always, Each, OnImprovement
 
 META = MetaData("fake", 1, 1, 5, Direction.MINIMIZATION)
 META_OTHER = MetaData("fake", 2, 1, 5, Direction.MINIMIZATION)
@@ -60,6 +60,17 @@ def test_improvement_watcher_records_strict_improvements_only():
     events = store.events(cell_key(META), 0)
     assert [r.evaluations for r in events] == [1, 2, 4, 8]
     assert [r.values["transformed_y"].value for r in events] == [9999.0, 100.0, 10.0, 9.0]
+
+
+@pytest.mark.parametrize("improvement_first", [True, False])
+def test_watcher_records_the_union_of_its_triggers(improvement_first):
+    triggers = [OnImprovement(), Each(2)]
+    store = Store(triggers if improvement_first else triggers[::-1])
+    store.attach(META)
+    # Evaluations 2 and 4 also fire Each(2); had OnImprovement missed them, 4.0 at
+    # evaluation 3 and 2.0 at evaluation 5 would count as improvements.
+    drive(store, [5.0, 3.0, 4.0, 1.0, 2.0, 2.0])
+    assert [r.evaluations for r in store.events(cell_key(META), 0)] == [1, 2, 4, 6]
 
 
 def test_watcher_without_properties_still_keeps_evaluations():

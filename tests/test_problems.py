@@ -161,6 +161,38 @@ class TestLoggerWiring:
         pb.reset()
         assert len(rec.infos) == 1 and rec.resets == 0
 
+    def test_loggers_hear_each_notification_in_attach_order(self):
+        heard = []
+
+        class Tagged(Logger):
+            def __init__(self, tag):
+                super().__init__()
+                self.tag = tag
+
+            def _on_attach(self, meta):
+                heard.append((self.tag, "attach"))
+
+            def _on_call(self, info):
+                heard.append((self.tag, "call", info.evaluations))
+
+            def _on_reset(self):
+                heard.append((self.tag, "reset"))
+
+        pb = Sphere(1, 1, 2)
+        first, second = Tagged("a"), Tagged("b")
+        pb.attach_logger(first)
+        pb.attach_logger(second)
+        pb((0.0, 0.0))
+        pb.reset()
+        pb.detach_logger(first)
+        pb((1.0, 1.0))
+        pb.reset()
+        pb.detach_logger(second)
+        pb((2.0, 2.0))
+        pb.reset()
+        assert heard == [("a", "attach"), ("b", "attach"), ("a", "call", 1), ("b", "call", 1),
+                         ("a", "reset"), ("b", "reset"), ("b", "call", 1), ("b", "reset")]
+
 
 class TestInstances:
     def test_instance_one_is_the_identity(self):
