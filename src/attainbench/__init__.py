@@ -17,29 +17,26 @@ from .attainment import (AttainmentPoint, LevelSelector, LevelSet, Trajectory,
                          improvement_staircase, surface, volume)
 from .histogram import (Axis, Discretization, Histogram, discretize_linear,
                         discretize_log, eah, fit_discretization)
-from .loggers import (CellKey, Combine, Cursor, Logger, LogInfo, Record,
-                      Store, Watcher)
+from .loggers import CellKey, Combine, Cursor, Logger, LogInfo, Store, Watcher
 from .problems import (SUITES, ContinuousSuite, Direction, LeadingOnes,
                        MetaData, OneMax, Problem, PseudoBooleanSuite,
                        Rastrigin, Sphere, Suite)
-from .properties import (ABSENT, Evaluations, External, LoggedValue,
-                         Property, RawY, RawYBest, TransformedY,
-                         TransformedYBest)
+from .properties import (Evaluations, External, Property, RawY, RawYBest,
+                         TransformedY, TransformedYBest)
 from .solvers import SOLVERS, hill_climber, random_search
 from . import triggers
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT", "AttainmentPoint", "Axis", "CellKey", "Combine",
-    "ContinuousSuite", "Cursor", "Direction", "Discretization", "Evaluations",
-    "External", "Histogram", "LeadingOnes", "LevelSelector", "LevelSet",
-    "LogInfo", "LoggedValue", "Logger", "MetaData", "OneMax", "Problem",
-    "Property", "PseudoBooleanSuite", "Rastrigin", "RawY", "RawYBest",
-    "Record", "SOLVERS", "SUITES", "Sphere", "Store", "Suite",
-    "Trajectory", "TrajectoryLogger", "TransformedY", "TransformedYBest",
-    "Watcher", "default_nadir", "discretize_linear", "discretize_log",
-    "eaf_levels", "eah", "fit_discretization", "hill_climber",
-    "improvement_staircase", "random_search", "surface", "triggers",
-    "volume",
+    "AttainmentPoint", "Axis", "CellKey", "Combine", "ContinuousSuite",
+    "Cursor", "Direction", "Discretization", "Evaluations", "External",
+    "Histogram", "LeadingOnes", "LevelSelector", "LevelSet", "LogInfo",
+    "Logger", "MetaData", "OneMax", "Problem", "Property",
+    "PseudoBooleanSuite", "Rastrigin", "RawY", "RawYBest", "SOLVERS",
+    "SUITES", "Sphere", "Store", "Suite", "Trajectory", "TrajectoryLogger",
+    "TransformedY", "TransformedYBest", "Watcher", "default_nadir",
+    "discretize_linear", "discretize_log", "eaf_levels", "eah",
+    "fit_discretization", "hill_climber", "improvement_staircase",
+    "random_search", "surface", "triggers", "volume",
 ]

@@ -28,6 +28,7 @@ import numpy as np
 
 from .loggers import CellKey, Watcher
 from .problems import Direction, MetaData
+from .properties import TransformedYBest
 from .triggers import OnImprovement
 
 
@@ -125,15 +126,12 @@ class TrajectoryLogger(Watcher):
     """
 
     def __init__(self):
-        super().__init__([OnImprovement()])
+        super().__init__([OnImprovement()], [TransformedYBest()])
         self._metas: dict = {}
 
     def _on_attach(self, meta) -> None:
         self._metas[self._cell] = meta
         super()._on_attach(meta)
-
-    def _entry(self, info, values: dict) -> AttainmentPoint:
-        return AttainmentPoint(int(info.evaluations), float(info.transformed_y_best))
 
     def trajectories(self, cell: Optional[CellKey] = None) -> list:
         """Trajectories of one cell (or of all cells, cell-major, run order)."""
@@ -141,7 +139,8 @@ class TrajectoryLogger(Watcher):
             return [t for c in self.cells() for t in self.trajectories(c)]
         meta = self._metas[cell]
         runs = self._cells.get(cell, {})
-        return [Trajectory(meta, run, list(points)) for run, points in sorted(runs.items())]
+        return [Trajectory(meta, run, list(map(AttainmentPoint._make, events)))
+                for run, events in sorted(runs.items())]
 
 
 def _common_direction(trajectories: Sequence[Trajectory]) -> Direction:

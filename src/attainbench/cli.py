@@ -97,11 +97,18 @@ def run_benchmark(config: RunConfig) -> dict:
             "evaluations": cells * config.runs * config.budget, "files": files}
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}") from None
+def _int_list(least: float = -math.inf):
+    def convert(text: str) -> tuple:
+        try:
+            values = tuple(int(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expects comma-separated integers, got {text!r}") from None
+        if min(values) < least:
+            raise argparse.ArgumentTypeError(
+                f"expects comma-separated integers >= {least}, got {text!r}")
+        return values
+    return convert
 
 
 def _int_at_least(least: int):
@@ -208,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a reference solver over a suite",
                          argument_default=argparse.SUPPRESS)
     run.add_argument("--suite", choices=sorted(SUITES))
-    run.add_argument("--problems", type=_int_list, help="comma-separated problem ids")
-    run.add_argument("--instances", type=_int_list, help="comma-separated instance numbers")
-    run.add_argument("--dims", dest="dimensions", type=_int_list, metavar="DIMS",
+    run.add_argument("--problems", type=_int_list(1), help="comma-separated problem ids")
+    run.add_argument("--instances", type=_int_list(1), help="comma-separated instance numbers")
+    run.add_argument("--dims", dest="dimensions", type=_int_list(1), metavar="DIMS",
                      help="comma-separated dimensions")
     run.add_argument("--runs", type=_int_at_least(1), help="runs per cell")
     run.add_argument("--budget", type=_int_at_least(1), help="evaluations per run")
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=Direction, default=Direction.MINIMIZATION,
                        metavar="{min,max}")
     for p in (eaf_cmd, stats):
-        p.add_argument("--levels", type=_int_list, required=True,
+        p.add_argument("--levels", type=_int_list(), required=True,
                        help="zero-based level indices, comma-separated")
     eaf_cmd.add_argument("--out", required=True, help="output JSON path")
     eaf_cmd.set_defaults(func=_cmd_eaf)

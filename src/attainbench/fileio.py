@@ -6,8 +6,9 @@ Flat run logs
     header ``run,event,evaluations,<property names...>``; every following
     line is one logged event. Runs are zero-based, event indices are
     zero-based within their run, and the evaluation count is 1-based.
-    Files are UTF-8 with ``\\n`` line endings. Absent readings render as
-    ``NA``; numbers use the shortest decimal form that round-trips.
+    Files are UTF-8 with ``\\n`` line endings. An absent reading (``None``)
+    renders as ``NA`` and reads back as ``None``; numbers, a present NaN
+    included, use the shortest decimal form that round-trips.
 
 Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
@@ -45,7 +46,6 @@ from .attainment import LevelSet, Trajectory, _staircases
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
-from .properties import ABSENT, LoggedValue
 
 #: Token standing in for an absent reading in delimited files.
 NA = "NA"
@@ -91,26 +91,27 @@ def write_flat_files(store: Store, directory) -> list:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = [n for n in store.property_names if n != "evaluations"]
-    evaluations_watched = "evaluations" in store.property_names
+    names = store.property_names
+    # Positions in an event tuple, (evaluations, *readings), of the file's columns.
+    evaluations = names.index("evaluations") + 1 if "evaluations" in names else 0
+    columns = [i for i, n in enumerate(names, start=1) if n != "evaluations"]
+    header = ",".join(["run", "event", "evaluations", *(names[i - 1] for i in columns)])
     paths = []
     for cell in store.cells():
         path = directory / flat_file_name(cell)
         with _atomic_writer(path, "flat file") as fh:
-            fh.write(",".join(["run", "event", "evaluations", *names]) + "\n")
+            fh.write(header + "\n")
             for run in store.runs(cell):
-                for index, record in enumerate(store.events(cell, run)):
-                    evaluations = (_cell_text(record.values["evaluations"]) if evaluations_watched
-                                   else str(record.evaluations))
-                    cells = [str(run), str(index), evaluations]
-                    cells += [_cell_text(record.values[n]) for n in names]
+                for index, event in enumerate(store.events(cell, run)):
+                    count = _cell_text(event[evaluations]) if evaluations else str(event[0])
+                    cells = [str(run), str(index), count, *[_cell_text(event[i]) for i in columns]]
                     fh.write(",".join(cells) + "\n")
         paths.append(path)
     return paths
 
 
-def _cell_text(value: LoggedValue) -> str:
-    return _render(value.value) if value.present else NA
+def _cell_text(value: Optional[float]) -> str:
+    return NA if value is None else _render(value)
 
 
 @dataclass
@@ -124,8 +125,9 @@ class FlatRow:
 
 
 def read_flat_file(path):
-    """Parse a flat run log back into (property names, rows); a line that is not UTF-8,
-    a row with the wrong cell count or a non-numeric cell is rejected as ``path:line``."""
+    """Parse a flat run log back into (property names, rows), an ``NA`` cell as ``None``;
+    a line that is not UTF-8, a row with the wrong cell count or a non-numeric cell is
+    rejected as ``path:line``."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -140,7 +142,7 @@ def read_flat_file(path):
                 if len(line) != len(header):
                     raise ValueError(f"{where}: row has {len(line)} cells, expected {len(header)}")
                 try:
-                    values = {name: ABSENT if text == NA else LoggedValue.of(float(text))
+                    values = {name: None if text == NA else float(text)
                               for name, text in zip(names, line[3:])}
                     rows.append(FlatRow(int(line[0]), int(line[1]), float(line[2]), values))
                 except ValueError as exc:
@@ -174,19 +176,23 @@ _TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("qual
 
 def _row_error(path: Path, body: bytes, exc: Optional[ValueError]) -> ValueError:
     """Error for a trajectory body that ``np.loadtxt`` failed on, or of which
-    it kept too few rows. loadtxt skips blank lines, so those are looked for
-    first; without them data row r is file line r + 2, but numpy counts rows
-    from 1 in column-count errors and from 0 in conversion errors."""
-    for number, line in enumerate(body.splitlines(), start=2):
-        if not line.strip():
-            return ValueError(f"{path}:{number}: blank line")
+    it kept too few rows: whichever comes first of the first blank line and
+    the row numpy names. The body starts on file line 2. loadtxt skips empty
+    lines and counts only the rows it reads, from 1 in column-count errors
+    and from 0 in conversion errors."""
+    lines = list(enumerate(body.splitlines(), start=2))
+    blank = next((number for number, line in lines if not line.strip()), None)
     match = re.search(r"(?: but (\d+) were found)? at row (\d+)", str(exc))
-    if match is None:
-        return ValueError(f"{path}: {exc}")
-    cells, row = match.groups()
-    if cells is not None:
-        return ValueError(f"{path}:{int(row) + 1}: expected 3 cells, got {cells}")
-    return ValueError(f"{path}:{int(row) + 2}: {str(exc)[:match.start()]}")
+    if match is not None:
+        cells, row = match.groups()
+        number = [n for n, line in lines if line][int(row) - (cells is not None)]
+        if blank is None or number < blank:
+            problem = (f"expected 3 cells, got {cells}" if cells is not None
+                       else str(exc)[:match.start()])
+            return ValueError(f"{path}:{number}: {problem}")
+    if blank is not None:
+        return ValueError(f"{path}:{blank}: blank line")
+    return ValueError(f"{path}: {exc}")
 
 
 def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> list:

@@ -5,6 +5,10 @@ Problems push three notifications at attached loggers: ``attach`` when a new
 evaluation (carrying a :class:`LogInfo` snapshot) and ``reset`` at run
 boundaries. Run indices are zero-based and advance on every reset, tracked
 per context so one logger can serve a whole suite.
+
+A :class:`Watcher` records each event its triggers fire on as one tuple,
+``(evaluations, *readings)``, where a reading is a ``float`` or ``None``
+when absent; :class:`Store` looks one reading up by cursor.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .properties import ABSENT, LoggedValue, Property
+from .properties import Property
 from .triggers import Any
 
 log = logging.getLogger(__name__)
@@ -143,11 +147,12 @@ class Watcher(Logger):
     all-of behaviour. Trigger state is cleared at run boundaries and when a
     new context attaches.
 
-    Recorded entries are grouped by benchmark cell and zero-based run index,
-    in the order they were logged; subclasses say what one entry is.
+    Each event that fires is recorded as one tuple, ``(evaluations,
+    *readings)``: the evaluation count as an ``int``, then one reading per
+    property in :attr:`property_names` order. Tuples are grouped by benchmark
+    cell and zero-based run index, in the order they were logged.
 
-    Property names must be unique within one watcher. The evaluation count
-    is always captured alongside the watched properties.
+    Property names must be unique within one watcher.
     """
 
     def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
@@ -172,16 +177,12 @@ class Watcher(Logger):
 
     def _on_call(self, info: LogInfo) -> None:
         if self.trigger(info, self._meta):
-            values = {p.name: p(info) for p in self.properties}
             runs = self._cells.setdefault(self._cell, {})
-            runs.setdefault(self._run_index[self._cell], []).append(self._entry(info, values))
-
-    def _entry(self, info: LogInfo, values: dict):
-        """The entry recorded for one event that fired."""
-        raise NotImplementedError
+            runs.setdefault(self._run_index[self._cell], []).append(
+                (int(info.evaluations), *[p(info) for p in self.properties]))
 
     def cells(self) -> list:
-        """Benchmark cells with at least one recorded entry, sorted."""
+        """Benchmark cells with at least one recorded event, sorted."""
         return sorted(self._cells)
 
     def runs(self, cell: CellKey) -> list:
@@ -191,39 +192,29 @@ class Watcher(Logger):
         return list(self._cells.get(cell, {}).get(run, ()))
 
 
-@dataclass
-class Record:
-    """One logged event: the evaluation count plus the watched readings."""
-
-    evaluations: int
-    values: dict
-
-
 class Store(Watcher):
-    """Watcher keeping one :class:`Record` per event, addressable by cursor.
+    """Watcher whose recorded events are addressable by cursor.
 
     :meth:`at` resolves a cursor to a single reading; anything the cursor
     fails to address comes back absent rather than raising.
     """
 
-    def _entry(self, info: LogInfo, values: dict) -> Record:
-        return Record(int(info.evaluations), values)
-
-    def at(self, cursor: Cursor, prop) -> LoggedValue:
+    def at(self, cursor: Cursor, prop) -> Optional[float]:
         """Reading of ``prop`` (a property or its name) at one event.
 
-        Returns :data:`ABSENT` when the cursor points past the recorded
-        data or the property was not watched; ``"evaluations"`` is always
-        resolvable on a recorded event.
+        Returns ``None`` when the cursor points past the recorded data or
+        the property was not watched; ``"evaluations"`` is always resolvable
+        on a recorded event.
         """
         name = prop.name if isinstance(prop, Property) else str(prop)
         cell = CellKey(cursor.suite_name, cursor.problem_id, cursor.dimension, cursor.instance)
         events = self._cells.get(cell, {}).get(cursor.run)
         if not events or not 0 <= cursor.event_index < len(events):
-            return ABSENT
-        record = events[cursor.event_index]
-        if name in record.values:
-            return record.values[name]
+            return None
+        event = events[cursor.event_index]
+        names = self.property_names
+        if name in names:
+            return event[names.index(name) + 1]
         if name == "evaluations":
-            return LoggedValue.of(float(record.evaluations))
-        return ABSENT
+            return float(event[0])
+        return None

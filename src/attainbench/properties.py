@@ -1,42 +1,31 @@
 """Watchable quantities recorded by loggers.
 
-A property is a named accessor that maps a log event to a scalar reading.
-The result is a :class:`LoggedValue`, which keeps absence explicit: a
-detached external binding yields the absent value, never a stale or made-up
-number, and file backends render it as the ``NA`` token.
+A property is a named accessor that maps a log event to a scalar reading:
+a ``float``, or ``None`` when the reading is absent. A detached external
+binding reads ``None``, never a stale or made-up number, and file backends
+render it as the ``NA`` token; a present NaN stays a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 
-@dataclass(frozen=True)
-class LoggedValue:
-    """A possibly-absent scalar reading."""
-
-    present: bool
-    value: float = float("nan")
-
-    @classmethod
-    def of(cls, value: float) -> "LoggedValue":
-        return cls(True, value)
-
-
-#: The one reading that carries no number.
-ABSENT = LoggedValue(False)
-
-
 class Property:
-    """Named accessor producing a :class:`LoggedValue` from a log event."""
+    """Named accessor producing a ``float`` reading, or ``None``, from a log event.
+
+    The name heads a flat-file column, so it must be non-empty and free of
+    the characters a CSV header cell cannot hold bare: ``,``, ``"``, CR and LF.
+    """
 
     def __init__(self, name: str):
         if not name:
             raise ValueError("property name must be non-empty")
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"property name {name!r} contains a comma, quote or line break")
         self.name = name
 
-    def __call__(self, info) -> LoggedValue:
+    def __call__(self, info) -> Optional[float]:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -52,8 +41,8 @@ class _Field(Property):
     def __init__(self, name: Optional[str] = None):
         super().__init__(self.field if name is None else name)
 
-    def __call__(self, info) -> LoggedValue:
-        return LoggedValue.of(float(getattr(info, self.field)))
+    def __call__(self, info) -> float:
+        return float(getattr(info, self.field))
 
 
 class Evaluations(_Field):
@@ -91,50 +80,29 @@ class External(Property):
 
     The value is pulled through ``getter`` (a zero-argument callable) each
     time the property is read, so recorded numbers reflect the host variable
-    at the moment the event fired, not at attach time.
-
-    Binding capabilities mirror how host code may manage the watched value:
-
-    * fixed (``detachable=False``): constructed with a getter that stays in
-      place for the property's lifetime; reads always succeed;
-    * detachable: :meth:`detach` disables the binding, after which reads
-      yield :data:`ABSENT`;
-    * rebindable: :meth:`rebind` points the property at a different host
-      value mid-run; subsequent reads track the new target.
+    at the moment the event fired, not at attach time. :meth:`detach`
+    disables the binding, after which reads are ``None``; :meth:`rebind`
+    points the property at a different host value mid-run, and subsequent
+    reads track the new target.
     """
 
-    def __init__(
-        self,
-        name: str,
-        getter: Optional[Callable[[], float]] = None,
-        *,
-        detachable: bool = True,
-        rebindable: bool = True,
-    ):
+    def __init__(self, name: str, getter: Optional[Callable[[], float]] = None):
         super().__init__(name)
-        if getter is None and not detachable:
-            raise ValueError(f"property {name!r}: a non-detachable binding needs a getter")
         self._getter = getter
-        self._detachable = detachable
-        self._rebindable = rebindable
 
     @property
     def detached(self) -> bool:
         return self._getter is None
 
     def detach(self) -> None:
-        if not self._detachable:
-            raise ValueError(f"property {self.name!r} is not detachable")
         self._getter = None
 
     def rebind(self, getter: Callable[[], float]) -> None:
-        if not self._rebindable:
-            raise ValueError(f"property {self.name!r} is not rebindable")
         if getter is None:
             raise ValueError("rebind target must be callable; use detach() to disable the binding")
         self._getter = getter
 
-    def __call__(self, info) -> LoggedValue:
+    def __call__(self, info) -> Optional[float]:
         if self._getter is None:
-            return ABSENT
-        return LoggedValue.of(float(self._getter()))
+            return None
+        return float(self._getter())

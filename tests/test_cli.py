@@ -321,6 +321,9 @@ MALFORMED_FLAGS = [
     ("run", "--buckets", "5"),
     ("run", "--scale", "linear,cubic"),
     ("run", "--seed", "-1"),
+    ("run", "--problems", "0"),
+    ("run", "--dims", "0"),
+    ("run", "--instances", "-2"),
     ("eaf", "--levels", "0,one"),
     ("eaf", "--direction", "up"),
     ("eah", "--buckets", "0x3"),

@@ -70,6 +70,22 @@ class TestFlatFiles:
         body = path.read_text(encoding="utf-8").splitlines()[1:]
         assert body == ["0,0,1,1.0,7.0", f"0,1,2,0.5,{NA}"]
 
+    def test_a_present_nan_and_an_absent_reading_stay_apart(self, tmp_path):
+        external = External("extra", lambda: math.nan)
+        store = Store([Always()], [external])
+        store.attach(META)
+        store.call(LogInfo(evaluations=1))
+        external.detach()
+        store.call(LogInfo(evaluations=2))
+        first, second = (Cursor(*cell_key(META), event_index=i) for i in (0, 1))
+        assert math.isnan(store.at(first, "extra"))
+        assert store.at(second, "extra") is None
+        (path,) = write_flat_files(store, tmp_path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == ["0,0,1,nan", f"0,1,2,{NA}"]
+        _, rows = read_flat_file(path)
+        assert math.isnan(rows[0].values["extra"])
+        assert rows[1].values["extra"] is None
+
     def test_numbers_use_shortest_roundtrip_rendering(self, tmp_path):
         store = Store([Always()], [TransformedY()])
         feed(store, [0.1, 1 / 3])
@@ -113,7 +129,7 @@ class TestFlatFiles:
             cursor = Cursor(*cell_key(META), run=row.run, event_index=row.event)
             for name in names:
                 assert row.values[name] == store.at(cursor, name)
-            assert row.evaluations == store.at(cursor, "evaluations").value
+            assert row.evaluations == store.at(cursor, "evaluations")
 
     def test_unreadable_header_is_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -228,6 +244,16 @@ class TestTrajectoryFiles:
         path = tmp_path / "t.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         with pytest.raises(ValueError, match=f"{path.name}:{line}: not UTF-8 text$"):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("body, problem", [
+        ("0,x,2.0\n0,2,1.0\n\n", ":2: could not convert string 'x' to int64"),
+        ("0,1,2.0\n\n0,x,1.0\n", ":3: blank line"),
+    ])
+    def test_the_first_bad_line_is_named(self, tmp_path, body, problem):
+        path = tmp_path / "t.csv"
+        path.write_text("run,evaluations,quality\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"t.csv{problem}"):
             read_trajectories(path)
 
     def test_windows_line_endings_are_accepted_and_blank_lines_still_found(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from attainbench.loggers import CellKey, Combine, Cursor, LogInfo, Logger, Store, cell_key
 from attainbench.problems import Direction, MetaData
-from attainbench.properties import ABSENT, Evaluations, External, LoggedValue, TransformedY
+from attainbench.properties import Evaluations, External, TransformedY
 from attainbench.triggers import Always, Each, OnImprovement
 
 META = MetaData("fake", 1, 1, 5, Direction.MINIMIZATION)
@@ -49,8 +49,8 @@ def test_always_watcher_records_every_event():
     store.attach(META)
     drive(store, [3.0, 1.0, 2.0])
     events = store.events(cell_key(META), 0)
-    assert [r.evaluations for r in events] == [1, 2, 3]
-    assert [r.values["transformed_y"].value for r in events] == [3.0, 1.0, 2.0]
+    assert [r[0] for r in events] == [1, 2, 3]
+    assert [r[1] for r in events] == [3.0, 1.0, 2.0]
 
 
 def test_improvement_watcher_records_strict_improvements_only():
@@ -58,8 +58,8 @@ def test_improvement_watcher_records_strict_improvements_only():
     store.attach(META)
     drive(store, [9999.0, 100.0, 100.0, 10.0, 10.0, 99.0, 11.0, 9.0])
     events = store.events(cell_key(META), 0)
-    assert [r.evaluations for r in events] == [1, 2, 4, 8]
-    assert [r.values["transformed_y"].value for r in events] == [9999.0, 100.0, 10.0, 9.0]
+    assert [r[0] for r in events] == [1, 2, 4, 8]
+    assert [r[1] for r in events] == [9999.0, 100.0, 10.0, 9.0]
 
 
 @pytest.mark.parametrize("improvement_first", [True, False])
@@ -70,7 +70,7 @@ def test_watcher_records_the_union_of_its_triggers(improvement_first):
     # Evaluations 2 and 4 also fire Each(2); had OnImprovement missed them, 4.0 at
     # evaluation 3 and 2.0 at evaluation 5 would count as improvements.
     drive(store, [5.0, 3.0, 4.0, 1.0, 2.0, 2.0])
-    assert [r.evaluations for r in store.events(cell_key(META), 0)] == [1, 2, 4, 6]
+    assert [r[0] for r in store.events(cell_key(META), 0)] == [1, 2, 4, 6]
 
 
 def test_watcher_without_properties_still_keeps_evaluations():
@@ -78,7 +78,7 @@ def test_watcher_without_properties_still_keeps_evaluations():
     store.attach(META)
     drive(store, [5.0])
     (record,) = store.events(cell_key(META), 0)
-    assert record.evaluations == 1 and record.values == {}
+    assert record == (1,)
 
 
 def test_duplicate_property_names_are_rejected():
@@ -92,7 +92,7 @@ def test_trigger_state_clears_at_run_boundaries():
     drive(store, [5.0, 7.0])
     store.reset()
     drive(store, [7.0])
-    assert [r.evaluations for r in store.events(cell_key(META), 1)] == [1]
+    assert [r[0] for r in store.events(cell_key(META), 1)] == [1]
 
 
 def test_run_indices_advance_per_cell():
@@ -160,24 +160,24 @@ class TestStoreCursor:
         return Cursor("fake", 1, 5, 1, **kw)
 
     def test_resolves_recorded_values(self):
-        assert self.store.at(self.cursor(event_index=0), "transformed_y") == LoggedValue.of(4.0)
-        assert self.store.at(self.cursor(event_index=0), TransformedY()) == LoggedValue.of(4.0)
-        assert self.store.at(self.cursor(event_index=0), "extra") == LoggedValue.of(10.0)
+        assert self.store.at(self.cursor(event_index=0), "transformed_y") == 4.0
+        assert self.store.at(self.cursor(event_index=0), TransformedY()) == 4.0
+        assert self.store.at(self.cursor(event_index=0), "extra") == 10.0
 
     def test_evaluations_always_resolvable(self):
-        assert self.store.at(self.cursor(event_index=1), "evaluations") == LoggedValue.of(2.0)
-        assert self.store.at(self.cursor(event_index=1), Evaluations()) == LoggedValue.of(2.0)
+        assert self.store.at(self.cursor(event_index=1), "evaluations") == 2.0
+        assert self.store.at(self.cursor(event_index=1), Evaluations()) == 2.0
 
     def test_detached_reading_is_absent(self):
-        assert self.store.at(self.cursor(event_index=1), "extra") == ABSENT
+        assert self.store.at(self.cursor(event_index=1), "extra") is None
 
     def test_out_of_range_cursors_are_absent(self):
-        assert self.store.at(self.cursor(event_index=2), "transformed_y") == ABSENT
-        assert self.store.at(self.cursor(run=1), "transformed_y") == ABSENT
-        assert self.store.at(Cursor("fake", 9, 5, 1), "transformed_y") == ABSENT
+        assert self.store.at(self.cursor(event_index=2), "transformed_y") is None
+        assert self.store.at(self.cursor(run=1), "transformed_y") is None
+        assert self.store.at(Cursor("fake", 9, 5, 1), "transformed_y") is None
 
     def test_unwatched_property_is_absent(self):
-        assert self.store.at(self.cursor(), "raw_y") == ABSENT
+        assert self.store.at(self.cursor(), "raw_y") is None
 
 
 def test_cell_key_fields():

@@ -1,15 +1,13 @@
 """Logged-property accessors, absence handling, and external bindings."""
 
-import math
+import re
 
 import pytest
 
 from attainbench.loggers import LogInfo
 from attainbench.properties import (
-    ABSENT,
     Evaluations,
     External,
-    LoggedValue,
     Property,
     RawY,
     RawYBest,
@@ -22,11 +20,11 @@ INFO = LogInfo(evaluations=7, raw_y=4.0, raw_y_best=2.0,
 
 
 def test_builtin_properties_read_their_fields():
-    assert Evaluations()(INFO) == LoggedValue.of(7.0)
-    assert RawY()(INFO) == LoggedValue.of(4.0)
-    assert RawYBest()(INFO) == LoggedValue.of(2.0)
-    assert TransformedY()(INFO) == LoggedValue.of(5.0)
-    assert TransformedYBest()(INFO) == LoggedValue.of(3.0)
+    assert Evaluations()(INFO) == 7.0
+    assert RawY()(INFO) == 4.0
+    assert RawYBest()(INFO) == 2.0
+    assert TransformedY()(INFO) == 5.0
+    assert TransformedYBest()(INFO) == 3.0
 
 
 def test_default_names_are_snake_case():
@@ -40,11 +38,10 @@ def test_empty_name_is_rejected():
         Evaluations(name="")
 
 
-def test_logged_value_presence():
-    assert not ABSENT.present
-    assert math.isnan(ABSENT.value)
-    got = LoggedValue.of(1.5)
-    assert got.present and got.value == 1.5
+@pytest.mark.parametrize("name", ["a,b", 'say "x"', "a\rb", "a\nb"])
+def test_a_name_the_flat_file_header_cannot_carry_is_rejected(name):
+    with pytest.raises(ValueError, match=re.escape(f"property name {name!r}")):
+        External(name, lambda: 1.0)
 
 
 def test_reads_do_not_mutate_the_record():
@@ -58,42 +55,36 @@ class TestExternal:
         holder = {"x": 0.0}
         prop = External("extra", lambda: holder["x"])
         holder["x"] = 3.5
-        assert prop(INFO) == LoggedValue.of(3.5)
+        assert prop(INFO) == 3.5
         holder["x"] = -1.0
-        assert prop(INFO) == LoggedValue.of(-1.0)
+        assert prop(INFO) == -1.0
 
     def test_detached_reads_are_absent(self):
         prop = External("extra", lambda: 1.0)
         prop.detach()
         assert prop.detached
-        assert prop(INFO) == ABSENT
+        assert prop(INFO) is None
 
     def test_rebind_tracks_the_new_target(self):
         prop = External("extra", lambda: 1.0)
         prop.rebind(lambda: 9.0)
-        assert prop(INFO) == LoggedValue.of(9.0)
+        assert prop(INFO) == 9.0
 
     def test_rebind_reattaches(self):
         prop = External("extra", lambda: 1.0)
         prop.detach()
         prop.rebind(lambda: 2.0)
-        assert prop(INFO) == LoggedValue.of(2.0)
+        assert prop(INFO) == 2.0
 
     def test_starts_detached_without_a_getter(self):
         prop = External("extra")
         assert prop.detached
-        assert prop(INFO) == ABSENT
+        assert prop(INFO) is None
 
-    def test_fixed_binding_rejects_detach_and_rebind(self):
-        prop = External("extra", lambda: 1.0, detachable=False, rebindable=False)
-        with pytest.raises(ValueError):
-            prop.detach()
-        with pytest.raises(ValueError):
-            prop.rebind(lambda: 2.0)
-
-    def test_fixed_binding_requires_a_getter(self):
-        with pytest.raises(ValueError):
-            External("extra", detachable=False)
+    def test_rebind_rejects_none(self):
+        prop = External("extra", lambda: 1.0)
+        with pytest.raises(ValueError, match="detach"):
+            prop.rebind(None)
 
 
 def test_property_base_class_requires_a_reader():
