@@ -21,8 +21,7 @@ from .loggers import CellKey, Combine, Cursor, Logger, LogInfo, Store, Watcher
 from .problems import (SUITES, ContinuousSuite, Direction, LeadingOnes,
                        MetaData, OneMax, Problem, PseudoBooleanSuite,
                        Rastrigin, Sphere, Suite)
-from .properties import (Evaluations, External, Property, RawY, RawYBest,
-                         TransformedY, TransformedYBest)
+from .properties import External, Property, RawY, RawYBest, TransformedY, TransformedYBest
 from .solvers import SOLVERS, hill_climber, random_search
 from . import triggers
 
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttainmentPoint", "Axis", "CellKey", "Combine", "ContinuousSuite",
-    "Cursor", "Direction", "Discretization", "Evaluations", "External",
+    "Cursor", "Direction", "Discretization", "External",
     "Histogram", "LeadingOnes", "LevelSelector", "LevelSet", "LogInfo",
     "Logger", "MetaData", "OneMax", "Problem", "Property",
     "PseudoBooleanSuite", "Rastrigin", "RawY", "RawYBest", "SOLVERS",

@@ -97,7 +97,7 @@ def run_benchmark(config: RunConfig) -> dict:
             "evaluations": cells * config.runs * config.budget, "files": files}
 
 
-def _int_list(least: float = -math.inf):
+def _int_list(least: int):
     def convert(text: str) -> tuple:
         try:
             values = tuple(int(part) for part in text.split(","))
@@ -156,7 +156,7 @@ def _nadir(text: str) -> tuple:
 
 def _levels(indices: tuple, m: int) -> list:
     """Attainment levels of zero-based ``--levels`` indices, checked against the run count."""
-    bad = sorted({j for j in indices if not 0 <= j < m})
+    bad = sorted({j for j in indices if j >= m})
     if bad:
         raise ValueError(f"--levels index(es) {bad} out of range: input has {m} run(s)")
     return [j + 1 for j in indices]
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=Direction, default=Direction.MINIMIZATION,
                        metavar="{min,max}")
     for p in (eaf_cmd, stats):
-        p.add_argument("--levels", type=_int_list(), required=True,
+        p.add_argument("--levels", type=_int_list(0), required=True,
                        help="zero-based level indices, comma-separated")
     eaf_cmd.add_argument("--out", required=True, help="output JSON path")
     eaf_cmd.set_defaults(func=_cmd_eaf)

@@ -5,7 +5,7 @@ Flat run logs
     ``<suite>_f<problem>_d<dimension>_i<instance>.csv``. Line 1 is the
     header ``run,event,evaluations,<property names...>``; every following
     line is one logged event. Runs are zero-based, event indices are
-    zero-based within their run, and the evaluation count is 1-based.
+    zero-based within their run, and the evaluation count is a 1-based integer.
     Files are UTF-8 with ``\\n`` line endings. An absent reading (``None``)
     renders as ``NA`` and reads back as ``None``; numbers, a present NaN
     included, use the shortest decimal form that round-trips.
@@ -25,7 +25,8 @@ Histogram export
     recording buckets, origin, extent and scale per axis.
 
 Every writer replaces its target atomically, so a failure mid-write leaves
-the earlier file in place.
+the earlier file in place. Both CSV readers count lines by LF, accept CRLF
+line endings and reject a CR that no LF follows.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from .problems import Direction, MetaData
 NA = "NA"
 
 
-def _render(value: float) -> str:
+def _render(value: Optional[float]) -> str:
     # repr() of a Python float is the shortest decimal string that parses
-    # back to the same bits.
-    return repr(float(value))
+    # back to the same bits; an absent reading renders as NA.
+    return NA if value is None else repr(float(value))
 
 
 @contextlib.contextmanager
@@ -84,34 +85,21 @@ def flat_file_name(cell) -> str:
 
 
 def write_flat_files(store: Store, directory) -> list:
-    """Write one CSV per benchmark cell recorded in the store.
-
-    A watched property literally named ``evaluations`` feeds the fixed
-    evaluations column instead of duplicating it. Returns the written paths.
-    """
+    """Write one CSV per benchmark cell recorded in the store; returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = store.property_names
-    # Positions in an event tuple, (evaluations, *readings), of the file's columns.
-    evaluations = names.index("evaluations") + 1 if "evaluations" in names else 0
-    columns = [i for i, n in enumerate(names, start=1) if n != "evaluations"]
-    header = ",".join(["run", "event", "evaluations", *(names[i - 1] for i in columns)])
+    header = ",".join(["run", "event", "evaluations", *store.property_names])
     paths = []
     for cell in store.cells():
         path = directory / flat_file_name(cell)
         with _atomic_writer(path, "flat file") as fh:
             fh.write(header + "\n")
             for run in store.runs(cell):
-                for index, event in enumerate(store.events(cell, run)):
-                    count = _cell_text(event[evaluations]) if evaluations else str(event[0])
-                    cells = [str(run), str(index), count, *[_cell_text(event[i]) for i in columns]]
+                for index, (count, *readings) in enumerate(store.events(cell, run)):
+                    cells = [str(run), str(index), str(count), *map(_render, readings)]
                     fh.write(",".join(cells) + "\n")
         paths.append(path)
     return paths
-
-
-def _cell_text(value: Optional[float]) -> str:
-    return NA if value is None else _render(value)
 
 
 @dataclass
@@ -120,38 +108,58 @@ class FlatRow:
 
     run: int
     event: int
-    evaluations: float
+    evaluations: int
     values: dict
 
 
 def read_flat_file(path):
     """Parse a flat run log back into (property names, rows), an ``NA`` cell as ``None``;
-    a line that is not UTF-8, a row with the wrong cell count or a non-numeric cell is
-    rejected as ``path:line``."""
+    a line that is not UTF-8 or holds a CR without a LF, a row with the wrong cell count,
+    a non-numeric cell or an index or count out of range is rejected as ``path:line``."""
     path = Path(path)
+    data = _read_bytes(path, "flat file")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:3] != ["run", "event", "evaluations"]:
-                raise ValueError(f"{path}: not a flat run log (header {header!r})")
-            names = header[3:]
-            rows = []
-            for line in reader:
-                where = f"{path}:{reader.line_num}"
-                if len(line) != len(header):
-                    raise ValueError(f"{where}: row has {len(line)} cells, expected {len(header)}")
-                try:
-                    values = {name: None if text == NA else float(text)
-                              for name, text in zip(names, line[3:])}
-                    rows.append(FlatRow(int(line[0]), int(line[1]), float(line[2]), values))
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     except UnicodeDecodeError:
-        raise _not_utf8(path, path.read_bytes(), 1) from None
+        raise _not_utf8(path, data, 1) from None
+    header = next(reader, None)
+    if header is None or header[:3] != ["run", "event", "evaluations"]:
+        raise ValueError(f"{path}: not a flat run log (header {header!r})")
+    rows = []
+    for cells in reader:
+        try:
+            rows.append(_flat_row(cells, header))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return header[3:], rows
+
+
+def _flat_row(cells: list, header: list) -> FlatRow:
+    if len(cells) != len(header):
+        raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
+    values = {name: None if text == NA else float(text)
+              for name, text in zip(header[3:], cells[3:])}
+    run, event = int(cells[0]), int(cells[1])
+    # Older writers could render the count as ``1.0``.
+    count = int(cells[2]) if cells[2].lstrip("+-").isdecimal() else float(cells[2])
+    for what, text, value, least in zip(("run", "event", "evaluation count"), cells,
+                                        (run, event, count), (0, 0, 1)):
+        if not (value >= least and value % 1 == 0):
+            raise ValueError(f"{what} {text} is not an integer >= {least}")
+    return FlatRow(run, event, int(count), values)
+
+
+def _read_bytes(path: Path, what: str) -> bytes:
+    """Contents of the ``what`` at ``path``; a CR that no LF follows is rejected,
+    naming its line as counted by LF alone."""
+    try:
+        data = path.read_bytes()
     except OSError as exc:
-        raise OSError(f"cannot read flat file {path}: {exc}") from exc
-    return names, rows
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        line = data.count(b"\n", 0, re.search(b"\r(?!\n)", data).start()) + 1
+        raise ValueError(f"{path}:{line}: carriage return without a line feed after it")
+    return data
 
 
 def _not_utf8(path: Path, data: bytes, first_line: int) -> ValueError:
@@ -177,9 +185,10 @@ _TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("qual
 def _row_error(path: Path, body: bytes, exc: Optional[ValueError]) -> ValueError:
     """Error for a trajectory body that ``np.loadtxt`` failed on, or of which
     it kept too few rows: whichever comes first of the first blank line and
-    the row numpy names. The body starts on file line 2. loadtxt skips empty
-    lines and counts only the rows it reads, from 1 in column-count errors
-    and from 0 in conversion errors."""
+    the row numpy names. The body starts on file line 2 and has no lone CR, so
+    ``splitlines`` breaks at LF alone. loadtxt skips empty lines and counts
+    only the rows it reads, from 1 in column-count errors and from 0 in
+    conversion errors."""
     lines = list(enumerate(body.splitlines(), start=2))
     blank = next((number for number, line in lines if not line.strip()), None)
     match = re.search(r"(?: but (\d+) were found)? at row (\d+)", str(exc))
@@ -200,16 +209,14 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
 
     Rows are grouped by run id and sorted by evaluation count; the strict
     improvement filter reduces each group to its attainment staircase. Lines
-    that are not UTF-8, blank lines, rows without exactly three cells, evaluation
-    counts below 1 and non-finite qualities are rejected as ``path:line``. The
-    trajectories carry placeholder metadata with the given direction.
+    that are not UTF-8 or hold a lone CR, blank lines, rows without exactly three cells,
+    evaluation counts below 1 and non-finite qualities are rejected as ``path:line``.
+    The trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
     meta = MetaData("file", 1, 1, 1, direction)
-    try:
-        header, _, body = path.read_bytes().partition(b"\n")
-    except OSError as exc:
-        raise OSError(f"cannot read trajectory file {path}: {exc}") from exc
+    # Only the body stays referenced: the whole file is not held beside it.
+    header, _, body = _read_bytes(path, "trajectory file").partition(b"\n")
     if header.rstrip(b"\r") != b"run,evaluations,quality":
         header = header.decode(errors="replace")
         raise ValueError(f"{path}: not a trajectory file (header {header!r})")

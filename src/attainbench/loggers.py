@@ -8,7 +8,8 @@ per context so one logger can serve a whole suite.
 
 A :class:`Watcher` records each event its triggers fire on as one tuple,
 ``(evaluations, *readings)``, where a reading is a ``float`` or ``None``
-when absent; :class:`Store` looks one reading up by cursor.
+when absent; :class:`Store` looks one reading up by cursor. Slot 0 is the
+one copy of the evaluation count, so ``evaluations`` names no property.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ class Logger:
         self._meta = None
         self._cell: Optional[CellKey] = None
         self._run_index: dict[CellKey, int] = {}
-
-    @property
-    def meta(self):
-        """Metadata of the context currently attached, or None."""
-        return self._meta
 
     @property
     def current_run(self) -> int:
@@ -203,8 +199,8 @@ class Store(Watcher):
         """Reading of ``prop`` (a property or its name) at one event.
 
         Returns ``None`` when the cursor points past the recorded data or
-        the property was not watched; ``"evaluations"`` is always resolvable
-        on a recorded event.
+        the property was not watched; ``"evaluations"``, the event's count,
+        is always resolvable on a recorded event.
         """
         name = prop.name if isinstance(prop, Property) else str(prop)
         cell = CellKey(cursor.suite_name, cursor.problem_id, cursor.dimension, cursor.instance)
@@ -212,9 +208,7 @@ class Store(Watcher):
         if not events or not 0 <= cursor.event_index < len(events):
             return None
         event = events[cursor.event_index]
-        names = self.property_names
-        if name in names:
-            return event[names.index(name) + 1]
         if name == "evaluations":
             return float(event[0])
-        return None
+        names = self.property_names
+        return event[names.index(name) + 1] if name in names else None

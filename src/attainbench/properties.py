@@ -3,7 +3,8 @@
 A property is a named accessor that maps a log event to a scalar reading:
 a ``float``, or ``None`` when the reading is absent. A detached external
 binding reads ``None``, never a stale or made-up number, and file backends
-render it as the ``NA`` token; a present NaN stays a float.
+render it as the ``NA`` token; a present NaN stays a float. ``evaluations``
+is a reserved name, because every logged event carries that count already.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Callable, Optional
 class Property:
     """Named accessor producing a ``float`` reading, or ``None``, from a log event.
 
-    The name heads a flat-file column, so it must be non-empty and free of
-    the characters a CSV header cell cannot hold bare: ``,``, ``"``, CR and LF.
+    The name heads a flat-file column: it must be non-empty, other than the
+    fixed count column ``evaluations`` and free of ``,``, ``"``, CR and LF.
     """
 
     def __init__(self, name: str):
@@ -23,6 +24,8 @@ class Property:
             raise ValueError("property name must be non-empty")
         if any(c in name for c in ',"\r\n'):
             raise ValueError(f"property name {name!r} contains a comma, quote or line break")
+        if name == "evaluations":
+            raise ValueError(f"property name {name!r} is reserved for the evaluation count")
         self.name = name
 
     def __call__(self, info) -> Optional[float]:
@@ -43,12 +46,6 @@ class _Field(Property):
 
     def __call__(self, info) -> float:
         return float(getattr(info, self.field))
-
-
-class Evaluations(_Field):
-    """Number of objective calls made so far in the current run."""
-
-    field = "evaluations"
 
 
 class RawY(_Field):

@@ -24,7 +24,7 @@ from attainbench.fileio import NA, read_flat_file, write_flat_files
 from attainbench.histogram import Axis, eah, fit_discretization
 from attainbench.loggers import Cursor, LogInfo, Store, cell_key
 from attainbench.problems import ContinuousSuite, Direction, MetaData, Sphere
-from attainbench.properties import Evaluations, External, TransformedYBest
+from attainbench.properties import External, TransformedYBest
 from attainbench.solvers import random_search
 from attainbench.triggers import Always, OnImprovement
 
@@ -241,7 +241,7 @@ def test_criterion_08_end_to_end_suite_run():
 def test_criterion_09_flat_file_matches_store(tmp_path):
     counter = {"value": 0.0}
     external = External("extra", lambda: counter["value"])
-    store = Store([Always()], [Evaluations(), TransformedYBest(), external])
+    store = Store([Always()], [TransformedYBest(), external])
     problem = Sphere(1, 1, 2, suite_name="gate")
     problem.attach_logger(store)
     rng = np.random.default_rng(9)

@@ -64,6 +64,10 @@ class TestStaircaseFilter:
         assert improvement_staircase(rows, MAX) == [
             AttainmentPoint(1, 1.0), AttainmentPoint(3, 4.0)]
 
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_no_rows_make_an_empty_staircase(self, direction):
+        assert improvement_staircase([], direction) == []
+
 
 class TestTrajectoryLogger:
     META = MetaData("fake", 1, 1, 4, MIN)

@@ -325,6 +325,7 @@ MALFORMED_FLAGS = [
     ("run", "--dims", "0"),
     ("run", "--instances", "-2"),
     ("eaf", "--levels", "0,one"),
+    ("eaf", "--levels", "-1"),
     ("eaf", "--direction", "up"),
     ("eah", "--buckets", "0x3"),
     ("eah", "--scale", "log"),
@@ -334,6 +335,7 @@ MALFORMED_FLAGS = [
     ("eah", "--quality-range", "0:nan"),
     ("eah", "--direction", "MAX"),
     ("stats", "--levels", ""),
+    ("stats", "--levels", "0,-2"),
     ("stats", "--nadir", "3"),
     ("stats", "--nadir", "inf,3"),
     ("stats", "--direction", "minimize"),

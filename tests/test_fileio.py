@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attainbench.attainment import AttainmentPoint, LevelSet, default_nadir, eaf_levels
 from attainbench.fileio import (
@@ -19,7 +21,7 @@ from attainbench.fileio import (
 from attainbench.histogram import eah, fit_discretization
 from attainbench.loggers import CellKey, Cursor, LogInfo, Store, cell_key
 from attainbench.problems import Direction, MetaData
-from attainbench.properties import Evaluations, External, TransformedY, TransformedYBest
+from attainbench.properties import External, TransformedY, TransformedYBest
 from attainbench.triggers import Always
 
 from oracles import as_trajectories
@@ -110,13 +112,9 @@ class TestFlatFiles:
         paths = write_flat_files(store, tmp_path)
         assert sorted(p.name for p in paths) == ["fake_f1_d5_i1.csv", "fake_f3_d5_i2.csv"]
 
-    def test_watched_evaluations_property_feeds_the_fixed_column(self, tmp_path):
-        store = Store([Always()], [Evaluations(), TransformedY()])
-        feed(store, [4.0])
-        (path,) = write_flat_files(store, tmp_path)
-        header, row = path.read_text(encoding="utf-8").splitlines()
-        assert header == "run,event,evaluations,transformed_y"
-        assert row == "0,0,1.0,4.0"
+    def test_no_property_can_stand_in_for_the_evaluations_column(self):
+        with pytest.raises(ValueError, match="property name 'evaluations' is reserved"):
+            Store([Always()], [External("evaluations"), TransformedY()])
 
     def test_roundtrip_matches_the_store(self, tmp_path):
         store = Store([Always()], [TransformedY(), TransformedYBest()])
@@ -147,6 +145,13 @@ class TestFlatFiles:
         ("0,2,3,abc", "could not convert string to float: 'abc'"),
         ("0,x,3,4.0", "invalid literal for int"),
         ("0,2,NA,4.0", "could not convert string to float: 'NA'"),
+        ("0,0,nan,2.0", "evaluation count nan is not an integer >= 1"),
+        ("0,0,inf,2.0", "evaluation count inf is not an integer >= 1"),
+        ("0,0,1.5,2.0", "evaluation count 1.5 is not an integer >= 1"),
+        ("0,0,-3,2.0", "evaluation count -3 is not an integer >= 1"),
+        ("0,0,0,2.0", "evaluation count 0 is not an integer >= 1"),
+        ("-1,-2,1,2.0", "run -1 is not an integer >= 0"),
+        ("0,-2,1,2.0", "event -2 is not an integer >= 0"),
     ])
     def test_bad_rows_name_path_and_line(self, tmp_path, row, problem):
         path = tmp_path / "x.csv"
@@ -154,6 +159,12 @@ class TestFlatFiles:
                         encoding="utf-8")
         with pytest.raises(ValueError, match=f"x.csv:4: {problem}"):
             read_flat_file(path)
+
+    def test_a_count_an_older_writer_rendered_as_a_float_reads_as_an_int(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("run,event,evaluations,y\n0,0,1.0,2.5\n", encoding="utf-8")
+        _, (row,) = read_flat_file(path)
+        assert row.evaluations == 1 and isinstance(row.evaluations, int)
 
     @pytest.mark.parametrize("line", [1, 2, 3000])
     def test_a_line_that_is_not_utf8_is_named(self, tmp_path, line):
@@ -163,6 +174,64 @@ class TestFlatFiles:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         with pytest.raises(ValueError, match=f"{path.name}:{line}: not UTF-8 text$"):
             read_flat_file(path)
+
+    def test_a_lone_carriage_return_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"run,event,evaluations,y\n0,0,1,2.0\r0,1,2,3.0\n0,x,3,4.0\n")
+        with pytest.raises(ValueError, match="x.csv:2: carriage return without a line feed"):
+            read_flat_file(path)
+
+    def test_windows_line_endings_are_accepted_and_lines_still_counted(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"run,event,evaluations,y\r\n0,0,1,2.5\r\n0,1,2,NA\r\n")
+        names, rows = read_flat_file(path)
+        assert names == ["y"]
+        assert [(r.run, r.event, r.evaluations, r.values) for r in rows] == [
+            (0, 0, 1, {"y": 2.5}), (0, 1, 2, {"y": None})]
+        path.write_bytes(b"run,event,evaluations,y\r\n0,0,1,2.5\r\n0,x,2,NA\r\n")
+        with pytest.raises(ValueError, match="x.csv:3: invalid literal for int"):
+            read_flat_file(path)
+
+
+property_names = st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters=',"\r\n'),
+                         min_size=1, max_size=6).filter(lambda name: name != "evaluations")
+readings = st.none() | st.floats()
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(property_names, max_size=4, unique=True), data=st.data())
+def test_flat_files_read_back_every_reading_the_store_holds(tmp_path_factory, names, data):
+    properties = [External(name) for name in names]
+    store = Store([Always()], properties)
+    cells = [MetaData("fuzz", problem, 1, 2, MIN) for problem in (1, 2, 3)]
+    for meta in data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4)):
+        store.attach(meta)
+        for _ in range(data.draw(st.integers(1, 3))):
+            for count in data.draw(st.lists(st.integers(1, 2**53), max_size=5)):
+                for prop in properties:
+                    value = data.draw(readings)
+                    if value is None:
+                        prop.detach()
+                    else:
+                        prop.rebind(lambda value=value: value)
+                store.call(LogInfo(evaluations=count))
+            store.reset()
+    paths = write_flat_files(store, tmp_path_factory.mktemp("flat"))
+    assert len(paths) == len(store.cells())
+
+    def same(a, b):
+        return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
+
+    for path, cell in zip(paths, store.cells()):
+        read_names, rows = read_flat_file(path)
+        assert read_names == names
+        assert len(rows) == sum(len(store.events(cell, run)) for run in store.runs(cell))
+        for row in rows:
+            cursor = Cursor(*cell, run=row.run, event_index=row.event)
+            assert row.evaluations == store.at(cursor, "evaluations")
+            for name in names:
+                assert same(row.values[name], store.at(cursor, name))
 
 
 class TestTrajectoryFiles:
@@ -254,6 +323,12 @@ class TestTrajectoryFiles:
         path = tmp_path / "t.csv"
         path.write_text("run,evaluations,quality\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match=f"t.csv{problem}"):
+            read_trajectories(path)
+
+    def test_a_lone_carriage_return_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"run,evaluations,quality\n0,1,9\n0,2\r,1.0\n")
+        with pytest.raises(ValueError, match="t.csv:3: carriage return without a line feed"):
             read_trajectories(path)
 
     def test_windows_line_endings_are_accepted_and_blank_lines_still_found(self, tmp_path):

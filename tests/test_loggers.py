@@ -4,7 +4,7 @@ import pytest
 
 from attainbench.loggers import CellKey, Combine, Cursor, LogInfo, Logger, Store, cell_key
 from attainbench.problems import Direction, MetaData
-from attainbench.properties import Evaluations, External, TransformedY
+from attainbench.properties import External, TransformedY
 from attainbench.triggers import Always, Each, OnImprovement
 
 META = MetaData("fake", 1, 1, 5, Direction.MINIMIZATION)
@@ -42,6 +42,10 @@ def test_call_before_attach_is_an_error():
     store = Store([Always()])
     with pytest.raises(RuntimeError):
         store.call(LogInfo(evaluations=1))
+
+
+def test_current_run_is_zero_before_any_attach():
+    assert Logger().current_run == 0
 
 
 def test_always_watcher_records_every_event():
@@ -166,7 +170,6 @@ class TestStoreCursor:
 
     def test_evaluations_always_resolvable(self):
         assert self.store.at(self.cursor(event_index=1), "evaluations") == 2.0
-        assert self.store.at(self.cursor(event_index=1), Evaluations()) == 2.0
 
     def test_detached_reading_is_absent(self):
         assert self.store.at(self.cursor(event_index=1), "extra") is None

@@ -265,6 +265,25 @@ class TestSuites:
         with pytest.raises(ValueError):
             ContinuousSuite([1], [], [2])
 
+    @pytest.mark.parametrize("instances, dimensions, problem", [
+        ([0, 1], [2], "instances must be >= 1, got 0"),
+        ([1], [2, -3], "dimensions must be >= 1, got -3"),
+    ])
+    def test_axis_values_below_1_are_rejected(self, instances, dimensions, problem):
+        with pytest.raises(ValueError, match=problem):
+            ContinuousSuite([1], instances, dimensions)
+
+    def test_attaching_a_logger_twice_warns_and_attaches_once(self, caplog):
+        suite = ContinuousSuite([1], [1], [2])
+        rec = Recorder()
+        suite.attach_logger(rec)
+        with caplog.at_level("WARNING"):
+            suite.attach_logger(rec)
+        assert "already attached to suite continuous" in caplog.text
+        for problem in suite:
+            problem((0.0, 0.0))
+        assert len(rec.attaches) == 1 and len(rec.infos) == 1
+
     def test_registry_names(self):
         assert set(SUITES) == {"continuous", "pseudo-boolean"}
         assert SUITES["continuous"] is ContinuousSuite

@@ -6,7 +6,6 @@ import pytest
 
 from attainbench.loggers import LogInfo
 from attainbench.properties import (
-    Evaluations,
     External,
     Property,
     RawY,
@@ -20,7 +19,6 @@ INFO = LogInfo(evaluations=7, raw_y=4.0, raw_y_best=2.0,
 
 
 def test_builtin_properties_read_their_fields():
-    assert Evaluations()(INFO) == 7.0
     assert RawY()(INFO) == 4.0
     assert RawYBest()(INFO) == 2.0
     assert TransformedY()(INFO) == 5.0
@@ -28,20 +26,24 @@ def test_builtin_properties_read_their_fields():
 
 
 def test_default_names_are_snake_case():
-    assert Evaluations().name == "evaluations"
     assert TransformedYBest().name == "transformed_y_best"
     assert RawY(name="objective").name == "objective"
 
 
 def test_empty_name_is_rejected():
     with pytest.raises(ValueError):
-        Evaluations(name="")
+        RawY(name="")
 
 
 @pytest.mark.parametrize("name", ["a,b", 'say "x"', "a\rb", "a\nb"])
 def test_a_name_the_flat_file_header_cannot_carry_is_rejected(name):
     with pytest.raises(ValueError, match=re.escape(f"property name {name!r}")):
         External(name, lambda: 1.0)
+
+
+def test_the_name_of_the_evaluation_count_is_reserved():
+    with pytest.raises(ValueError, match="property name 'evaluations' is reserved"):
+        RawY(name="evaluations")
 
 
 def test_reads_do_not_mutate_the_record():

@@ -17,6 +17,13 @@ def test_solvers_spend_exactly_the_budget():
         assert pb.state.evaluations == 17, name
 
 
+def test_a_zero_budget_evaluates_nothing():
+    for name, solver in SOLVERS.items():
+        pb = Sphere(1, 1, 3)
+        solver(pb, 0, np.random.default_rng(0))
+        assert pb.state.evaluations == 0, name
+
+
 def test_seeded_runs_reproduce_the_same_best():
     values = []
     for _ in range(2):
