@@ -15,8 +15,7 @@ The ``bench`` console script exposes the run/ingest/analyze pipeline.
 from .attainment import (AttainmentPoint, LevelSelector, LevelSet, Trajectory,
                          TrajectoryLogger, default_nadir, eaf_levels,
                          improvement_staircase, surface, volume)
-from .histogram import (Axis, Discretization, Histogram, discretize_linear,
-                        discretize_log, eah, fit_discretization)
+from .histogram import Axis, Discretization, Histogram, eah, fit_discretization
 from .loggers import CellKey, Combine, Cursor, Logger, LogInfo, Store, Watcher
 from .problems import (SUITES, ContinuousSuite, Direction, LeadingOnes,
                        MetaData, OneMax, Problem, PseudoBooleanSuite,
@@ -35,7 +34,6 @@ __all__ = [
     "PseudoBooleanSuite", "Rastrigin", "RawY", "RawYBest", "SOLVERS",
     "SUITES", "Sphere", "Store", "Suite", "Trajectory", "TrajectoryLogger",
     "TransformedY", "TransformedYBest", "Watcher", "default_nadir",
-    "discretize_linear", "discretize_log", "eaf_levels", "eah",
-    "fit_discretization", "hill_climber", "improvement_staircase",
-    "random_search", "surface", "triggers", "volume",
+    "eaf_levels", "eah", "fit_discretization", "hill_climber",
+    "improvement_staircase", "random_search", "surface", "triggers", "volume",
 ]

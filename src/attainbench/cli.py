@@ -98,16 +98,14 @@ def run_benchmark(config: RunConfig) -> dict:
 
 
 def _int_list(least: int):
+    integer = _int_at_least(least)
+
     def convert(text: str) -> tuple:
         try:
-            values = tuple(int(part) for part in text.split(","))
-        except ValueError:
+            return tuple(map(integer, text.split(",")))
+        except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(
-                f"expects comma-separated integers, got {text!r}") from None
-        if min(values) < least:
-            raise argparse.ArgumentTypeError(
-                f"expects comma-separated integers >= {least}, got {text!r}")
-        return values
+                f"expects comma-separated integers >= {least}, got {text!r}") from None
     return convert
 
 

@@ -5,16 +5,17 @@ Flat run logs
     ``<suite>_f<problem>_d<dimension>_i<instance>.csv``. Line 1 is the
     header ``run,event,evaluations,<property names...>``; every following
     line is one logged event. Runs are zero-based, event indices are
-    zero-based within their run, and the evaluation count is a 1-based integer.
-    Files are UTF-8 with ``\\n`` line endings. An absent reading (``None``)
+    zero-based within their run, and the evaluation count is a 1-based integer;
+    all three are written in digits only. Files are UTF-8 with ``\\n`` line
+    endings, and no cell is ever quoted. An absent reading (``None``)
     renders as ``NA`` and reads back as ``None``; numbers, a present NaN
     included, use the shortest decimal form that round-trips.
 
 Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
     evaluation. Rows need not be improvement-filtered: ingestion applies
-    the same strict-improvement filter trajectory capture uses. Evaluation
-    counts below 1 and non-finite qualities are rejected.
+    the same strict-improvement filter trajectory capture uses. Negative run
+    ids, evaluation counts below 1 and non-finite qualities are rejected.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
@@ -32,7 +33,6 @@ line endings and reject a CR that no LF follows.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import os
@@ -80,10 +80,6 @@ def cell_stem(cell) -> str:
     return f"{cell.suite_name}_f{cell.problem_id}_d{cell.dimension}_i{cell.instance}"
 
 
-def flat_file_name(cell) -> str:
-    return f"{cell_stem(cell)}.csv"
-
-
 def write_flat_files(store: Store, directory) -> list:
     """Write one CSV per benchmark cell recorded in the store; returns the written paths."""
     directory = Path(directory)
@@ -91,7 +87,7 @@ def write_flat_files(store: Store, directory) -> list:
     header = ",".join(["run", "event", "evaluations", *store.property_names])
     paths = []
     for cell in store.cells():
-        path = directory / flat_file_name(cell)
+        path = directory / f"{cell_stem(cell)}.csv"
         with _atomic_writer(path, "flat file") as fh:
             fh.write(header + "\n")
             for run in store.runs(cell):
@@ -115,38 +111,49 @@ class FlatRow:
 def read_flat_file(path):
     """Parse a flat run log back into (property names, rows), an ``NA`` cell as ``None``;
     a line that is not UTF-8 or holds a CR without a LF, a row with the wrong cell count,
-    a non-numeric cell or an index or count out of range is rejected as ``path:line``."""
+    a non-numeric cell or an index or count out of range is rejected as ``path:line``.
+    The format has no quoting: lines end at LF (after an optional CR), cells at ``,``."""
     path = Path(path)
     data = _read_bytes(path, "flat file")
     try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError:
         raise _not_utf8(path, data, 1) from None
-    header = next(reader, None)
+    if lines[-1] == "":  # the LF that ends the last line
+        lines.pop()
+    header = lines[0].split(",") if lines else None
     if header is None or header[:3] != ["run", "event", "evaluations"]:
         raise ValueError(f"{path}: not a flat run log (header {header!r})")
     rows = []
-    for cells in reader:
+    for number, line in enumerate(lines[1:], start=2):
         try:
-            rows.append(_flat_row(cells, header))
+            rows.append(_flat_row(line.split(",") if line else [], header))
         except ValueError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{number}: {exc}") from None
     return header[3:], rows
 
 
 def _flat_row(cells: list, header: list) -> FlatRow:
     if len(cells) != len(header):
         raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
-    values = {name: None if text == NA else float(text)
-              for name, text in zip(header[3:], cells[3:])}
+    values = {name: _reading(text) for name, text in zip(header[3:], cells[3:])}
     run, event = int(cells[0]), int(cells[1])
     # Older writers could render the count as ``1.0``.
-    count = int(cells[2]) if cells[2].lstrip("+-").isdecimal() else float(cells[2])
+    count = int(cells[2]) if cells[2].isdecimal() else float(cells[2])
     for what, text, value, least in zip(("run", "event", "evaluation count"), cells,
                                         (run, event, count), (0, 0, 1)):
-        if not (value >= least and value % 1 == 0):
+        if not (text.removesuffix(".0").isdecimal() and value >= least):
             raise ValueError(f"{what} {text} is not an integer >= {least}")
     return FlatRow(run, event, int(count), values)
+
+
+def _reading(text: str) -> Optional[float]:
+    """A reading cell: ``NA`` or a float with neither ``_`` nor surrounding whitespace."""
+    if text == NA:
+        return None
+    if "_" in text or text.strip() != text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def _read_bytes(path: Path, what: str) -> bytes:
@@ -210,7 +217,8 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     Rows are grouped by run id and sorted by evaluation count; the strict
     improvement filter reduces each group to its attainment staircase. Lines
     that are not UTF-8 or hold a lone CR, blank lines, rows without exactly three cells,
-    evaluation counts below 1 and non-finite qualities are rejected as ``path:line``.
+    negative run ids, evaluation counts below 1 and non-finite qualities are rejected
+    as ``path:line``.
     The trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
@@ -234,10 +242,11 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")):
         raise _row_error(path, body, None)
     invalid = (rows["evaluations"] < 1) | ~np.isfinite(rows["quality"])
-    if invalid.any():
-        i = int(np.argmax(invalid))
-        evaluations, quality = int(rows["evaluations"][i]), float(rows["quality"][i])
-        problem = (f"evaluation count {evaluations} is below 1" if evaluations < 1
+    if invalid.any() or rows["run"].min() < 0:
+        i = int(np.argmax(invalid | (rows["run"] < 0)))
+        run, evaluations, quality = rows[i].item()
+        problem = (f"run {run} is below 0" if run < 0
+                   else f"evaluation count {evaluations} is below 1" if evaluations < 1
                    else f"quality {quality!r} is not finite")
         raise ValueError(f"{path}:{i + 2}: {problem}")
     return [Trajectory(meta, run, points) for run, points

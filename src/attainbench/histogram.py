@@ -5,7 +5,8 @@ histogram discretizes both axes into a fixed number of buckets and counts,
 per cell, how many runs attain the cell's representative point. Each axis
 maps a value y in [v, v+l] to a bucket edge: the lower edge on a linear
 axis, the upper edge on a log axis (whose buckets grow geometrically in
-1 + (y - v)).
+1 + (y - v)). A value outside the axis clamps into the boundary bucket, and
+NaN has no bucket.
 
 Representatives are precomputed once per axis and bucket lookup is a binary
 search over those exact floats, so discretization is idempotent in floating
@@ -17,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -52,39 +53,25 @@ class Axis:
     def top(self) -> float:
         return self.origin + self.extent
 
-    def bucket_index(self, y: float, clamp: bool = True) -> int:
+    def bucket_index(self, y: float) -> int:
         """Bucket of ``y``; out-of-range values clamp into the boundary
-        buckets, or are rejected when ``clamp`` is off. The in-range top
-        boundary y = origin + extent always folds into the last bucket."""
-        if not clamp and not self.origin <= y <= self.top:
-            raise ValueError(f"value {y!r} outside axis range [{self.origin}, {self.top}]")
+        buckets, and the top boundary y = origin + extent folds into the last
+        bucket. NaN has no bucket."""
+        if math.isnan(y):
+            raise ValueError("NaN has no bucket")
         if self.scale == "linear":
             i = bisect.bisect_right(self.representatives, y) - 1
         else:
             i = bisect.bisect_left(self.representatives, y)
         return min(max(i, 0), self.buckets - 1)
 
-    def discretize(self, y: float, clamp: bool = True) -> float:
+    def discretize(self, y: float) -> float:
         """Representative edge of y's bucket (lower if linear, upper if log)."""
-        return self.representatives[self.bucket_index(y, clamp)]
+        return self.representatives[self.bucket_index(y)]
 
     def __repr__(self) -> str:
         return (f"Axis(buckets={self.buckets}, origin={self.origin}, "
                 f"extent={self.extent}, scale={self.scale!r})")
-
-
-def discretize_linear(y: float, axis: Axis) -> float:
-    """Lower bucket edge of y on a linear axis; y must lie in [v, v+l]."""
-    if axis.scale != "linear":
-        raise ValueError(f"axis scale is {axis.scale!r}, expected 'linear'")
-    return axis.discretize(y, clamp=False)
-
-
-def discretize_log(y: float, axis: Axis) -> float:
-    """Upper bucket edge of y on a log axis; y must lie in [v, v+l]."""
-    if axis.scale != "log":
-        raise ValueError(f"axis scale is {axis.scale!r}, expected 'log'")
-    return axis.discretize(y, clamp=False)
 
 
 @dataclass(frozen=True)

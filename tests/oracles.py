@@ -83,16 +83,15 @@ def eaf_levels_bruteforce(runs_points, level, direction):
     return minimal_from_grid(times, best_first, counts, level)
 
 
-def eah_bruteforce(runs_points, discretization, direction, clamp=True):
+def eah_bruteforce(runs_points, discretization, direction):
     """Per-cell attainment counts against each cell's representative point."""
     t_axis, q_axis = discretization.time, discretization.quality
     clamped = []
     for points in runs_points:
         row = []
         for t, q in points:
-            if clamp:
-                t = min(max(t, t_axis.origin), t_axis.origin + t_axis.extent)
-                q = min(max(q, q_axis.origin), q_axis.origin + q_axis.extent)
+            t = min(max(t, t_axis.origin), t_axis.origin + t_axis.extent)
+            q = min(max(q, q_axis.origin), q_axis.origin + q_axis.extent)
             row.append((t, q))
         clamped.append(row)
     return [[attain_count(clamped, rt, rq, direction) for rq in q_axis.representatives]

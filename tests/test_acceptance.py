@@ -142,9 +142,9 @@ def test_criterion_05_level_sets_are_nested(randomized_instances):
 
 def test_criterion_06_discretization_idempotent():
     linear_axis = Axis(10, 0.0, 10.0)
-    linear_example = linear_axis.discretize(3.7, clamp=False)
+    linear_example = linear_axis.discretize(3.7)
     log_axis = Axis(1, 0.0, math.e - 1.0, scale="log")
-    log_example = log_axis.discretize(math.sqrt(math.e) - 1.0, clamp=False)
+    log_example = log_axis.discretize(math.sqrt(math.e) - 1.0)
 
     rng = np.random.default_rng(6)
     failures = 0

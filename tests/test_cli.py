@@ -339,6 +339,9 @@ MALFORMED_FLAGS = [
     ("stats", "--nadir", "3"),
     ("stats", "--nadir", "inf,3"),
     ("stats", "--direction", "minimize"),
+    ("stats", "--levels", "1_0"),
+    ("eaf", "--levels", " 1"),
+    ("run", "--problems", "+1"),
 ]
 
 

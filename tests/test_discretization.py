@@ -6,23 +6,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from attainbench.histogram import Axis, Discretization, discretize_linear, discretize_log
+from attainbench.histogram import Axis, Discretization
 
 
 class TestLinearAxis:
     def test_maps_to_the_lower_bucket_edge(self):
         axis = Axis(10, 0.0, 10.0)
-        assert discretize_linear(3.7, axis) == 3.0
-        assert discretize_linear(3.0, axis) == 3.0
-        assert discretize_linear(9.999, axis) == 9.0
+        assert axis.discretize(3.7) == 3.0
+        assert axis.discretize(3.0) == 3.0
+        assert axis.discretize(9.999) == 9.0
 
     def test_origin_maps_to_itself(self):
         axis = Axis(4, -2.0, 8.0)
-        assert discretize_linear(-2.0, axis) == -2.0
+        assert axis.discretize(-2.0) == -2.0
 
     def test_top_boundary_folds_into_the_last_bucket(self):
         axis = Axis(10, 0.0, 10.0)
-        assert discretize_linear(10.0, axis) == 9.0
+        assert axis.discretize(10.0) == 9.0
 
     def test_representatives_are_evenly_spaced_lower_edges(self):
         axis = Axis(4, 1.0, 2.0)
@@ -33,7 +33,7 @@ class TestLinearAxis:
 class TestLogAxis:
     def test_single_bucket_maps_everything_to_the_top(self):
         axis = Axis(1, 0.0, math.e - 1.0, scale="log")
-        got = discretize_log(math.sqrt(math.e) - 1.0, axis)
+        got = axis.discretize(math.sqrt(math.e) - 1.0)
         assert got == axis.representatives[0]
         assert got == pytest.approx(math.e - 1.0, abs=1e-12)
 
@@ -42,9 +42,9 @@ class TestLogAxis:
         # bucket edges at e^(1/2)-1 and e-1; anything below the first edge
         # lands on it, anything between the edges lands on the second
         lo, hi = axis.representatives
-        assert discretize_log(0.0, axis) == lo
-        assert discretize_log(lo, axis) == lo
-        assert discretize_log(math.nextafter(lo, math.inf), axis) == hi
+        assert axis.discretize(0.0) == lo
+        assert axis.discretize(lo) == lo
+        assert axis.discretize(math.nextafter(lo, math.inf)) == hi
 
     def test_buckets_grow_geometrically_in_shifted_coordinates(self):
         axis = Axis(3, 5.0, 7.0, scale="log")
@@ -63,12 +63,13 @@ class TestBucketIndex:
         assert axis.discretize(-3.0) == axis.representatives[0]
         assert axis.discretize(99.0) == axis.representatives[-1]
 
-    def test_out_of_range_is_rejected_without_clamping(self):
-        axis = Axis(5, 0.0, 5.0)
-        with pytest.raises(ValueError, match="outside axis range"):
-            axis.bucket_index(-0.001, clamp=False)
-        with pytest.raises(ValueError, match="outside axis range"):
-            axis.discretize(5.001, clamp=False)
+    def test_nan_has_no_bucket(self):
+        for scale in ("linear", "log"):
+            axis = Axis(5, 0.0, 5.0, scale=scale)
+            with pytest.raises(ValueError, match="NaN has no bucket"):
+                axis.bucket_index(math.nan)
+            with pytest.raises(ValueError, match="NaN has no bucket"):
+                axis.discretize(float("nan"))
 
 
 class TestValidation:
@@ -79,12 +80,6 @@ class TestValidation:
     def test_invalid_axes_are_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
-
-    def test_scale_specific_helpers_check_the_scale(self):
-        with pytest.raises(ValueError, match="expected 'linear'"):
-            discretize_linear(0.5, Axis(2, 0.0, 1.0, scale="log"))
-        with pytest.raises(ValueError, match="expected 'log'"):
-            discretize_log(0.5, Axis(2, 0.0, 1.0))
 
     def test_discretization_bundles_two_axes(self):
         disc = Discretization(Axis(2, 0.0, 1.0), Axis(3, 0.0, 1.0, scale="log"))
@@ -100,7 +95,7 @@ def test_discretization_is_exactly_idempotent(scale, data, buckets, origin, exte
     axis = Axis(buckets, origin, extent, scale=scale)
     fraction = data.draw(st.floats(0.0, 1.0))
     y = origin + fraction * extent
-    once = axis.discretize(y, clamp=False)
+    once = axis.discretize(y)
     assert axis.discretize(once) == once
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from attainbench.attainment import AttainmentPoint, LevelSet, default_nadir, eaf_levels
 from attainbench.fileio import (
     NA,
-    flat_file_name,
+    _row_error,
+    cell_stem,
     read_flat_file,
     read_trajectories,
     write_flat_files,
@@ -42,8 +43,8 @@ def feed(store, values, meta=META, runs=1):
 
 class TestFlatFiles:
     def test_file_name_encodes_the_cell(self):
-        assert flat_file_name(CellKey("continuous", 1, 10, 1)) == "continuous_f1_d10_i1.csv"
-        assert flat_file_name(cell_key(META)) == "fake_f3_d5_i2.csv"
+        assert cell_stem(CellKey("continuous", 1, 10, 1)) == "continuous_f1_d10_i1"
+        assert cell_stem(cell_key(META)) == "fake_f3_d5_i2"
 
     def test_header_then_one_line_per_event(self, tmp_path):
         store = Store([Always()], [TransformedY()])
@@ -152,6 +153,13 @@ class TestFlatFiles:
         ("0,0,0,2.0", "evaluation count 0 is not an integer >= 1"),
         ("-1,-2,1,2.0", "run -1 is not an integer >= 0"),
         ("0,-2,1,2.0", "event -2 is not an integer >= 0"),
+        ("0,0,1_0,2.0", "evaluation count 1_0 is not an integer >= 1"),
+        ("0,0, 1,2.0", "evaluation count  1 is not an integer >= 1"),
+        ("+0,0,1,2.0", "run \\+0 is not an integer >= 0"),
+        ("0,0,1,2_5", "could not convert string to float: '2_5'"),
+        ("0,0,1, 2.5", "could not convert string to float: ' 2.5'"),
+        ('0,0,1,"2.5"', "could not convert string to float: '\"2.5\"'"),
+        ('0,0,1,"2.5\n0,1,2,3.0', "could not convert string to float: '\"2.5'"),
     ])
     def test_bad_rows_name_path_and_line(self, tmp_path, row, problem):
         path = tmp_path / "x.csv"
@@ -290,6 +298,7 @@ class TestTrajectoryFiles:
     @pytest.mark.parametrize("row, problem", [
         ("0,0,-3", "evaluation count 0 is below 1"),
         ("0,-2,4", "evaluation count -2 is below 1"),
+        ("-1,3,1.0", "run -1 is below 0"),
         ("0,5,nan", "quality nan is not finite"),
         ("0,5,inf", "quality inf is not finite"),
         ("0,5,-inf", "quality -inf is not finite"),
@@ -324,6 +333,11 @@ class TestTrajectoryFiles:
         path.write_text("run,evaluations,quality\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match=f"t.csv{problem}"):
             read_trajectories(path)
+
+    def test_an_error_that_names_no_row_falls_back_to_the_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        error = _row_error(path, b"0,1,9\n0,2,8\n", ValueError("numpy changed its wording"))
+        assert str(error) == f"{path}: numpy changed its wording"
 
     def test_a_lone_carriage_return_is_named_by_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
