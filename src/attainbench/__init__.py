@@ -13,8 +13,7 @@ The ``bench`` console script exposes the run/ingest/analyze pipeline.
 """
 
 from .attainment import (AttainmentPoint, LevelSelector, LevelSet, Trajectory,
-                         TrajectoryLogger, default_nadir, eaf_levels,
-                         improvement_staircase, surface, volume)
+                         TrajectoryLogger, default_nadir, eaf_levels, surface, volume)
 from .histogram import Axis, Discretization, Histogram, eah, fit_discretization
 from .loggers import CellKey, Combine, Cursor, Logger, LogInfo, Store, Watcher
 from .problems import (SUITES, ContinuousSuite, Direction, LeadingOnes,
@@ -35,5 +34,5 @@ __all__ = [
     "SUITES", "Sphere", "Store", "Suite", "Trajectory", "TrajectoryLogger",
     "TransformedY", "TransformedYBest", "Watcher", "default_nadir",
     "eaf_levels", "eah", "fit_discretization", "hill_climber",
-    "improvement_staircase", "random_search", "surface", "triggers", "volume",
+    "random_search", "surface", "triggers", "volume",
 ]

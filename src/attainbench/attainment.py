@@ -101,21 +101,6 @@ def _staircases(runs, times, qualities, direction: Direction) -> list:
     return [(int(runs[a]), points[a:b]) for a, b in zip(starts, starts[1:] + [len(points)])]
 
 
-def improvement_staircase(pairs: Iterable, direction: Direction) -> list:
-    """Strict-improvement filter turning raw (time, quality) rows into a staircase.
-
-    Rows are processed in time order; a row survives only if its quality
-    strictly improves on everything seen before it. Should several rows
-    share one time stamp, the improving ones collapse onto that time with
-    the best quality.
-    """
-    rows = list(pairs)
-    if not rows:
-        return []
-    times, qualities = _columns(rows)
-    return dict(_staircases(np.zeros_like(times), times, qualities, direction)).get(0, [])
-
-
 class TrajectoryLogger(Watcher):
     """Logger capturing one attainment trajectory per run.
 
@@ -143,10 +128,10 @@ class TrajectoryLogger(Watcher):
                 for run, events in sorted(runs.items())]
 
 
-def _common_direction(trajectories: Sequence[Trajectory]) -> Direction:
-    directions = {t.meta.direction for t in trajectories}
+def _common_direction(directions: Iterable[Direction], what: str) -> Direction:
+    directions = set(directions)
     if len(directions) != 1:
-        raise ValueError(f"trajectories mix optimization directions: {sorted(d.value for d in directions)}")
+        raise ValueError(f"{what} mix optimization directions: {sorted(d.value for d in directions)}")
     return directions.pop()
 
 
@@ -171,7 +156,7 @@ def _runs(trajectories: Iterable[Trajectory], caller: str) -> tuple:
     trajs = list(trajectories)
     if not trajs:
         raise ValueError(f"{caller}: empty trajectory list")
-    direction = _common_direction(trajs)
+    direction = _common_direction((t.meta.direction for t in trajs), "trajectories")
     return trajs, direction, [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
 
 
@@ -256,14 +241,13 @@ def default_nadir(trajectories: Sequence[Trajectory]) -> AttainmentPoint:
     The time coordinate is the largest observed time; the quality coordinate
     is the worst observed quality. Every trajectory point weakly dominates
     this corner, which makes it a valid default bound for surface and
-    volume statistics.
+    volume statistics. The input is checked as :func:`eaf_levels` checks it.
     """
-    trajs = list(trajectories)
-    if not trajs or not any(t.points for t in trajs):
-        raise ValueError("default_nadir: no trajectory points")
-    times, qualities = _columns([p for t in trajs for p in t.points])
-    worst = int(np.argmax(_minimizing(qualities, _common_direction(trajs))))
-    return AttainmentPoint(times.max().item(), qualities[worst].item())
+    _, direction, columns = _runs(trajectories, "default_nadir")
+    # A staircase starts at its worst quality and ends at its latest time.
+    worst = max(qualities[0] for _, qualities in columns)
+    return AttainmentPoint(max(times[-1] for times, _ in columns).item(),
+                           _minimizing(worst, direction).item())
 
 
 def surface(level_set: LevelSet, nadir) -> float:
@@ -296,15 +280,15 @@ def volume(level_sets: Sequence[LevelSet], nadir, normalized: bool = False) -> f
     With ``normalized`` the sum is divided by (number of levels) * (area of
     the box between the ideal corner and the nadir), so a single level
     filling the whole box scores 1. The ideal corner is the componentwise
-    best over all points of the given level sets.
+    best over all points of the given level sets, which must share one direction.
     """
     sets = list(level_sets)
     if not sets:
         raise ValueError("volume of an empty level-set collection")
+    direction = _common_direction((ls.direction for ls in sets), "level sets")
     total = float(np.add.accumulate([surface(ls, nadir) for ls in sets])[-1])
     if not normalized:
         return total
-    direction = sets[0].direction
     columns = [_columns(ls.points) for ls in sets]
     ideal_t = min(times.min() for times, _ in columns)
     ideal_q = min(_minimizing(qualities, direction).min() for _, qualities in columns)

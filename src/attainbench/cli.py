@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attainment import TrajectoryLogger, default_nadir, eaf_levels, surface, volume
-from .fileio import (cell_stem, read_trajectories, write_flat_files, write_histogram,
+from .fileio import (_digits, cell_stem, read_trajectories, write_flat_files, write_histogram,
                      write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
 from .loggers import Store
@@ -111,7 +111,7 @@ def _int_list(least: int):
 
 def _int_at_least(least: int):
     def convert(text: str) -> int:
-        if not text.isdecimal() or int(text) < least:
+        if not _digits(text) or int(text) < least:
             raise argparse.ArgumentTypeError(f"expects an integer >= {least}, got {text!r}")
         return int(text)
     return convert
@@ -119,7 +119,7 @@ def _int_at_least(least: int):
 
 def _buckets(text: str) -> tuple:
     parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.isdecimal() and int(p) >= 1 for p in parts):
+    if len(parts) != 2 or not all(_digits(p) and int(p) >= 1 for p in parts):
         raise argparse.ArgumentTypeError(f"expects TxQ positive counts, got {text!r}")
     return int(parts[0]), int(parts[1])
 
@@ -143,8 +143,9 @@ def _finite_pair(text: str, sep: str, form: str) -> tuple:
 
 def _range(text: str) -> tuple:
     lo, hi = _finite_pair(text, ":", "lo:hi")
-    if not hi > lo:
-        raise argparse.ArgumentTypeError(f"upper bound must exceed lower bound, got {text!r}")
+    if not 0 < hi - lo < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"upper bound must exceed lower bound by a finite span, got {text!r}")
     return lo, hi
 
 

@@ -6,7 +6,7 @@ Flat run logs
     header ``run,event,evaluations,<property names...>``; every following
     line is one logged event. Runs are zero-based, event indices are
     zero-based within their run, and the evaluation count is a 1-based integer;
-    all three are written in digits only. Files are UTF-8 with ``\\n`` line
+    all three are written in ASCII digits only. Files are UTF-8 with ``\\n`` line
     endings, and no cell is ever quoted. An absent reading (``None``)
     renders as ``NA`` and reads back as ``None``; numbers, a present NaN
     included, use the shortest decimal form that round-trips.
@@ -15,7 +15,8 @@ Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
     evaluation. Rows need not be improvement-filtered: ingestion applies
     the same strict-improvement filter trajectory capture uses. Negative run
-    ids, evaluation counts below 1 and non-finite qualities are rejected.
+    ids, counts below 1, non-finite qualities and cells with surrounding
+    whitespace are rejected; integer cells are ASCII digits after an optional ``+``.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
@@ -133,16 +134,21 @@ def read_flat_file(path):
     return header[3:], rows
 
 
+def _digits(text: str) -> bool:
+    """Whether ``text`` is ASCII digits only, the form every integer cell and flag takes."""
+    return text.isascii() and text.isdecimal()
+
+
 def _flat_row(cells: list, header: list) -> FlatRow:
     if len(cells) != len(header):
         raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
     values = {name: _reading(text) for name, text in zip(header[3:], cells[3:])}
     run, event = int(cells[0]), int(cells[1])
     # Older writers could render the count as ``1.0``.
-    count = int(cells[2]) if cells[2].isdecimal() else float(cells[2])
+    count = int(cells[2]) if _digits(cells[2]) else float(cells[2])
     for what, text, value, least in zip(("run", "event", "evaluation count"), cells,
                                         (run, event, count), (0, 0, 1)):
-        if not (text.removesuffix(".0").isdecimal() and value >= least):
+        if not (_digits(text.removesuffix(".0")) and value >= least):
             raise ValueError(f"{what} {text} is not an integer >= {least}")
     return FlatRow(run, event, int(count), values)
 
@@ -189,25 +195,34 @@ def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
 _TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("quality", np.float64)])
 
 
+def _text_fault(body: bytes) -> Optional[tuple]:
+    """(line, problem) of a trajectory body's first blank line or padded cell."""
+    for number, line in enumerate(body.splitlines(), start=2):
+        text = line.decode("utf-8", "replace")
+        if not text.strip():
+            return number, "blank line"
+        padded = [cell for cell in text.split(",") if cell != cell.strip()]
+        if padded:
+            return number, f"cell {padded[0]!r} has surrounding whitespace"
+
+
 def _row_error(path: Path, body: bytes, exc: Optional[ValueError]) -> ValueError:
-    """Error for a trajectory body that ``np.loadtxt`` failed on, or of which
-    it kept too few rows: whichever comes first of the first blank line and
-    the row numpy names. The body starts on file line 2 and has no lone CR, so
-    ``splitlines`` breaks at LF alone. loadtxt skips empty lines and counts
-    only the rows it reads, from 1 in column-count errors and from 0 in
-    conversion errors."""
-    lines = list(enumerate(body.splitlines(), start=2))
-    blank = next((number for number, line in lines if not line.strip()), None)
+    """Error for a trajectory body that ``np.loadtxt`` failed on, or that has a
+    :func:`_text_fault`: whichever comes first of that fault and the row numpy
+    names. The body has no lone CR, so ``splitlines`` breaks at LF alone.
+    loadtxt skips empty lines and counts only the rows it reads, from 1 in
+    column-count errors and from 0 in conversion errors."""
+    lines, fault = list(enumerate(body.splitlines(), start=2)), _text_fault(body)
     match = re.search(r"(?: but (\d+) were found)? at row (\d+)", str(exc))
     if match is not None:
         cells, row = match.groups()
         number = [n for n, line in lines if line][int(row) - (cells is not None)]
-        if blank is None or number < blank:
+        if fault is None or number < fault[0]:
             problem = (f"expected 3 cells, got {cells}" if cells is not None
                        else str(exc)[:match.start()])
             return ValueError(f"{path}:{number}: {problem}")
-    if blank is not None:
-        return ValueError(f"{path}:{blank}: blank line")
+    if fault is not None:
+        return ValueError(f"{path}:{fault[0]}: {fault[1]}")
     return ValueError(f"{path}: {exc}")
 
 
@@ -216,9 +231,9 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
 
     Rows are grouped by run id and sorted by evaluation count; the strict
     improvement filter reduces each group to its attainment staircase. Lines
-    that are not UTF-8 or hold a lone CR, blank lines, rows without exactly three cells,
-    negative run ids, evaluation counts below 1 and non-finite qualities are rejected
-    as ``path:line``.
+    that are not UTF-8 or hold a lone CR, blank lines, cells with surrounding whitespace,
+    rows without exactly three cells, negative run ids, evaluation counts below 1 and
+    non-finite qualities are rejected as ``path:line``.
     The trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
@@ -239,7 +254,10 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
         raise _not_utf8(path, body, 2) from None
     except ValueError as exc:
         raise _row_error(path, body, exc) from exc
-    if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")):
+    # loadtxt skips blank lines and strips what str.strip strips from a cell: these
+    # scans find no such byte in a well-formed body, and allocate nothing.
+    padded = not body.isascii() or any(byte in body for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
+    if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")) or padded and _text_fault(body):
         raise _row_error(path, body, None)
     invalid = (rows["evaluations"] < 1) | ~np.isfinite(rows["quality"])
     if invalid.any() or rows["run"].min() < 0:

@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .attainment import Trajectory, _columns, _minimizing, _runs
+from .attainment import Trajectory, _minimizing, _runs
 
 SCALES = ("linear", "log")
 
@@ -33,8 +33,8 @@ class Axis:
     def __init__(self, buckets: int, origin: float, extent: float, scale: str = "linear"):
         if buckets < 1:
             raise ValueError(f"buckets must be >= 1, got {buckets}")
-        if not extent > 0:
-            raise ValueError(f"extent must be positive, got {extent}")
+        if not (math.isfinite(origin) and 0 < extent < math.inf):
+            raise ValueError(f"need a finite origin and finite extent > 0, got {origin}, {extent}")
         if scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
         self.buckets = int(buckets)
@@ -89,22 +89,18 @@ def fit_discretization(trajectories: Sequence[Trajectory],
 
     Origins are the observed minima and extents the observed spans, so no
     point falls outside the grid; a degenerate span (all values equal) is
-    widened to 1 to keep the extent positive. Non-finite coordinates are
-    rejected.
+    widened to 1 to keep the extent positive. The input is checked as
+    :func:`~attainbench.attainment.eaf_levels` checks it.
     """
-    points = [p for t in trajectories for p in t.points]
-    if not points:
-        raise ValueError("cannot fit a discretization to empty trajectories")
-    times, quals = _columns(points)
-    infinite = ~(np.isfinite(times) & np.isfinite(quals))
-    if infinite.any():
-        raise ValueError(f"cannot fit a discretization to the non-finite point "
-                         f"{tuple(points[int(np.argmax(infinite))])}")
-    t_span = times.max() - times.min()
-    q_span = quals.max() - quals.min()
+    _, direction, columns = _runs(trajectories, "fit_discretization")
+    # A staircase runs from its earliest, worst point to its latest, best one.
+    t_lo, t_hi = min(times[0] for times, _ in columns), max(times[-1] for times, _ in columns)
+    q_lo, q_hi = np.sort(_minimizing([min(quals[-1] for _, quals in columns),
+                                      max(quals[0] for _, quals in columns)], direction))
+    t_span, q_span = t_hi - t_lo, q_hi - q_lo
     return Discretization(
-        Axis(buckets[0], times.min(), t_span if t_span > 0 else 1.0, scales[0]),
-        Axis(buckets[1], quals.min(), q_span if q_span > 0 else 1.0, scales[1]),
+        Axis(buckets[0], t_lo, t_span if t_span > 0 else 1.0, scales[0]),
+        Axis(buckets[1], q_lo, q_span if q_span > 0 else 1.0, scales[1]),
     )
 
 

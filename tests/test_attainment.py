@@ -13,7 +13,6 @@ from attainbench.attainment import (
     TrajectoryLogger,
     default_nadir,
     eaf_levels,
-    improvement_staircase,
     surface,
     volume,
 )
@@ -42,31 +41,6 @@ def trajectories_ab(direction=MIN):
 
 def points(level_set):
     return [(p.time, p.quality) for p in level_set.points]
-
-
-class TestStaircaseFilter:
-    def test_keeps_strict_improvements_only(self):
-        rows = [(1, 9.0), (2, 7.0), (3, 7.0), (4, 3.0)]
-        assert improvement_staircase(rows, MIN) == [
-            AttainmentPoint(1, 9.0), AttainmentPoint(2, 7.0), AttainmentPoint(4, 3.0)]
-
-    def test_sorts_rows_by_time_first(self):
-        rows = [(4, 3.0), (1, 9.0), (3, 7.0), (2, 7.0)]
-        assert [(p.time, p.quality) for p in improvement_staircase(rows, MIN)] == [
-            (1, 9.0), (2, 7.0), (4, 3.0)]
-
-    def test_same_time_improvements_collapse(self):
-        rows = [(1, 9.0), (1, 7.0), (2, 8.0)]
-        assert improvement_staircase(rows, MIN) == [AttainmentPoint(1, 7.0)]
-
-    def test_maximization_direction(self):
-        rows = [(1, 1.0), (2, 1.0), (3, 4.0)]
-        assert improvement_staircase(rows, MAX) == [
-            AttainmentPoint(1, 1.0), AttainmentPoint(3, 4.0)]
-
-    @pytest.mark.parametrize("direction", [MIN, MAX])
-    def test_no_rows_make_an_empty_staircase(self, direction):
-        assert improvement_staircase([], direction) == []
 
 
 class TestTrajectoryLogger:
@@ -286,6 +260,15 @@ class TestVolume:
     def test_empty_collection_is_rejected(self):
         with pytest.raises(ValueError):
             volume([], (5, 12.0))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_mixed_directions_are_rejected_in_either_order(self, normalized):
+        low = LevelSet(1, [AttainmentPoint(1, 1.0)], MIN)
+        high = LevelSet(1, [AttainmentPoint(1, 10.0)], MAX)
+        for sets in ([low, high], [high, low]):
+            with pytest.raises(ValueError, match=r"^level sets mix optimization directions: "
+                                                 r"\['max', 'min'\]$"):
+                volume(sets, (2, 5.0), normalized=normalized)
 
     def test_monte_carlo_agreement_on_reference_data(self):
         rng = np.random.default_rng(31)

@@ -342,6 +342,10 @@ MALFORMED_FLAGS = [
     ("stats", "--levels", "1_0"),
     ("eaf", "--levels", " 1"),
     ("run", "--problems", "+1"),
+    ("stats", "--levels", "\u0660"),
+    ("eah", "--buckets", "\u0662x2"),
+    ("eah", "--time-range", "-1e308:1e308"),
+    ("eah", "--quality-range", "-1e308:1e308"),
 ]
 
 

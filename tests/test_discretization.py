@@ -76,7 +76,11 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [lambda: Axis(0, 0.0, 1.0),
                                      lambda: Axis(3, 0.0, 0.0),
                                      lambda: Axis(3, 0.0, -1.0),
-                                     lambda: Axis(3, 0.0, 1.0, scale="sqrt")])
+                                     lambda: Axis(3, 0.0, 1.0, scale="sqrt"),
+                                     lambda: Axis(3, math.nan, 1.0),
+                                     lambda: Axis(3, -math.inf, 1.0),
+                                     lambda: Axis(3, 0.0, math.inf),
+                                     lambda: Axis(3, 0.0, math.nan)])
     def test_invalid_axes_are_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()

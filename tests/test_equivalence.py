@@ -11,9 +11,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attainbench.attainment import (LevelSet, TrajectoryLogger, eaf_levels,
-                                    improvement_staircase, surface, volume)
+from attainbench.attainment import (LevelSet, TrajectoryLogger, default_nadir, eaf_levels,
+                                    surface, volume)
 from attainbench.fileio import read_trajectories
+from attainbench.histogram import fit_discretization
 from attainbench.loggers import LogInfo
 from attainbench.problems import Direction, MetaData
 
@@ -70,15 +71,22 @@ def test_read_trajectories_equals_the_rowwise_filter(tmp_path_factory, rows, dir
         assert traj.points == improvement_staircase_rowwise(pairs, direction)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=raw_rows, direction=directions)
-def test_improvement_staircase_equals_the_rowwise_filter(rows, direction):
-    pairs = [(e, q) for _, e, q in rows]
-    expected = improvement_staircase_rowwise(pairs, direction)
-    assert improvement_staircase(pairs, direction) == expected
-
-
 any_qualities = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=staircase_groups(qualities=any_qualities))
+def test_nadir_and_fitted_axes_bound_all_points(group):
+    direction, runs = group
+    trajectories = as_trajectories(runs, direction)
+    times = [t for run in runs for t, _ in run]
+    qualities = [q for run in runs for _, q in run]
+    nadir = default_nadir(trajectories)
+    assert nadir == (max(times), max(qualities) if direction is MIN else min(qualities))
+    assert type(nadir.time) is int
+    disc = fit_discretization(trajectories)
+    for axis, values in ((disc.time, times), (disc.quality, qualities)):
+        assert (axis.origin, axis.extent) == (min(values), (max(values) - min(values)) or 1.0)
 
 
 # More than 8 points per run: numpy's pairwise np.sum departs from a

@@ -160,6 +160,7 @@ class TestFlatFiles:
         ("0,0,1, 2.5", "could not convert string to float: ' 2.5'"),
         ('0,0,1,"2.5"', "could not convert string to float: '\"2.5\"'"),
         ('0,0,1,"2.5\n0,1,2,3.0', "could not convert string to float: '\"2.5'"),
+        ("\u0661,0,1,2.5", "run \u0661 is not an integer >= 0"),
     ])
     def test_bad_rows_name_path_and_line(self, tmp_path, row, problem):
         path = tmp_path / "x.csv"
@@ -267,6 +268,12 @@ class TestTrajectoryFiles:
         (traj,) = read_trajectories(path)
         assert [p.time for p in traj.points] == [1, 2, 4]
 
+    def test_same_time_improvements_collapse(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("run,evaluations,quality\n0,1,9\n0,1,7\n0,2,8\n", encoding="utf-8")
+        (traj,) = read_trajectories(path)
+        assert traj.points == [AttainmentPoint(1, 7.0)]
+
     def test_direction_controls_the_filter(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("run,evaluations,quality\n0,1,1\n0,2,4\n0,3,2\n", encoding="utf-8")
@@ -307,6 +314,9 @@ class TestTrajectoryFiles:
         ("0,5", "expected 3 cells, got 2"),
         ("0,5,1,2", "expected 3 cells, got 4"),
         ("0,5,x", "could not convert string 'x'"),
+        ("0, 5,1.0", "cell ' 5' has surrounding whitespace"),
+        ("0,5,1.0\t", r"cell '1\.0\\t' has surrounding whitespace"),
+        ("0\u00a0,5,1.0", r"cell '0\\xa0' has surrounding whitespace"),
     ])
     def test_bad_rows_are_rejected_with_their_line(self, tmp_path, row, problem):
         path = tmp_path / "t.csv"
@@ -327,6 +337,8 @@ class TestTrajectoryFiles:
     @pytest.mark.parametrize("body, problem", [
         ("0,x,2.0\n0,2,1.0\n\n", ":2: could not convert string 'x' to int64"),
         ("0,1,2.0\n\n0,x,1.0\n", ":3: blank line"),
+        ("0,x,2.0\n0, 2,1.0\n", ":2: could not convert string 'x' to int64"),
+        ("0,1,2.0\n0,2 ,1.0\n0,x,1.0\n", ":3: cell '2 ' has surrounding whitespace"),
     ])
     def test_the_first_bad_line_is_named(self, tmp_path, body, problem):
         path = tmp_path / "t.csv"

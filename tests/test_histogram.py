@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from attainbench.attainment import default_nadir, eaf_levels
 from attainbench.histogram import Axis, Discretization, eah, fit_discretization
 from attainbench.problems import Direction
 
@@ -95,7 +96,7 @@ class TestValidation:
     @pytest.mark.parametrize("point", [(3, math.inf), (3, -math.inf), (3, math.nan)])
     def test_fit_rejects_non_finite_coordinates(self, point):
         trajs = as_trajectories([[(1, 10.0), point]], MIN)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="finite qualities"):
             fit_discretization(trajs)
 
     def test_empty_inputs_are_rejected(self):
@@ -108,6 +109,25 @@ class TestValidation:
         bad = as_trajectories([[(1, 5.0), (2, 6.0)]], MIN)
         with pytest.raises(ValueError, match="strict staircase"):
             eah(bad, Discretization(Axis(2, 0.0, 9.0), Axis(2, 0.0, 9.0)))
+
+    @pytest.mark.parametrize("trajectories", [
+        [],
+        as_trajectories([[(1, 5.0)], []], MIN),
+        as_trajectories([[(1, 5.0), (2, 5.0)]], MIN),
+        as_trajectories([[(1, 5.0), (2, math.nan)]], MIN),
+        as_trajectories([[(1, 5.0), (2, -math.inf)]], MIN),
+        as_trajectories([[(1, 5.0)]], MIN) + as_trajectories([[(2, 3.0)]], MAX),
+    ], ids=["no runs", "empty run", "not a staircase", "nan", "inf", "mixed directions"])
+    def test_every_statistic_rejects_bad_input_alike(self, trajectories):
+        disc = Discretization(Axis(2, 0.0, 9.0), Axis(2, 0.0, 9.0))
+        statistics = {"eaf_levels": eaf_levels, "eah": lambda t: eah(t, disc),
+                      "default_nadir": default_nadir, "fit_discretization": fit_discretization}
+        messages = set()
+        for name, statistic in statistics.items():
+            with pytest.raises(ValueError) as error:
+                statistic(trajectories)
+            messages.add(str(error.value).removeprefix(f"{name}: "))
+        assert len(messages) == 1, messages
 
 
 class TestFitDiscretization:
