@@ -11,17 +11,14 @@ runs — plus scalar surface and volume statistics over nadir-bounded
 regions.
 
 All quality comparisons respect the optimization direction; time comparisons
-never flip. Internally the code canonicalizes to minimization by negating
-qualities, and un-negates on output.
+never flip. The kernels work on columns canonicalized to minimization by
+negating qualities where points enter, and un-negate only on output.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import itemgetter
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -31,6 +28,9 @@ from .problems import Direction, MetaData
 from .properties import TransformedYBest
 from .triggers import OnImprovement
 
+#: Distinct event times per block of the :func:`eaf_levels` sweep.
+_BLOCK = 256
+
 
 class AttainmentPoint(NamedTuple):
     """A (time, quality) target; time is an evaluation count, so >= 1."""
@@ -39,8 +39,34 @@ class AttainmentPoint(NamedTuple):
     quality: float
 
 
+class _Staircase:
+    """Points over a per-object cache of checked columns: int64 times and float64
+    qualities negated under maximization. The first kernel to read the columns
+    checks the points; ingest and :func:`eaf_levels` pass ``_columns`` that are
+    strict by construction instead, and ``points`` is built when first read."""
+
+    def _view(self) -> list:
+        if self._points is None:
+            times, qualities = self._columns
+            self._points = list(map(AttainmentPoint._make,
+                                    zip(times.tolist(), self._leave(qualities).tolist())))
+        return self._points
+
+    def _assign(self, points) -> None:
+        self._points, self._columns = points, None
+
+    def _leave(self, qualities: np.ndarray) -> np.ndarray:
+        return _minimizing(qualities, self._direction)
+
+    def _checked(self) -> tuple:
+        """(times, minimized qualities), checked on the first call."""
+        if self._columns is None:
+            self._columns = _check(self._points, self._direction, self._label)
+        return self._columns
+
+
 @dataclass
-class Trajectory:
+class Trajectory(_Staircase):
     """One run's weakly non-dominated (time, quality) improvement staircase.
 
     Under minimization, times are strictly increasing and qualities strictly
@@ -50,15 +76,32 @@ class Trajectory:
     meta: MetaData
     run: int
     points: list
+    _columns: tuple = field(default=None, kw_only=True, repr=False, compare=False)
+
+    _direction = property(lambda self: self.meta.direction)
+    _label = property(lambda self: f"run {self.run}")
 
 
 @dataclass
-class LevelSet:
+class LevelSet(_Staircase):
     """Minimal points of the region attained by at least ``level`` runs."""
 
     level: int
     points: list
     direction: Direction = Direction.MINIMIZATION
+    _columns: tuple = field(default=None, kw_only=True, repr=False, compare=False)
+
+    _direction = property(lambda self: self.direction)
+    _label = "level set"
+
+    def _leave(self, qualities: np.ndarray) -> np.ndarray:
+        # 0.0 and -0.0 tie, so which one the sweep keeps is arbitrary: a level set has 0.0.
+        return super()._leave(qualities) + 0.0
+
+
+# Set after the dataclasses are built, so that their field initializers assign
+# through it instead of taking it as the field's default.
+_Staircase.points = property(_Staircase._view, _Staircase._assign)
 
 
 def _minimizing(qualities, direction: Direction) -> np.ndarray:
@@ -68,23 +111,27 @@ def _minimizing(qualities, direction: Direction) -> np.ndarray:
     return qualities if direction is Direction.MINIMIZATION else -qualities
 
 
-def _points(times: Sequence, qualities: Sequence) -> list:
-    # tuple.__new__ builds the named tuples without a Python-level call each.
-    return list(map(tuple.__new__, repeat(AttainmentPoint), zip(times, qualities)))
+def _check(points: Sequence, direction: Direction, label: str) -> tuple:
+    """``points`` as int64 times and minimized qualities, checked to form a
+    strict staircase of finite qualities at integral times in [1, 2**63)."""
+    times, qualities = zip(*points) if len(points) else ((), ())
+    t, qualities = np.array(times, dtype=float), _minimizing(qualities, direction)
+    broken = ~((t >= 1) & (t < 2.0 ** 63) & (t == np.floor(t)) & np.isfinite(qualities))
+    broken[1:] |= ~((t[1:] > t[:-1]) & (qualities[1:] < qualities[:-1]))
+    if broken.any():
+        raise ValueError(f"{label} is not a strict staircase of finite qualities at integral "
+                         f"times in [1, 2**63), at point {tuple(points[int(np.argmax(broken))])}")
+    return np.array(times, dtype=np.int64), qualities
 
 
-def _columns(points: Sequence) -> tuple:
-    """(times, qualities) arrays of a non-empty point list."""
-    times, qualities = zip(*points)
-    return np.array(times), np.array(qualities, dtype=float)
-
-
-def _staircases(runs, times, qualities, direction: Direction) -> list:
-    """(run id, staircase) of each run in non-empty row columns, by run id: the
-    run's rows in time order that strictly improve on all earlier ones, the last
-    (best) of several at one time. A run with no such row is left out."""
+def _staircases(meta: MetaData, runs, times, qualities) -> list:
+    """Trajectories of non-empty row columns, by run id: each run's rows in time
+    order that strictly improve on all earlier ones, the last (best) of several at
+    one time. A run with no such row is left out. ``times`` are int64 >= 1 and
+    ``qualities`` finite, in the direction of ``meta``."""
     order = np.lexsort((times, runs))
-    by_run, by_time, minimized = runs[order], times[order], _minimizing(qualities, direction)[order]
+    by_run, by_time = runs[order], times[order]
+    minimized = _minimizing(qualities, meta.direction)[order]
     best_before = np.empty_like(minimized)
     bounds = np.flatnonzero(by_run[1:] != by_run[:-1]) + 1
     for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(runs)]):
@@ -94,11 +141,10 @@ def _staircases(runs, times, qualities, direction: Direction) -> list:
     last = np.ones(len(kept), dtype=bool)
     last[:-1] = (by_run[kept[1:]] != by_run[kept[:-1]]) | (by_time[kept[1:]] != by_time[kept[:-1]])
     kept = order[kept[last]]
-    del by_run, by_time, minimized, order, best_before  # before the output: less heap fragmentation
-    points = _points(times[kept].astype(np.int64).tolist(), qualities[kept].tolist())
-    runs = runs[kept]
+    runs, times, qualities = runs[kept], times[kept], _minimizing(qualities[kept], meta.direction)
     starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]]).tolist()
-    return [(int(runs[a]), points[a:b]) for a, b in zip(starts, starts[1:] + [len(points)])]
+    return [Trajectory(meta, int(runs[a]), None, _columns=(times[a:b], qualities[a:b]))
+            for a, b in zip(starts, starts[1:] + [len(runs)])]
 
 
 class TrajectoryLogger(Watcher):
@@ -135,29 +181,19 @@ def _common_direction(directions: Iterable[Direction], what: str) -> Direction:
     return directions.pop()
 
 
-def _staircase(points: Sequence, direction: Direction, label: str) -> tuple:
-    """Times and minimization qualities of ``points``, checked to form a
-    strict staircase of finite qualities."""
-    if not points:
-        raise ValueError(f"{label} has an empty trajectory")
-    times, qualities = _columns(points)
-    qualities = _minimizing(qualities, direction)
-    broken = ~np.isfinite(qualities)
-    broken[1:] |= ~((times[1:] > times[:-1]) & (qualities[1:] < qualities[:-1]))
-    if broken.any():
-        raise ValueError(f"{label} is not a strict staircase of finite qualities "
-                         f"at point {tuple(points[int(np.argmax(broken))])}")
-    return times, qualities
-
-
 def _runs(trajectories: Iterable[Trajectory], caller: str) -> tuple:
     """The trajectories as a non-empty list (else a ``caller:`` error), their
-    common direction and the checked :func:`_staircase` columns of each."""
+    common direction and the checked, non-empty columns of each."""
     trajs = list(trajectories)
     if not trajs:
         raise ValueError(f"{caller}: empty trajectory list")
     direction = _common_direction((t.meta.direction for t in trajs), "trajectories")
-    return trajs, direction, [_staircase(t.points, direction, f"run {t.run}") for t in trajs]
+    columns = []
+    for traj in trajs:
+        columns.append(traj._checked())
+        if not len(columns[-1][0]):
+            raise ValueError(f"run {traj.run} has an empty trajectory")
+    return trajs, direction, columns
 
 
 def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int]] = None) -> list:
@@ -166,10 +202,10 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
     For each requested level k (1 <= k <= m, defaulting to all of them),
     returns the minimal (time, quality) points attained by at least k of the
     m trajectories. Level 1 is the best-case envelope, level m the
-    worst-case. The sweep walks event times in ascending order, keeps the
-    runs' bests so far sorted, and emits a point for level k whenever the
-    k-th of them improves; a run improving from rank r_old to r_new shifts
-    only the ranks in between, so only their levels are checked.
+    worst-case. The sweep takes the distinct event times in blocks: a block's
+    rows hold every run's best so far at each of its times, the first row
+    carrying the bests from before the block; sorting each row gives the k-th
+    best at each time, and level k gets a point wherever that strictly drops.
 
     Points tied across runs count each contributing run once, and the
     returned level sets are nested: the region attained at level k+1 is
@@ -182,29 +218,31 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
     if bad:
         raise ValueError(f"attainment level(s) {bad} outside [1, {m}] for {m} run(s)")
 
-    events = sorted((t, i, q) for i, (times, qualities) in enumerate(columns)
-                    for t, q in zip(times.tolist(), qualities.tolist()))
-    bests = [math.inf] * m
-    ranked = [math.inf] * m                     # bests, sorted
-    last = [math.inf] * (m + 1)                 # last emitted quality per level
-    out_times = [[] for _ in range(m + 1)]      # emitted points per level
-    out_qualities = [[] for _ in range(m + 1)]
-    for t, group in groupby(events, key=itemgetter(0)):
-        lo, hi = m, 0
-        for _, i, q in group:
-            r_old = bisect_left(ranked, bests[i])
-            del ranked[r_old]
-            r_new = bisect_right(ranked, q)
-            ranked.insert(r_new, q)
-            bests[i] = q
-            lo, hi = min(lo, r_new), max(hi, r_old)
-        for k in ks[bisect_left(ks, lo + 1):bisect_right(ks, hi + 1)]:
-            if ranked[k - 1] < last[k]:
-                last[k] = ranked[k - 1]
-                out_times[k].append(t)
-                out_qualities[k].append(last[k])
-    return [LevelSet(k, _points(out_times[k], _minimizing(out_qualities[k], direction).tolist()),
-                     direction) for k in ks]
+    times = np.concatenate([t for t, _ in columns])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    first = np.r_[True, times[1:] != times[:-1]]
+    event_times, rows = times[first], np.cumsum(first) - 1
+    runs = np.repeat(np.arange(m), [len(t) for t, _ in columns])[order]
+    qualities = np.concatenate([q for _, q in columns])[order]
+    starts = range(0, len(event_times), _BLOCK)
+    bounds = np.searchsorted(rows, [*starts, len(event_times)]).tolist()
+    picked, carry, found = np.array(ks, dtype=np.intp) - 1, np.full(m, math.inf), []
+    for start, a, b in zip(starts, bounds, bounds[1:]):
+        bests = np.full((min(_BLOCK, len(event_times) - start) + 1, m), math.inf)
+        bests[0] = carry
+        bests[rows[a:b] - start + 1, runs[a:b]] = qualities[a:b]
+        np.minimum.accumulate(bests, axis=0, out=bests)
+        carry = bests[-1].copy()
+        bests.sort(axis=1)
+        ranked = bests[:, picked]
+        level, row = np.nonzero((ranked[1:] < ranked[:-1]).T)  # by level, then time
+        found.append((level, event_times[start + row], ranked[row + 1, level]))
+    level, point_times, point_quals = (np.concatenate(column) for column in zip(*found))
+    order = np.argsort(level, kind="stable")
+    splits = np.searchsorted(level[order], np.arange(1, len(ks)))
+    return [LevelSet(k, None, direction, _columns=columns) for k, columns in zip(
+        ks, zip(np.split(point_times[order], splits), np.split(point_quals[order], splits)))]
 
 
 class LevelSelector:
@@ -257,18 +295,17 @@ def surface(level_set: LevelSet, nadir) -> float:
     level-set point, intersected with the box whose worst corner is
     ``nadir``; for a staircase p_1 .. p_n sorted by time this is the sum of
     the rectangles (q_nadir - q_i) * (t_{i+1} - t_i) with t_{n+1} taken as
-    the nadir time, added up from left to right. The nadir must be weakly
-    dominated by every level-set point.
+    the nadir time, added up from left to right. The level set must be such
+    a staircase, and the nadir must be weakly dominated by every point.
     """
-    points = sorted(level_set.points)
-    if not points:
+    times, qualities = level_set._checked()
+    if not len(times):
         raise ValueError("surface of an empty level set")
-    times, qualities = _staircase(points, level_set.direction, "level set")
     tn, qn = nadir
     q_nadir = _minimizing(qn, level_set.direction)
     outside = ~((times <= tn) & (qualities <= q_nadir))
     if outside.any():
-        p = points[int(np.argmax(outside))]
+        p = level_set.points[int(np.argmax(outside))]
         raise ValueError(f"nadir {(tn, qn)} is not weakly dominated by level-set point {tuple(p)}")
     rectangles = (q_nadir - qualities) * np.diff(times, append=tn)
     return float(np.add.accumulate(rectangles)[-1])
@@ -289,9 +326,9 @@ def volume(level_sets: Sequence[LevelSet], nadir, normalized: bool = False) -> f
     total = float(np.add.accumulate([surface(ls, nadir) for ls in sets])[-1])
     if not normalized:
         return total
-    columns = [_columns(ls.points) for ls in sets]
-    ideal_t = min(times.min() for times, _ in columns)
-    ideal_q = min(_minimizing(qualities, direction).min() for _, qualities in columns)
+    # Each level set is a checked staircase: its first time and last quality are its best.
+    ideal_t = min(ls._checked()[0][0] for ls in sets)
+    ideal_q = min(ls._checked()[1][-1] for ls in sets)
     tn, qn = nadir
     box = (tn - ideal_t) * (_minimizing(qn, direction) - ideal_q)
     if box <= 0:

@@ -16,7 +16,7 @@ Trajectory files
     evaluation. Rows need not be improvement-filtered: ingestion applies
     the same strict-improvement filter trajectory capture uses. Negative run
     ids, counts below 1, non-finite qualities and cells with surrounding
-    whitespace are rejected; integer cells are ASCII digits after an optional ``+``.
+    whitespace are rejected; integer cells are ASCII digits.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
@@ -195,15 +195,24 @@ def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
 _TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("quality", np.float64)])
 
 
+#: A line whose run or evaluation cell starts with ``+``, which loadtxt would accept.
+_SIGNED = re.compile(rb"^(?:[^,\n]*,)?\+", re.MULTILINE)
+
+
 def _text_fault(body: bytes) -> Optional[tuple]:
-    """(line, problem) of a trajectory body's first blank line or padded cell."""
+    """(line, problem) of a trajectory body's first blank line, padded cell or
+    integer cell with a leading ``+``."""
     for number, line in enumerate(body.splitlines(), start=2):
         text = line.decode("utf-8", "replace")
         if not text.strip():
             return number, "blank line"
-        padded = [cell for cell in text.split(",") if cell != cell.strip()]
+        cells = text.split(",")
+        padded = [cell for cell in cells if cell != cell.strip()]
         if padded:
             return number, f"cell {padded[0]!r} has surrounding whitespace"
+        signed = [cell for cell in cells[:2] if cell.startswith("+")]
+        if signed:
+            return number, f"integer cell {signed[0]!r} has a leading +"
 
 
 def _row_error(path: Path, body: bytes, exc: Optional[ValueError]) -> ValueError:
@@ -232,8 +241,9 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     Rows are grouped by run id and sorted by evaluation count; the strict
     improvement filter reduces each group to its attainment staircase. Lines
     that are not UTF-8 or hold a lone CR, blank lines, cells with surrounding whitespace,
-    rows without exactly three cells, negative run ids, evaluation counts below 1 and
-    non-finite qualities are rejected as ``path:line``.
+    run or evaluation cells with a leading ``+``, rows without exactly three cells,
+    negative run ids, evaluation counts below 1 and non-finite qualities are rejected
+    as ``path:line``.
     The trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
@@ -254,10 +264,12 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
         raise _not_utf8(path, body, 2) from None
     except ValueError as exc:
         raise _row_error(path, body, exc) from exc
-    # loadtxt skips blank lines and strips what str.strip strips from a cell: these
-    # scans find no such byte in a well-formed body, and allocate nothing.
-    padded = not body.isascii() or any(byte in body for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
-    if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")) or padded and _text_fault(body):
+    # loadtxt skips blank lines, strips what str.strip strips from a cell and takes
+    # a leading + on an integer: these scans find no such byte in a well-formed
+    # body, and allocate nothing.
+    suspect = (not body.isascii() or any(byte in body for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
+               or b"+" in body and _SIGNED.search(body) is not None)
+    if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")) or suspect and _text_fault(body):
         raise _row_error(path, body, None)
     invalid = (rows["evaluations"] < 1) | ~np.isfinite(rows["quality"])
     if invalid.any() or rows["run"].min() < 0:
@@ -267,18 +279,16 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
                    else f"evaluation count {evaluations} is below 1" if evaluations < 1
                    else f"quality {quality!r} is not finite")
         raise ValueError(f"{path}:{i + 2}: {problem}")
-    return [Trajectory(meta, run, points) for run, points
-            in _staircases(rows["run"], rows["evaluations"], rows["quality"], direction)]
+    return _staircases(meta, rows["run"], rows["evaluations"], rows["quality"])
 
 
-def _json_points(points: Sequence) -> str:
-    """A level's points as ``json.dump(..., indent=2)`` renders them in the document."""
-    if not points:
+def _json_points(times: np.ndarray, qualities) -> str:
+    """A level's points, given its time column and an iterator that yields its rendered
+    qualities, as ``json.dump(..., indent=2)`` renders them in the document."""
+    if not len(times):
         return "[]"
-    times, qualities = zip(*points)
-    # The compact encoder renders each number exactly as the indenting one does,
-    # NaN and Infinity included, but in C.
-    cells = zip(json.dumps(times)[1:-1].split(", "), json.dumps(qualities)[1:-1].split(", "))
+    # zip asks times first, so it takes no quality past the level's last time.
+    cells = zip(map(str, times.tolist()), qualities)
     return ("[\n        [\n          "
             + "\n        ],\n        [\n          ".join(map(",\n          ".join, cells))
             + "\n        ]\n      ]")
@@ -289,9 +299,18 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     """Write level sets as JSON with group metadata and the nadir used.
 
     The bytes are those of ``json.dump(document, fh, indent=2)`` plus a final
-    newline; the levels are formatted directly, one at a time.
+    newline; the levels are formatted directly, one at a time. Level sets are
+    checked as :func:`~attainbench.attainment.surface` checks them, but may be empty.
     """
     sets = list(level_sets)
+    columns = [ls._checked() for ls in sets]
+    qualities = np.concatenate([ls._leave(q) for ls, (_, q) in zip(sets, columns)] or [[]])
+    # Checked qualities are finite and a level set's zeros are 0.0, so each distinct
+    # value is one bit pattern: the C encoder, which renders numbers exactly as the
+    # indenting one does, runs once per value, and the strings are gathered by index.
+    distinct = np.unique(qualities)
+    rendered = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
+    rendered = iter(rendered[np.searchsorted(distinct, qualities)].tolist())
     head = json.dumps({
         "group": dict(group or {}),
         "direction": sets[0].direction.value if sets else None,
@@ -299,9 +318,9 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     }, indent=2)
     with _atomic_writer(Path(path), "level sets") as fh:
         fh.write(head[:-2] + ',\n  "levels": [')
-        for n, ls in enumerate(sets):
+        for n, (ls, (times, _)) in enumerate(zip(sets, columns)):
             fh.write(f'{"," if n else ""}\n    {{\n      "level": {ls.level},\n'
-                     f'      "points": {_json_points(ls.points)}\n    }}')
+                     f'      "points": {_json_points(times, rendered)}\n    }}')
         fh.write("\n  ]\n}\n" if sets else "]\n}\n")
 
 
@@ -315,5 +334,7 @@ def write_histogram(path, histogram: Histogram) -> None:
                      f"{_render(axis.extent)},{axis.scale}\n")
         fh.write(f"# runs,{histogram.runs}\n")
         fh.write("t_bucket,q_bucket,count\n")
-        for i, row in enumerate(histogram.counts.astype(np.int64).tolist()):
-            fh.write("".join(f"{i},{j},{count}\n" for j, count in enumerate(row)))
+        # One format per row keeps the body's transient tuple and text to one row's worth.
+        for i, row in enumerate(histogram.counts.astype(np.int64)):
+            cells = np.column_stack((np.arange(len(row)), row))
+            fh.write(f"{i},%d,%d\n" * len(row) % tuple(cells.ravel().tolist()))

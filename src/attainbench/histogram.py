@@ -133,14 +133,14 @@ def eah(trajectories: Sequence[Trajectory], discretization: Discretization) -> H
     reps_t = np.asarray(t_axis.representatives)
     reps_q = _minimizing(q_axis.representatives, direction)
     q_lo, q_hi = np.sort(_minimizing([q_axis.origin, q_axis.top], direction))
-    counts = np.zeros((t_axis.buckets, q_axis.buckets), dtype=int)
-
-    for times, quals in columns:
-        times, quals = np.clip(times, t_axis.origin, t_axis.top), np.clip(quals, q_lo, q_hi)
-        # Best quality attained by each time representative: trajectories are
-        # time-sorted with improving quality, so it is the quality of the last
-        # point no later than the representative.
-        idx = np.searchsorted(times, reps_t, side="right") - 1
-        best = np.where(idx >= 0, quals[np.maximum(idx, 0)], math.inf)
-        counts += best[:, None] <= reps_q[None, :]
+    # Best quality each run attains by each time representative: trajectories are
+    # time-sorted with improving quality, so it is the quality of the last point
+    # no later than the representative.
+    best = np.empty((t_axis.buckets, len(columns)))
+    for run, (times, quals) in enumerate(columns):
+        idx = np.searchsorted(np.clip(times, t_axis.origin, t_axis.top), reps_t, side="right") - 1
+        best[:, run] = np.where(idx >= 0, np.clip(quals, q_lo, q_hi)[np.maximum(idx, 0)], math.inf)
+    # With each row sorted, a cell's count is the number of its row's bests <= its quality.
+    best.sort(axis=1)
+    counts = np.array([np.searchsorted(row, reps_q, side="right") for row in best])
     return Histogram(discretization, counts, len(trajs))

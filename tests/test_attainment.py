@@ -1,10 +1,15 @@
 """Attainment analysis: trajectory capture, level sets, surfaces, volumes."""
 
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attainbench import attainment
 from attainbench.attainment import (
     AttainmentPoint,
     LevelSelector,
@@ -16,11 +21,14 @@ from attainbench.attainment import (
     surface,
     volume,
 )
+from attainbench.fileio import read_trajectories, write_level_sets, write_trajectories
+from attainbench.histogram import eah, fit_discretization
 from attainbench.loggers import CellKey, LogInfo
 from attainbench.problems import Direction, MetaData
 
 import oracles
 from oracles import as_trajectories, eaf_levels_bruteforce, random_staircases, weakly_dominates
+from test_equivalence import staircase_groups
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
@@ -117,6 +125,14 @@ class TestLevelSets:
         bad = as_trajectories([[(1, 5.0), (2, 5.0)]], MIN)
         with pytest.raises(ValueError, match="strict staircase"):
             eaf_levels(bad)
+        for run, point in [([(math.nan, 5.0)], r"\(nan, 5\.0\)"),
+                           ([(1, 5.0), (math.inf, 3.0)], r"\(inf, 3\.0\)"),
+                           ([(2.5, 5.0)], r"\(2\.5, 5\.0\)"),
+                           ([(0, 5.0)], r"\(0, 5\.0\)"),
+                           ([(2 ** 63, 5.0)], r"\(9223372036854775808, 5\.0\)")]:
+            bad = [Trajectory(MetaData("fake", 1, 1, 4, MIN), 3, [AttainmentPoint(*p) for p in run])]
+            with pytest.raises(ValueError, match=f"^run 3 is not a strict staircase .* {point}$"):
+                eaf_levels(bad)
 
     @pytest.mark.parametrize("quality", [-math.inf, math.nan])
     def test_non_finite_qualities_are_rejected(self, quality):
@@ -148,6 +164,44 @@ class TestLevelSets:
             mapped = eaf_levels(as_trajectories(cubed, MIN))
             for ls, ms in zip(base, mapped):
                 assert [(t, q ** 3) for t, q in points(ls)] == points(ms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(group=staircase_groups(max_runs=7, max_time=20))
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocks_carry_the_bests_across_their_boundaries(self, block, group):
+        direction, runs = group
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attainment, "_BLOCK", block)
+            sets = eaf_levels(as_trajectories(runs, direction))
+        for ls in sets:
+            assert [tuple(p) for p in ls.points] == eaf_levels_bruteforce(runs, ls.level, direction)
+
+    def test_points_view_is_a_list_of_attainment_points(self):
+        rng = np.random.default_rng(37)
+        for direction in (MIN, MAX):
+            runs = random_staircases(rng, m=5, direction=direction)
+            for ls in eaf_levels(as_trajectories(runs, direction)):
+                expected = [AttainmentPoint(t, q)
+                            for t, q in eaf_levels_bruteforce(runs, ls.level, direction)]
+                assert ls.points == expected and ls.points is ls.points
+                assert all(type(p) is AttainmentPoint and type(p.time) is int
+                           and type(p.quality) is float for p in ls.points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(group=staircase_groups(max_points=5, qualities=st.integers(-2, 2).map(float)),
+           data=st.data())
+    def test_every_zero_in_a_level_set_is_positive(self, tmp_path_factory, group, data):
+        direction, runs = group
+        signed = [[(t, data.draw(st.sampled_from([q, -q])) if q == 0 else q) for t, q in run]
+                  for run in runs]
+        sets = eaf_levels(as_trajectories(signed, direction))
+        path = tmp_path_factory.mktemp("levels") / "levels.json"
+        write_level_sets(path, sets, (99, 0.0))
+        written = json.loads(path.read_text(encoding="utf-8"))["levels"]
+        for ls, level in zip(sets, written):
+            assert [tuple(p) for p in ls.points] == eaf_levels_bruteforce(runs, ls.level, direction)
+            qualities = [p.quality for p in ls.points] + [q for _, q in level["points"]]
+            assert all(math.copysign(1.0, q) == 1.0 for q in qualities if q == 0)
 
     def test_levels_are_nested(self):
         rng = np.random.default_rng(29)
@@ -199,6 +253,12 @@ class TestNadir:
         with pytest.raises(ValueError):
             default_nadir([])
 
+    def test_integer_times_stay_exact(self):
+        meta = MetaData("fake", 1, 1, 4, MIN)
+        for time in (2 ** 53 + 1, 2 ** 62 + 1):
+            nadir = default_nadir([Trajectory(meta, 0, [AttainmentPoint(time, 5.0)])])
+            assert nadir == (time, 5.0) and type(nadir.time) is int
+
 
 class TestSurface:
     def level(self, pts, level=1, direction=MIN):
@@ -227,8 +287,10 @@ class TestSurface:
             surface(self.level(LEVEL_1), (5, 1.0))
 
     def test_non_staircase_input_is_rejected(self):
-        with pytest.raises(ValueError, match="strict staircase"):
-            surface(self.level([(1, 5.0), (2, 5.0)]), (5, 9.0))
+        for pts in ([(1, 5.0), (2, 5.0)], [(math.nan, 5.0)], [(1, 5.0), (math.inf, 3.0)],
+                    [(2.5, 5.0)], [(0, 5.0)]):
+            with pytest.raises(ValueError, match="strict staircase"):
+                surface(self.level(pts), (5, 9.0))
         with pytest.raises(ValueError):
             surface(self.level([]), (5, 9.0))
 
@@ -275,3 +337,37 @@ class TestVolume:
         level_one = self.sets()[0]
         estimate = oracles.surface_monte_carlo(points(level_one), (5, 12.0), MIN, 200_000, rng)
         assert estimate == pytest.approx(23.0, rel=0.01)
+
+
+class TestCheckedOnce:
+    def test_each_object_is_checked_at_most_once(self, monkeypatch, tmp_path):
+        checked = Counter()
+        check = attainment._check
+
+        def counting(points, direction, label):
+            checked[id(points)] += 1
+            return check(points, direction, label)
+
+        monkeypatch.setattr(attainment, "_check", counting)
+        trajs = as_trajectories(random_staircases(np.random.default_rng(53), m=5), MIN)
+        hand_made = LevelSet(1, list(trajs[0].points), MIN)
+
+        def every_kernel(trajectories, extra_sets=()):
+            sets = eaf_levels(trajectories) + list(extra_sets)
+            nadir = default_nadir(trajectories)
+            eah(trajectories, fit_discretization(trajectories))
+            for ls in sets:
+                surface(ls, nadir)
+            volume(sets, nadir, normalized=True)
+            return sets
+
+        for _ in range(2):
+            every_kernel(trajs, [hand_made])
+        assert sorted(checked.values()) == [1] * (len(trajs) + 1)
+
+        path = tmp_path / "t.csv"
+        write_trajectories(path, trajs)
+        checked.clear()
+        sets = every_kernel(read_trajectories(path))
+        write_level_sets(tmp_path / "levels.json", sets, (99, 99.0))
+        assert not checked

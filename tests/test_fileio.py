@@ -317,6 +317,9 @@ class TestTrajectoryFiles:
         ("0, 5,1.0", "cell ' 5' has surrounding whitespace"),
         ("0,5,1.0\t", r"cell '1\.0\\t' has surrounding whitespace"),
         ("0\u00a0,5,1.0", r"cell '0\\xa0' has surrounding whitespace"),
+        ("+0,5,1.0", r"integer cell '\+0' has a leading \+"),
+        ("0,+5,1.0", r"integer cell '\+5' has a leading \+"),
+        ("+0,+1,2.5", r"integer cell '\+0' has a leading \+"),
     ])
     def test_bad_rows_are_rejected_with_their_line(self, tmp_path, row, problem):
         path = tmp_path / "t.csv"
@@ -324,6 +327,12 @@ class TestTrajectoryFiles:
                         encoding="utf-8")
         with pytest.raises(ValueError, match=f"t.csv:4: {problem}"):
             read_trajectories(path)
+
+    def test_an_exponent_sign_in_a_quality_is_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("run,evaluations,quality\n0,1,1e+20\n0,2,2.5e+19\n", encoding="utf-8")
+        (traj,) = read_trajectories(path)
+        assert traj.points == [AttainmentPoint(1, 1e20), AttainmentPoint(2, 2.5e19)]
 
     @pytest.mark.parametrize("line", [2, 3, 3000])
     def test_a_line_that_is_not_utf8_is_named(self, tmp_path, line):
@@ -421,8 +430,7 @@ class TestLevelSetExport:
 
     def test_bytes_match_the_json_module(self, tmp_path):
         trajs = as_trajectories([[(1, 10.0), (3, 0.1)], [(2, 1e-300), (4, -2.5e20)]], MIN)
-        sets = eaf_levels(trajs) + [LevelSet(3, [AttainmentPoint(5, math.inf),
-                                                 AttainmentPoint(6, math.nan)], MIN),
+        sets = eaf_levels(trajs) + [LevelSet(3, [AttainmentPoint(5, 1e-300)], MIN),
                                     LevelSet(4, [], MIN)]
         group = {"source": "caf\u00e9.csv", "runs": 2, "tags": ["a", {"b": None}], "empty": {}}
         path = tmp_path / "levels.json"
@@ -436,6 +444,21 @@ class TestLevelSetExport:
                            for ls in level_sets],
             }
             assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize("points", [[(5, math.inf)], [(6, math.nan)], [(2, 3.0), (1, 2.0)]])
+    def test_a_level_set_that_is_not_a_staircase_is_not_written(self, tmp_path, points):
+        path = tmp_path / "levels.json"
+        path.write_text("earlier\n", encoding="utf-8")
+        level_set = LevelSet(1, [AttainmentPoint(*p) for p in points], MIN)
+        with pytest.raises(ValueError, match="^level set is not a strict staircase"):
+            write_level_sets(path, [level_set], (9, 10.0))
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+
+    def test_times_are_written_as_integers(self, tmp_path):
+        path = tmp_path / "levels.json"
+        write_level_sets(path, [LevelSet(1, [AttainmentPoint(2.0, 3.0)], MIN)], (9, 10.0))
+        assert json.loads(path.read_text(encoding="utf-8"))["levels"][0]["points"] == [[2, 3.0]]
+        assert "[\n          2,\n" in path.read_text(encoding="utf-8")
 
 
 class TestHistogramExport:

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attainbench.attainment import default_nadir, eaf_levels
+from attainbench.attainment import AttainmentPoint, Trajectory, default_nadir, eaf_levels
 from attainbench.histogram import Axis, Discretization, eah, fit_discretization
-from attainbench.problems import Direction
+from attainbench.problems import Direction, MetaData
 
 from oracles import as_trajectories, eah_bruteforce, random_staircases
+from test_equivalence import staircase_groups
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
@@ -82,6 +85,22 @@ def test_matches_bruteforce_oracle(direction, scale, buckets):
         assert eah(trajs, disc).counts.tolist() == eah_bruteforce(runs, disc, direction)
 
 
+# Integer qualities on an axis whose representatives are those integers: runs
+# tie with each other and with the cells they are counted against.
+@settings(max_examples=200, deadline=None)
+@given(group=staircase_groups(max_points=5, max_time=6, qualities=st.integers(0, 4).map(float)))
+def test_matches_bruteforce_oracle_when_runs_tie(group):
+    direction, runs = group
+    disc = Discretization(Axis(6, 1.0, 6.0), Axis(5, 0.0, 5.0))
+    assert eah(as_trajectories(runs, direction), disc).counts.tolist() == \
+        eah_bruteforce(runs, disc, direction)
+
+
+def with_times(points):
+    """One minimization trajectory of raw (time, quality) points, bad ones included."""
+    return [Trajectory(MetaData("oracle", 1, 1, 1, MIN), 0, [AttainmentPoint(*p) for p in points])]
+
+
 class TestClamping:
     DISC = Discretization(Axis(2, 2.0, 2.0), Axis(2, 4.0, 4.0))
 
@@ -117,7 +136,12 @@ class TestValidation:
         as_trajectories([[(1, 5.0), (2, math.nan)]], MIN),
         as_trajectories([[(1, 5.0), (2, -math.inf)]], MIN),
         as_trajectories([[(1, 5.0)]], MIN) + as_trajectories([[(2, 3.0)]], MAX),
-    ], ids=["no runs", "empty run", "not a staircase", "nan", "inf", "mixed directions"])
+        with_times([(math.nan, 5.0)]),
+        with_times([(1, 5.0), (math.inf, 3.0)]),
+        with_times([(2.5, 5.0)]),
+        with_times([(0, 5.0)]),
+    ], ids=["no runs", "empty run", "not a staircase", "nan", "inf", "mixed directions",
+            "nan time", "inf time", "2.5 time", "0 time"])
     def test_every_statistic_rejects_bad_input_alike(self, trajectories):
         disc = Discretization(Axis(2, 0.0, 9.0), Axis(2, 0.0, 9.0))
         statistics = {"eaf_levels": eaf_levels, "eah": lambda t: eah(t, disc),
