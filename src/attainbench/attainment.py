@@ -196,6 +196,13 @@ def _runs(trajectories: Iterable[Trajectory], caller: str) -> tuple:
     return trajs, direction, columns
 
 
+def _bounds(columns) -> tuple:
+    """(earliest time, latest time, best quality, worst quality) of checked staircase
+    columns, each running from its earliest, worst point to its latest, best one."""
+    return (min(t[0] for t, _ in columns), max(t[-1] for t, _ in columns),
+            min(q[-1] for _, q in columns), max(q[0] for _, q in columns))
+
+
 def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int]] = None) -> list:
     """Attainment level sets over a group of runs.
 
@@ -282,10 +289,8 @@ def default_nadir(trajectories: Sequence[Trajectory]) -> AttainmentPoint:
     volume statistics. The input is checked as :func:`eaf_levels` checks it.
     """
     _, direction, columns = _runs(trajectories, "default_nadir")
-    # A staircase starts at its worst quality and ends at its latest time.
-    worst = max(qualities[0] for _, qualities in columns)
-    return AttainmentPoint(max(times[-1] for times, _ in columns).item(),
-                           _minimizing(worst, direction).item())
+    _, t_hi, _, worst = _bounds(columns)
+    return AttainmentPoint(t_hi.item(), _minimizing(worst, direction).item())
 
 
 def surface(level_set: LevelSet, nadir) -> float:
@@ -326,9 +331,7 @@ def volume(level_sets: Sequence[LevelSet], nadir, normalized: bool = False) -> f
     total = float(np.add.accumulate([surface(ls, nadir) for ls in sets])[-1])
     if not normalized:
         return total
-    # Each level set is a checked staircase: its first time and last quality are its best.
-    ideal_t = min(ls._checked()[0][0] for ls in sets)
-    ideal_q = min(ls._checked()[1][-1] for ls in sets)
+    ideal_t, _, ideal_q, _ = _bounds([ls._checked() for ls in sets])
     tn, qn = nadir
     box = (tn - ideal_t) * (_minimizing(qn, direction) - ideal_q)
     if box <= 0:

@@ -9,14 +9,15 @@ Flat run logs
     all three are written in ASCII digits only. Files are UTF-8 with ``\\n`` line
     endings, and no cell is ever quoted. An absent reading (``None``)
     renders as ``NA`` and reads back as ``None``; numbers, a present NaN
-    included, use the shortest decimal form that round-trips.
+    included, use the shortest decimal form that round-trips. Property names
+    are distinct and each one a :class:`~attainbench.properties.Property` may have.
 
 Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
     evaluation. Rows need not be improvement-filtered: ingestion applies
-    the same strict-improvement filter trajectory capture uses. Negative run
-    ids, counts below 1, non-finite qualities and cells with surrounding
-    whitespace are rejected; integer cells are ASCII digits.
+    the same strict-improvement filter trajectory capture uses. The first bad
+    line is named: runs are integers in [0, 2**63) and counts in [1, 2**63), in
+    ASCII digits with an optional ``-``, and qualities finite numbers.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
@@ -36,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -48,6 +50,7 @@ from .attainment import LevelSet, Trajectory, _staircases
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
+from .properties import Property
 
 #: Token standing in for an absent reading in delimited files.
 NA = "NA"
@@ -111,27 +114,37 @@ class FlatRow:
 
 def read_flat_file(path):
     """Parse a flat run log back into (property names, rows), an ``NA`` cell as ``None``;
-    a line that is not UTF-8 or holds a CR without a LF, a row with the wrong cell count,
-    a non-numeric cell or an index or count out of range is rejected as ``path:line``.
-    The format has no quoting: lines end at LF (after an optional CR), cells at ``,``."""
+    a line that is not UTF-8 or holds a CR without a LF, a bad or repeated property name,
+    a row with the wrong cell count, a non-numeric cell or an index or count out of range
+    is rejected as ``path:line``. The format has no quoting: lines end at LF (after an
+    optional CR), cells at ``,``."""
     path = Path(path)
     data = _read_bytes(path, "flat file")
     try:
         lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError:
-        raise _not_utf8(path, data, 1) from None
+        raise _not_utf8(path, data) from None
     if lines[-1] == "":  # the LF that ends the last line
         lines.pop()
     header = lines[0].split(",") if lines else None
     if header is None or header[:3] != ["run", "event", "evaluations"]:
         raise ValueError(f"{path}: not a flat run log (header {header!r})")
+    names = header[3:]
+    try:
+        for name in names:
+            Property(name)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"{path}:1: duplicate property name(s): {duplicates}")
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         try:
             rows.append(_flat_row(line.split(",") if line else [], header))
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: {exc}") from None
-    return header[3:], rows
+    return names, rows
 
 
 def _digits(text: str) -> bool:
@@ -143,14 +156,10 @@ def _flat_row(cells: list, header: list) -> FlatRow:
     if len(cells) != len(header):
         raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
     values = {name: _reading(text) for name, text in zip(header[3:], cells[3:])}
-    run, event = int(cells[0]), int(cells[1])
-    # Older writers could render the count as ``1.0``.
-    count = int(cells[2]) if _digits(cells[2]) else float(cells[2])
-    for what, text, value, least in zip(("run", "event", "evaluation count"), cells,
-                                        (run, event, count), (0, 0, 1)):
-        if not (_digits(text.removesuffix(".0")) and value >= least):
+    for what, text, least in zip(("run", "event", "evaluation count"), cells, (0, 0, 1)):
+        if not (_digits(text) and int(text) >= least):
             raise ValueError(f"{what} {text} is not an integer >= {least}")
-    return FlatRow(run, event, int(count), values)
+    return FlatRow(int(cells[0]), int(cells[1]), int(cells[2]), values)
 
 
 def _reading(text: str) -> Optional[float]:
@@ -175,13 +184,13 @@ def _read_bytes(path: Path, what: str) -> bytes:
     return data
 
 
-def _not_utf8(path: Path, data: bytes, first_line: int) -> ValueError:
-    """Error naming the first line of ``data``, file line ``first_line`` on, that is not UTF-8."""
+def _not_utf8(path: Path, data: bytes) -> ValueError:
+    """Error naming the first line of the file ``data`` that is not UTF-8."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        first_line += data.count(b"\n", 0, exc.start)
-    return ValueError(f"{path}:{first_line}: not UTF-8 text")
+        line = data.count(b"\n", 0, exc.start) + 1
+    return ValueError(f"{path}:{line}: not UTF-8 text")
 
 
 def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
@@ -198,52 +207,39 @@ _TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("qual
 #: A line whose run or evaluation cell starts with ``+``, which loadtxt would accept.
 _SIGNED = re.compile(rb"^(?:[^,\n]*,)?\+", re.MULTILINE)
 
-
-def _text_fault(body: bytes) -> Optional[tuple]:
-    """(line, problem) of a trajectory body's first blank line, padded cell or
-    integer cell with a leading ``+``."""
-    for number, line in enumerate(body.splitlines(), start=2):
-        text = line.decode("utf-8", "replace")
-        if not text.strip():
-            return number, "blank line"
-        cells = text.split(",")
-        padded = [cell for cell in cells if cell != cell.strip()]
-        if padded:
-            return number, f"cell {padded[0]!r} has surrounding whitespace"
-        signed = [cell for cell in cells[:2] if cell.startswith("+")]
-        if signed:
-            return number, f"integer cell {signed[0]!r} has a leading +"
+#: An integer cell as loadtxt reads one into int64, less the ``+`` that :data:`_SIGNED`
+#: finds; past 19 significant digits it is out of range, so ``int`` never meets a long one.
+_INTEGER = re.compile(r"-?0*[0-9]{1,19}")
+#: What ``float`` reads as a number, short of ``inf`` and ``nan``: ASCII, no ``_``, no padding.
+_NUMBER = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
-def _row_error(path: Path, body: bytes, exc: Optional[ValueError]) -> ValueError:
-    """Error for a trajectory body that ``np.loadtxt`` failed on, or that has a
-    :func:`_text_fault`: whichever comes first of that fault and the row numpy
-    names. The body has no lone CR, so ``splitlines`` breaks at LF alone.
-    loadtxt skips empty lines and counts only the rows it reads, from 1 in
-    column-count errors and from 0 in conversion errors."""
-    lines, fault = list(enumerate(body.splitlines(), start=2)), _text_fault(body)
-    match = re.search(r"(?: but (\d+) were found)? at row (\d+)", str(exc))
-    if match is not None:
-        cells, row = match.groups()
-        number = [n for n, line in lines if line][int(row) - (cells is not None)]
-        if fault is None or number < fault[0]:
-            problem = (f"expected 3 cells, got {cells}" if cells is not None
-                       else str(exc)[:match.start()])
-            return ValueError(f"{path}:{number}: {problem}")
-    if fault is not None:
-        return ValueError(f"{path}:{fault[0]}: {fault[1]}")
-    return ValueError(f"{path}: {exc}")
+def _trajectory_fault(line: bytes) -> Optional[str]:
+    """What is wrong with one trajectory line, as ``bytes.splitlines`` gives it, or None."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        return "not UTF-8 text"
+    if not text.strip():
+        return "blank line"
+    cells = text.split(",")
+    if len(cells) != 3:
+        return f"expected 3 cells, got {len(cells)}"
+    for what, cell, least in zip(("run", "evaluation count"), cells, (0, 1)):
+        if not (_INTEGER.fullmatch(cell) and least <= int(cell) < 2**63):
+            return f"{what} {cell!r} is not an integer in [{least}, 2**63)"
+    if not (_NUMBER.fullmatch(cells[2]) and math.isfinite(float(cells[2]))):
+        return f"quality {cells[2]!r} is not a finite number"
+    return None
 
 
 def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> list:
     """Read a ``run,evaluations,quality`` CSV into improvement-filtered trajectories.
 
     Rows are grouped by run id and sorted by evaluation count; the strict
-    improvement filter reduces each group to its attainment staircase. Lines
-    that are not UTF-8 or hold a lone CR, blank lines, cells with surrounding whitespace,
-    run or evaluation cells with a leading ``+``, rows without exactly three cells,
-    negative run ids, evaluation counts below 1 and non-finite qualities are rejected
-    as ``path:line``.
+    improvement filter reduces each group to its attainment staircase. A lone
+    CR and the first line :func:`_trajectory_fault` flags are rejected as
+    ``path:line``, and a body numpy cannot read for any other reason as ``path``.
     The trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
@@ -255,30 +251,29 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
         raise ValueError(f"{path}: not a trajectory file (header {header!r})")
     if not body:
         raise ValueError(f"{path}: no trajectory rows")
-    if body.isspace():  # loadtxt would warn that it found no data
-        raise _row_error(path, body, None)
-    try:
-        rows = np.loadtxt(io.BytesIO(body), dtype=_TRAJECTORY_ROW, delimiter=",",
-                          comments=None, ndmin=1, encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path, body, 2) from None
-    except ValueError as exc:
-        raise _row_error(path, body, exc) from exc
-    # loadtxt skips blank lines, strips what str.strip strips from a cell and takes
-    # a leading + on an integer: these scans find no such byte in a well-formed
-    # body, and allocate nothing.
-    suspect = (not body.isascii() or any(byte in body for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
-               or b"+" in body and _SIGNED.search(body) is not None)
-    if len(rows) < body.count(b"\n") + (not body.endswith(b"\n")) or suspect and _text_fault(body):
-        raise _row_error(path, body, None)
-    invalid = (rows["evaluations"] < 1) | ~np.isfinite(rows["quality"])
-    if invalid.any() or rows["run"].min() < 0:
-        i = int(np.argmax(invalid | (rows["run"] < 0)))
-        run, evaluations, quality = rows[i].item()
-        problem = (f"run {run} is below 0" if run < 0
-                   else f"evaluation count {evaluations} is below 1" if evaluations < 1
-                   else f"quality {quality!r} is not finite")
-        raise ValueError(f"{path}:{i + 2}: {problem}")
+    rows = error = None
+    if not body.isspace():  # loadtxt would warn that it found no data
+        try:
+            rows = np.loadtxt(io.BytesIO(body), dtype=_TRAJECTORY_ROW, delimiter=",",
+                              comments=None, ndmin=1, encoding="utf-8")
+        except ValueError as exc:  # a UnicodeDecodeError included
+            error = exc
+    # Only a body that loadtxt rejects or these checks find suspect meets the line rule.
+    # loadtxt skips blank lines, strips what str.strip strips from a cell and takes a
+    # leading + on an integer: the byte scans find none of these in a well-formed body,
+    # and allocate nothing.
+    if (rows is None or len(rows) < body.count(b"\n") + (not body.endswith(b"\n"))
+            or not body.isascii() or any(byte in body for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
+            or b"+" in body and _SIGNED.search(body) is not None
+            or ((rows["evaluations"] < 1) | ~np.isfinite(rows["quality"])).any()
+            or rows["run"].min() < 0):
+        # The body has no lone CR, so splitlines breaks at LF and drops a CRLF's CR.
+        for number, line in enumerate(body.splitlines(), start=2):
+            problem = _trajectory_fault(line)
+            if problem is not None:
+                raise ValueError(f"{path}:{number}: {problem}") from error
+        if rows is None:
+            raise ValueError(f"{path}: {error}") from error
     return _staircases(meta, rows["run"], rows["evaluations"], rows["quality"])
 
 

@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .attainment import Trajectory, _minimizing, _runs
+from .attainment import Trajectory, _bounds, _minimizing, _runs
 
 SCALES = ("linear", "log")
 
@@ -93,10 +93,8 @@ def fit_discretization(trajectories: Sequence[Trajectory],
     :func:`~attainbench.attainment.eaf_levels` checks it.
     """
     _, direction, columns = _runs(trajectories, "fit_discretization")
-    # A staircase runs from its earliest, worst point to its latest, best one.
-    t_lo, t_hi = min(times[0] for times, _ in columns), max(times[-1] for times, _ in columns)
-    q_lo, q_hi = np.sort(_minimizing([min(quals[-1] for _, quals in columns),
-                                      max(quals[0] for _, quals in columns)], direction))
+    t_lo, t_hi, best, worst = _bounds(columns)
+    q_lo, q_hi = np.sort(_minimizing([best, worst], direction))
     t_span, q_span = t_hi - t_lo, q_hi - q_lo
     return Discretization(
         Axis(buckets[0], t_lo, t_span if t_span > 0 else 1.0, scales[0]),

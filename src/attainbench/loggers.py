@@ -29,7 +29,9 @@ class LogInfo:
     """Per-evaluation snapshot handed to loggers.
 
     Best values are already updated for the evaluation being reported, so a
-    strict improvement shows up as ``transformed_y == transformed_y_best``.
+    strict improvement shows up as ``transformed_y == transformed_y_best``; so
+    does a tie with the best, which is why
+    :class:`~attainbench.triggers.OnImprovement` keeps its own best.
     """
 
     evaluations: int = 0

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attainbench import cli
-from attainbench.fileio import read_flat_file, read_trajectories, write_histogram
+from attainbench.fileio import (_trajectory_fault, read_flat_file, read_trajectories,
+                                write_histogram)
 from attainbench.histogram import eah, fit_discretization
 
 AB_CSV = ("run,evaluations,quality\n"
@@ -282,18 +283,21 @@ def run_cli_expecting_usage_error(argv):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=valid_rows, bad=malformed_lines, data=st.data())
+@given(rows=valid_rows, bad=st.lists(malformed_lines, min_size=1, max_size=3), data=st.data())
 def test_a_malformed_line_exits_2_naming_it_and_writes_nothing(tmp_path_factory, rows, bad, data):
     lines = [f"{r},{e},{q!r}" for r, e, q in rows]
-    index = data.draw(st.integers(0, len(lines) - 1))
-    lines[index] = bad
+    for line in bad:
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    # The first line the rule flags is named, with the rule's problem text.
+    problems = (_trajectory_fault(line.encode()) for line in lines)
+    index, problem = next((i, problem) for i, problem in enumerate(problems) if problem is not None)
     directory = tmp_path_factory.mktemp("malformed")
     path = directory / "t.csv"
     path.write_text("run,evaluations,quality\n" + "\n".join(lines) + "\n", encoding="utf-8")
     out = directory / "levels.json"
     err = run_cli_expecting_usage_error(["eaf", "--in", str(path), "--levels", "0",
                                          "--out", str(out)])
-    assert f"{path}:{index + 2}:" in err
+    assert f"{path}:{index + 2}: {problem}\n" in err
     assert sorted(p.name for p in directory.iterdir()) == ["t.csv"]
 
 

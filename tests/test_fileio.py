@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from attainbench.attainment import AttainmentPoint, LevelSet, default_nadir, eaf_levels
 from attainbench.fileio import (
     NA,
-    _row_error,
+    _trajectory_fault,
     cell_stem,
     read_flat_file,
     read_trajectories,
@@ -144,11 +145,12 @@ class TestFlatFiles:
         ("0,2,3", "row has 3 cells, expected 4"),
         ("0,2,3,4,5", "row has 5 cells, expected 4"),
         ("0,2,3,abc", "could not convert string to float: 'abc'"),
-        ("0,x,3,4.0", "invalid literal for int"),
-        ("0,2,NA,4.0", "could not convert string to float: 'NA'"),
+        ("0,x,3,4.0", "event x is not an integer >= 0"),
+        ("0,2,NA,4.0", "evaluation count NA is not an integer >= 1"),
         ("0,0,nan,2.0", "evaluation count nan is not an integer >= 1"),
         ("0,0,inf,2.0", "evaluation count inf is not an integer >= 1"),
         ("0,0,1.5,2.0", "evaluation count 1.5 is not an integer >= 1"),
+        ("0,0,1.0,2.5", "evaluation count 1.0 is not an integer >= 1"),
         ("0,0,-3,2.0", "evaluation count -3 is not an integer >= 1"),
         ("0,0,0,2.0", "evaluation count 0 is not an integer >= 1"),
         ("-1,-2,1,2.0", "run -1 is not an integer >= 0"),
@@ -169,11 +171,20 @@ class TestFlatFiles:
         with pytest.raises(ValueError, match=f"x.csv:4: {problem}"):
             read_flat_file(path)
 
-    def test_a_count_an_older_writer_rendered_as_a_float_reads_as_an_int(self, tmp_path):
+    @pytest.mark.parametrize("names, problem", [
+        ("y,y", r"duplicate property name\(s\): \['y'\]"),
+        ("a,y,a,b,y", r"duplicate property name\(s\): \['a', 'y'\]"),
+        ("y,", "property name must be non-empty"),
+        ("evaluations", "property name 'evaluations' is reserved for the evaluation count"),
+        ('"y"', "property name '\"y\"' contains a comma, quote or line break"),
+    ])
+    def test_a_header_whose_property_names_a_store_could_not_have_is_named(
+            self, tmp_path, names, problem):
         path = tmp_path / "x.csv"
-        path.write_text("run,event,evaluations,y\n0,0,1.0,2.5\n", encoding="utf-8")
-        _, (row,) = read_flat_file(path)
-        assert row.evaluations == 1 and isinstance(row.evaluations, int)
+        cells = ",".join("2.5" for _ in names.split(","))
+        path.write_text(f"run,event,evaluations,{names}\n0,0,1,{cells}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"x.csv:1: {problem}$"):
+            read_flat_file(path)
 
     @pytest.mark.parametrize("line", [1, 2, 3000])
     def test_a_line_that_is_not_utf8_is_named(self, tmp_path, line):
@@ -198,7 +209,7 @@ class TestFlatFiles:
         assert [(r.run, r.event, r.evaluations, r.values) for r in rows] == [
             (0, 0, 1, {"y": 2.5}), (0, 1, 2, {"y": None})]
         path.write_bytes(b"run,event,evaluations,y\r\n0,0,1,2.5\r\n0,x,2,NA\r\n")
-        with pytest.raises(ValueError, match="x.csv:3: invalid literal for int"):
+        with pytest.raises(ValueError, match="x.csv:3: event x is not an integer >= 0"):
             read_flat_file(path)
 
 
@@ -303,23 +314,23 @@ class TestTrajectoryFiles:
             read_trajectories(path)
 
     @pytest.mark.parametrize("row, problem", [
-        ("0,0,-3", "evaluation count 0 is below 1"),
-        ("0,-2,4", "evaluation count -2 is below 1"),
-        ("-1,3,1.0", "run -1 is below 0"),
-        ("0,5,nan", "quality nan is not finite"),
-        ("0,5,inf", "quality inf is not finite"),
-        ("0,5,-inf", "quality -inf is not finite"),
+        ("0,0,-3", r"evaluation count '0' is not an integer in \[1, 2\*\*63\)"),
+        ("0,-2,4", r"evaluation count '-2' is not an integer in \[1, 2\*\*63\)"),
+        ("-1,3,1.0", r"run '-1' is not an integer in \[0, 2\*\*63\)"),
+        ("0,5,nan", "quality 'nan' is not a finite number"),
+        ("0,5,inf", "quality 'inf' is not a finite number"),
+        ("0,5,-inf", "quality '-inf' is not a finite number"),
         ("", "blank line"),
         ("# comment", "expected 3 cells, got 1"),
         ("0,5", "expected 3 cells, got 2"),
         ("0,5,1,2", "expected 3 cells, got 4"),
-        ("0,5,x", "could not convert string 'x'"),
-        ("0, 5,1.0", "cell ' 5' has surrounding whitespace"),
-        ("0,5,1.0\t", r"cell '1\.0\\t' has surrounding whitespace"),
-        ("0\u00a0,5,1.0", r"cell '0\\xa0' has surrounding whitespace"),
-        ("+0,5,1.0", r"integer cell '\+0' has a leading \+"),
-        ("0,+5,1.0", r"integer cell '\+5' has a leading \+"),
-        ("+0,+1,2.5", r"integer cell '\+0' has a leading \+"),
+        ("0,5,x", "quality 'x' is not a finite number"),
+        ("0, 5,1.0", r"evaluation count ' 5' is not an integer in \[1, 2\*\*63\)"),
+        ("0,5,1.0\t", r"quality '1\.0\\t' is not a finite number"),
+        ("0\u00a0,5,1.0", r"run '0\\xa0' is not an integer in \[0, 2\*\*63\)"),
+        ("+0,5,1.0", r"run '\+0' is not an integer in \[0, 2\*\*63\)"),
+        ("0,+5,1.0", r"evaluation count '\+5' is not an integer in \[1, 2\*\*63\)"),
+        ("+0,+1,2.5", r"run '\+0' is not an integer in \[0, 2\*\*63\)"),
     ])
     def test_bad_rows_are_rejected_with_their_line(self, tmp_path, row, problem):
         path = tmp_path / "t.csv"
@@ -344,10 +355,12 @@ class TestTrajectoryFiles:
             read_trajectories(path)
 
     @pytest.mark.parametrize("body, problem", [
-        ("0,x,2.0\n0,2,1.0\n\n", ":2: could not convert string 'x' to int64"),
+        ("0,x,2.0\n0,2,1.0\n\n", r":2: evaluation count 'x' is not an integer in \[1, 2\*\*63\)"),
         ("0,1,2.0\n\n0,x,1.0\n", ":3: blank line"),
-        ("0,x,2.0\n0, 2,1.0\n", ":2: could not convert string 'x' to int64"),
-        ("0,1,2.0\n0,2 ,1.0\n0,x,1.0\n", ":3: cell '2 ' has surrounding whitespace"),
+        ("0,x,2.0\n0, 2,1.0\n", r":2: evaluation count 'x' is not an integer in \[1, 2\*\*63\)"),
+        ("0,1,2.0\n0,2 ,1.0\n0,x,1.0\n",
+         r":3: evaluation count '2 ' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0,1.0\n0,x,2.0\n", r":2: evaluation count '0' is not an integer in \[1, 2\*\*63\)"),
     ])
     def test_the_first_bad_line_is_named(self, tmp_path, body, problem):
         path = tmp_path / "t.csv"
@@ -355,10 +368,16 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match=f"t.csv{problem}"):
             read_trajectories(path)
 
-    def test_an_error_that_names_no_row_falls_back_to_the_path(self, tmp_path):
+    def test_an_error_that_names_no_row_falls_back_to_the_path(self, tmp_path, monkeypatch):
+        def loadtxt(*args, **kwargs):
+            raise ValueError("numpy changed its wording")
+
         path = tmp_path / "t.csv"
-        error = _row_error(path, b"0,1,9\n0,2,8\n", ValueError("numpy changed its wording"))
-        assert str(error) == f"{path}: numpy changed its wording"
+        path.write_text("run,evaluations,quality\n0,1,9\n0,2,8\n", encoding="utf-8")
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(ValueError) as exc:
+            read_trajectories(path)
+        assert str(exc.value) == f"{path}: numpy changed its wording"
 
     def test_a_lone_carriage_return_is_named_by_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -374,6 +393,45 @@ class TestTrajectoryFiles:
         path.write_bytes(b"run,evaluations,quality\r\n0,1,9\r\n\r\n0,2,8\r\n")
         with pytest.raises(ValueError, match="t.csv:3: blank line"):
             read_trajectories(path)
+
+
+# Cells next to the edges of what numpy and the line rule read: a leading zero, ``-0``, a
+# leading ``+``, padding, an Arabic-Indic digit, ``_``, 2**63, an overflowing quality, NA.
+run_cells = ["0", "3", "-0", "007", str(2**63 - 1)]
+count_cells = ["1", "4", "007", str(2**63 - 1)]
+quality_cells = ["2.5", "-0", "-3", "1e+20", ".5", "+.5", "1e-400"]
+bad_cells = ["0", "-1", "+1", " 1", "1 ", "\u0661", "1_0", str(2**63), "x", "", "1.0",
+             "1e500", "NA", "nan", "-inf", "2\t", "1\u00a0"]
+good_lines = st.tuples(*(st.sampled_from(cells) for cells in (run_cells, count_cells,
+                                                              quality_cells))).map(",".join)
+any_lines = st.one_of(
+    st.lists(st.sampled_from(run_cells + count_cells + quality_cells + bad_cells),
+             min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "\t", "\u00a0", "0,1,\udcff"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(good_lines | any_lines, min_size=1, max_size=6),
+       ends=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=6, max_size=6),
+       last_end=st.booleans())
+def test_a_body_is_read_exactly_when_the_line_rule_flags_no_line(tmp_path_factory, lines,
+                                                                 ends, last_end):
+    raw = [line.encode("utf-8", "surrogateescape") for line in lines]
+    body = b"".join(line + end.encode() for line, end in zip(raw, ends))
+    if not last_end and raw[-1]:
+        body = body.removesuffix(ends[len(raw) - 1].encode())
+    path = tmp_path_factory.mktemp("rule") / "t.csv"
+    path.write_bytes(b"run,evaluations,quality\n" + body)
+    flagged = [(n, problem) for n, problem in enumerate(map(_trajectory_fault, raw), start=2)
+               if problem is not None]
+    if not flagged:
+        read_trajectories(path)
+        return
+    number, problem = flagged[0]
+    with pytest.raises(ValueError) as exc:
+        read_trajectories(path)
+    assert str(exc.value) == f"{path}:{number}: {problem}"
 
 
 class TestAtomicWrites:
