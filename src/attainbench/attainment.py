@@ -269,15 +269,16 @@ class LevelSelector:
             raise ValueError("level indices are zero-based and non-negative")
 
     def __call__(self, logger: TrajectoryLogger) -> dict:
-        out = {}
-        for cell in logger.cells():
-            trajs = logger.trajectories(cell)
-            m = len(trajs)
-            bad = [j for j in self.indices if j >= m]
-            if bad:
-                raise ValueError(f"level index(es) {bad} out of range: cell {cell} has {m} run(s)")
-            out[cell] = eaf_levels(trajs, [j + 1 for j in self.indices])
-        return out
+        return {cell: self._levels(logger.trajectories(cell), f"cell {cell}")
+                for cell in logger.cells()}
+
+    def _levels(self, trajectories: Sequence[Trajectory], owner) -> list:
+        """Level sets of the selected indices over the trajectories that ``owner`` holds."""
+        m = len(trajectories)
+        bad = [j for j in self.indices if j >= m]
+        if bad:
+            raise ValueError(f"level index(es) {bad} out of range: {owner} has {m} run(s)")
+        return eaf_levels(trajectories, [j + 1 for j in self.indices])
 
 
 def default_nadir(trajectories: Sequence[Trajectory]) -> AttainmentPoint:

@@ -4,7 +4,8 @@
 and writes the requested outputs; ``bench eaf``, ``bench eah`` and
 ``bench stats`` ingest a trajectory CSV and compute level sets, an
 attainment histogram, or surface/volume statistics. Tables go to stdout as
-TSV. Exit status: 0 on success, 1 on I/O failure, 2 on usage errors.
+TSV. Integer and number flags are read by the cell readers of the CSV files.
+Exit status: 0 on success, 1 on I/O failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attainment import TrajectoryLogger, default_nadir, eaf_levels, surface, volume
-from .fileio import (_digits, cell_stem, read_trajectories, write_flat_files, write_histogram,
-                     write_level_sets, write_trajectories)
+from .attainment import LevelSelector, TrajectoryLogger, default_nadir, eaf_levels, surface, volume
+from .fileio import (_finite, _integer, cell_stem, read_trajectories, write_flat_files,
+                     write_histogram, write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
 from .loggers import Store
 from .problems import Direction, SUITES
@@ -97,31 +98,36 @@ def run_benchmark(config: RunConfig) -> dict:
             "evaluations": cells * config.runs * config.budget, "files": files}
 
 
-def _int_list(least: int):
-    integer = _int_at_least(least)
-
-    def convert(text: str) -> tuple:
+def _flag(read, form: str):
+    """Argparse type that reads a value with ``read`` and reports its ``ValueError`` as
+    ``expects <form>, got '<value>'``."""
+    def convert(text: str):
         try:
-            return tuple(map(integer, text.split(",")))
-        except argparse.ArgumentTypeError:
-            raise argparse.ArgumentTypeError(
-                f"expects comma-separated integers >= {least}, got {text!r}") from None
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}") from None
     return convert
+
+
+def _pair(read, sep: str):
+    """Reader of exactly two ``sep``-separated values, each read by ``read``."""
+    def pair(text: str) -> tuple:
+        first, second = map(read, text.split(sep))
+        return first, second
+    return pair
+
+
+def _int_list(least: int):
+    return _flag(lambda text: tuple(map(_integer(least), text.split(","))),
+                 f"comma-separated integers in [{least}, 2**63)")
 
 
 def _int_at_least(least: int):
-    def convert(text: str) -> int:
-        if not _digits(text) or int(text) < least:
-            raise argparse.ArgumentTypeError(f"expects an integer >= {least}, got {text!r}")
-        return int(text)
-    return convert
+    return _flag(_integer(least), f"an integer in [{least}, 2**63)")
 
 
-def _buckets(text: str) -> tuple:
-    parts = text.lower().split("x")
-    if len(parts) != 2 or not all(_digits(p) and int(p) >= 1 for p in parts):
-        raise argparse.ArgumentTypeError(f"expects TxQ positive counts, got {text!r}")
-    return int(parts[0]), int(parts[1])
+_buckets = _flag(lambda text: _pair(_integer(1), "x")(text.lower()), "TxQ positive counts")
+_nadir = _flag(_pair(_finite, ","), "finite T,Q")
 
 
 def _scales(text: str) -> tuple:
@@ -131,34 +137,12 @@ def _scales(text: str) -> tuple:
     return parts
 
 
-def _finite_pair(text: str, sep: str, form: str) -> tuple:
-    try:
-        a, b = (float(part) for part in text.split(sep))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}") from None
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise argparse.ArgumentTypeError(f"expects finite {form}, got {text!r}")
-    return a, b
-
-
 def _range(text: str) -> tuple:
-    lo, hi = _finite_pair(text, ":", "lo:hi")
+    lo, hi = _flag(_pair(_finite, ":"), "finite lo:hi")(text)
     if not 0 < hi - lo < math.inf:
         raise argparse.ArgumentTypeError(
             f"upper bound must exceed lower bound by a finite span, got {text!r}")
     return lo, hi
-
-
-def _nadir(text: str) -> tuple:
-    return _finite_pair(text, ",", "T,Q")
-
-
-def _levels(indices: tuple, m: int) -> list:
-    """Attainment levels of zero-based ``--levels`` indices, checked against the run count."""
-    bad = sorted({j for j in indices if j >= m})
-    if bad:
-        raise ValueError(f"--levels index(es) {bad} out of range: input has {m} run(s)")
-    return [j + 1 for j in indices]
 
 
 def _cmd_run(args) -> int:
@@ -171,7 +155,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_eaf(args) -> int:
     trajectories = read_trajectories(args.infile, args.direction)
-    sets = eaf_levels(trajectories, _levels(args.levels, len(trajectories)))
+    sets = LevelSelector(args.levels)._levels(trajectories, args.infile)
     nadir = default_nadir(trajectories)
     write_level_sets(args.out, sets, nadir, {"source": str(args.infile), "runs": len(trajectories)})
     return 0
@@ -193,7 +177,7 @@ def _cmd_eah(args) -> int:
 
 def _cmd_stats(args) -> int:
     trajectories = read_trajectories(args.infile, args.direction)
-    sets = eaf_levels(trajectories, _levels(args.levels, len(trajectories)))
+    sets = LevelSelector(args.levels)._levels(trajectories, args.infile)
     nadir = args.nadir or default_nadir(trajectories)
     # Every value is computed before the first line is printed, so a failure prints nothing.
     rows = [f"surface\t{ls.level}\t{surface(ls, nadir)!r}" for ls in sets]

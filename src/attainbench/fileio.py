@@ -15,9 +15,8 @@ Flat run logs
 Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
     evaluation. Rows need not be improvement-filtered: ingestion applies
-    the same strict-improvement filter trajectory capture uses. The first bad
-    line is named: runs are integers in [0, 2**63) and counts in [1, 2**63), in
-    ASCII digits with an optional ``-``, and qualities finite numbers.
+    the same strict-improvement filter trajectory capture uses. Runs are
+    integers >= 0, counts integers >= 1 and qualities finite numbers.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
@@ -29,7 +28,10 @@ Histogram export
 
 Every writer replaces its target atomically, so a failure mid-write leaves
 the earlier file in place. Both CSV readers count lines by LF, accept CRLF
-line endings and reject a CR that no LF follows.
+line endings, reject a CR that no LF follows and name the first line that
+:func:`_fields` flags. Their cells and every ``bench`` integer and number flag
+take one grammar: integers in ASCII digits with an optional ``-``, below 2**63,
+and numbers as ``float`` reads them from ASCII with no ``_`` or padding.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attainment import LevelSet, Trajectory, _staircases
+from .attainment import LevelSet, Trajectory, _runs, _staircases
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
@@ -113,20 +115,16 @@ class FlatRow:
 
 
 def read_flat_file(path):
-    """Parse a flat run log back into (property names, rows), an ``NA`` cell as ``None``;
-    a line that is not UTF-8 or holds a CR without a LF, a bad or repeated property name,
-    a row with the wrong cell count, a non-numeric cell or an index or count out of range
-    is rejected as ``path:line``. The format has no quoting: lines end at LF (after an
-    optional CR), cells at ``,``."""
+    """Parse a flat run log back into (property names, rows), an ``NA`` cell as ``None``.
+    A header that is not UTF-8, or names a property twice or as no ``Property`` may, is
+    rejected as ``path:1``; a lone CR and the first line :func:`_fields` flags as
+    ``path:line``. There is no quoting: lines end at LF (after an optional CR), cells at ``,``."""
     path = Path(path)
-    data = _read_bytes(path, "flat file")
+    lines = _read_bytes(path, "flat file").splitlines()
     try:
-        lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
+        header = lines[0].decode("utf-8").split(",") if lines else None
     except UnicodeDecodeError:
-        raise _not_utf8(path, data) from None
-    if lines[-1] == "":  # the LF that ends the last line
-        lines.pop()
-    header = lines[0].split(",") if lines else None
+        raise ValueError(f"{path}:1: not UTF-8 text") from None
     if header is None or header[:3] != ["run", "event", "evaluations"]:
         raise ValueError(f"{path}: not a flat run log (header {header!r})")
     names = header[3:]
@@ -138,37 +136,10 @@ def read_flat_file(path):
     duplicates = sorted({name for name in names if names.count(name) > 1})
     if duplicates:
         raise ValueError(f"{path}:1: duplicate property name(s): {duplicates}")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            rows.append(_flat_row(line.split(",") if line else [], header))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{number}: {exc}") from None
-    return names, rows
-
-
-def _digits(text: str) -> bool:
-    """Whether ``text`` is ASCII digits only, the form every integer cell and flag takes."""
-    return text.isascii() and text.isdecimal()
-
-
-def _flat_row(cells: list, header: list) -> FlatRow:
-    if len(cells) != len(header):
-        raise ValueError(f"row has {len(cells)} cells, expected {len(header)}")
-    values = {name: _reading(text) for name, text in zip(header[3:], cells[3:])}
-    for what, text, least in zip(("run", "event", "evaluation count"), cells, (0, 0, 1)):
-        if not (_digits(text) and int(text) >= least):
-            raise ValueError(f"{what} {text} is not an integer >= {least}")
-    return FlatRow(int(cells[0]), int(cells[1]), int(cells[2]), values)
-
-
-def _reading(text: str) -> Optional[float]:
-    """A reading cell: ``NA`` or a float with neither ``_`` nor surrounding whitespace."""
-    if text == NA:
-        return None
-    if "_" in text or text.strip() != text:
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
+    columns = [("run", _integer(0)), ("event", _integer(0)), ("evaluation count", _integer(1)),
+               *((f"{name} reading", _na_or_float) for name in names)]
+    return names, [FlatRow(run, event, count, dict(zip(names, readings)))
+                   for run, event, count, *readings in _lines(path, lines[1:], columns)]
 
 
 def _read_bytes(path: Path, what: str) -> bytes:
@@ -184,21 +155,15 @@ def _read_bytes(path: Path, what: str) -> bytes:
     return data
 
 
-def _not_utf8(path: Path, data: bytes) -> ValueError:
-    """Error naming the first line of the file ``data`` that is not UTF-8."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-    return ValueError(f"{path}:{line}: not UTF-8 text")
-
-
 def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
-    """Write trajectories as a ``run,evaluations,quality`` CSV."""
+    """Write trajectories as a ``run,evaluations,quality`` CSV. They are checked as
+    :func:`~attainbench.attainment.eaf_levels` checks them, so each reads back as written."""
+    trajs, _, columns = _runs(trajectories, "write_trajectories")
     with _atomic_writer(Path(path), "trajectory file") as fh:
         fh.write("run,evaluations,quality\n")
-        for traj in trajectories:
-            fh.writelines(f"{traj.run},{p.time},{_render(p.quality)}\n" for p in traj.points)
+        for traj, (times, qualities) in zip(trajs, columns):
+            fh.writelines(f"{traj.run},{time},{quality!r}\n" for time, quality
+                          in zip(times.tolist(), traj._leave(qualities).tolist()))
 
 
 _TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("quality", np.float64)])
@@ -208,29 +173,70 @@ _TRAJECTORY_ROW = np.dtype([("run", np.int64), ("evaluations", np.int64), ("qual
 _SIGNED = re.compile(rb"^(?:[^,\n]*,)?\+", re.MULTILINE)
 
 #: An integer cell as loadtxt reads one into int64, less the ``+`` that :data:`_SIGNED`
-#: finds; past 19 significant digits it is out of range, so ``int`` never meets a long one.
-_INTEGER = re.compile(r"-?0*[0-9]{1,19}")
-#: What ``float`` reads as a number, short of ``inf`` and ``nan``: ASCII, no ``_``, no padding.
-_NUMBER = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+#: finds. At most 19 significant digits are captured, so ``int`` never meets a long text.
+_INTEGER = re.compile(r"(-?)0*([0-9]{1,19})")
+#: What ``float`` reads from ASCII text with no ``_`` and no padding, nan and inf included.
+#: No two parts can match the same digits, so a long cell fails in linear time.
+_NUMBER = re.compile(r"[-+]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+                     r"|(?i:nan|inf|infinity))")
 
 
-def _trajectory_fault(line: bytes) -> Optional[str]:
-    """What is wrong with one trajectory line, as ``bytes.splitlines`` gives it, or None."""
+def _integer(least: int):
+    """Reader of an integer cell in [least, 2**63); a reader's ``ValueError`` names its rule."""
+    def read(text: str) -> int:
+        match = _INTEGER.fullmatch(text)
+        if match and least <= (value := int(match[1] + match[2])) < 2**63:
+            return value
+        raise ValueError(f"an integer in [{least}, 2**63)")
+    return read
+
+
+def _finite(text: str) -> float:
+    """Reader of a finite number cell."""
+    if _NUMBER.fullmatch(text) and math.isfinite(value := float(text)):
+        return value
+    raise ValueError("a finite number")
+
+
+def _na_or_float(text: str) -> Optional[float]:
+    """Reader of a reading cell, ``NA`` as None."""
+    if text != NA and not _NUMBER.fullmatch(text):
+        raise ValueError("a number or NA")
+    return None if text == NA else float(text)
+
+
+_TRAJECTORY = (("run", _integer(0)), ("evaluation count", _integer(1)), ("quality", _finite))
+
+
+def _fields(line: bytes, columns: Sequence[tuple]) -> list:
+    """Values of one CSV line, as ``bytes.splitlines`` gives it, read by its columns'
+    ``(name, reader)`` pairs, or a ``ValueError`` saying what is wrong with the line."""
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError:
-        return "not UTF-8 text"
+        raise ValueError("not UTF-8 text") from None
     if not text.strip():
-        return "blank line"
+        raise ValueError("blank line")
     cells = text.split(",")
-    if len(cells) != 3:
-        return f"expected 3 cells, got {len(cells)}"
-    for what, cell, least in zip(("run", "evaluation count"), cells, (0, 1)):
-        if not (_INTEGER.fullmatch(cell) and least <= int(cell) < 2**63):
-            return f"{what} {cell!r} is not an integer in [{least}, 2**63)"
-    if not (_NUMBER.fullmatch(cells[2]) and math.isfinite(float(cells[2]))):
-        return f"quality {cells[2]!r} is not a finite number"
-    return None
+    if len(cells) != len(columns):
+        raise ValueError(f"expected {len(columns)} cells, got {len(cells)}")
+    values = []
+    for (name, read), cell in zip(columns, cells):
+        try:
+            values.append(read(cell))
+        except ValueError as exc:
+            raise ValueError(f"{name} {cell!r} is not {exc}") from None
+    return values
+
+
+def _lines(path: Path, lines: Sequence[bytes], columns: Sequence[tuple], cause=None):
+    """Each line's :func:`_fields`, numbered from 2; a bad one raises ``path:line: <problem>``."""
+    for number, line in enumerate(lines, start=2):
+        try:
+            values = _fields(line, columns)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from cause
+        yield values
 
 
 def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> list:
@@ -238,7 +244,7 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
 
     Rows are grouped by run id and sorted by evaluation count; the strict
     improvement filter reduces each group to its attainment staircase. A lone
-    CR and the first line :func:`_trajectory_fault` flags are rejected as
+    CR and the first line :func:`_fields` flags are rejected as
     ``path:line``, and a body numpy cannot read for any other reason as ``path``.
     The trajectories carry placeholder metadata with the given direction.
     """
@@ -268,10 +274,8 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
             or ((rows["evaluations"] < 1) | ~np.isfinite(rows["quality"])).any()
             or rows["run"].min() < 0):
         # The body has no lone CR, so splitlines breaks at LF and drops a CRLF's CR.
-        for number, line in enumerate(body.splitlines(), start=2):
-            problem = _trajectory_fault(line)
-            if problem is not None:
-                raise ValueError(f"{path}:{number}: {problem}") from error
+        for _ in _lines(path, body.splitlines(), _TRAJECTORY, error):
+            pass
         if rows is None:
             raise ValueError(f"{path}: {error}") from error
     return _staircases(meta, rows["run"], rows["evaluations"], rows["quality"])

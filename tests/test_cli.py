@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attainbench import cli
-from attainbench.fileio import (_trajectory_fault, read_flat_file, read_trajectories,
+from attainbench.fileio import (_TRAJECTORY, _fields, read_flat_file, read_trajectories,
                                 write_histogram)
 from attainbench.histogram import eah, fit_discretization
 
@@ -157,7 +157,8 @@ class TestEaf:
             cli.main(["eaf", "--in", str(ab_file), "--levels", "5",
                       "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
-        assert "2 run(s)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"level index(es) [5] out of range: {ab_file} has 2 run(s)" in err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code = cli.main(["eaf", "--in", str(tmp_path / "none.csv"), "--levels", "0",
@@ -273,6 +274,15 @@ malformed_lines = st.one_of(
 )
 
 
+def trajectory_fault(line: bytes):
+    """What the line rule finds wrong with one trajectory line, or None."""
+    try:
+        _fields(line, _TRAJECTORY)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def run_cli_expecting_usage_error(argv):
     """Run ``bench`` in process; return its stderr after checking it exited 2."""
     with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit) as exc:
@@ -289,7 +299,7 @@ def test_a_malformed_line_exits_2_naming_it_and_writes_nothing(tmp_path_factory,
     for line in bad:
         lines.insert(data.draw(st.integers(0, len(lines))), line)
     # The first line the rule flags is named, with the rule's problem text.
-    problems = (_trajectory_fault(line.encode()) for line in lines)
+    problems = (trajectory_fault(line.encode()) for line in lines)
     index, problem = next((i, problem) for i, problem in enumerate(problems) if problem is not None)
     directory = tmp_path_factory.mktemp("malformed")
     path = directory / "t.csv"
@@ -350,6 +360,10 @@ MALFORMED_FLAGS = [
     ("eah", "--buckets", "\u0662x2"),
     ("eah", "--time-range", "-1e308:1e308"),
     ("eah", "--quality-range", "-1e308:1e308"),
+    ("stats", "--nadir", "1_0,5"),
+    ("stats", "--nadir", "\u0661\u0660, 5"),
+    ("eah", "--time-range", " 1:1_0"),
+    ("run", "--seed", str(2**63)),
 ]
 
 
@@ -365,6 +379,68 @@ def test_a_malformed_flag_is_named_by_argparse_and_writes_nothing(
     assert f"argument {flag}: " in err
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+def test_an_integer_flag_past_the_int_digit_limit_gets_the_flag_message(ab_file):
+    digits = "1" * 5000
+    err = run_cli_expecting_usage_error(["stats", "--in", str(ab_file), f"--levels={digits}"])
+    assert (f"argument --levels: expects comma-separated integers in [0, 2**63), got '{digits}'"
+            in err)
+
+
+# Pieces of cells next to the edges of the cell grammar: a sign, leading zeros, padding, an
+# Arabic-Indic digit, ``_``, 2**63 - 1 to 2**63 + 1, 5,000 digits, overflow, nan and NA.
+edge_pieces = ["-", "+", "0", "007", "1", "5", ".", "e", " ", "\t", "\u0661", "_",
+               str(2**63 - 1), str(2**63), str(2**63 + 1), "1" * 5000, "0" * 5000,
+               "1e500", "nan", "inf", "Infinity", "NA"]
+# Python 3.11's argparse drops a flag value of "--" before any type check, so none is drawn.
+edge_cells = st.lists(st.sampled_from(edge_pieces), min_size=1, max_size=3).map("".join).filter(
+    lambda cell: cell != "--")
+
+
+def verdict(read):
+    """What ``read()`` returns, or "rejected" if it rejects its input."""
+    try:
+        return read()
+    except (ValueError, SystemExit):
+        return "rejected"
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=edge_cells)
+def test_every_boundary_gives_a_cell_the_same_verdict(tmp_path_factory, cell):
+    directory = tmp_path_factory.mktemp("cell")
+
+    def trajectory(line):
+        path = directory / "t.csv"
+        path.write_text(f"run,evaluations,quality\n{line}\n", encoding="utf-8")
+        (traj,) = read_trajectories(path)
+        return traj
+
+    def flat(line):
+        path = directory / "f.csv"
+        path.write_text(f"run,event,evaluations,y\n{line}\n", encoding="utf-8")
+        (row,) = read_flat_file(path)[1]
+        return row
+
+    def flag(*argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            return cli.build_parser().parse_args(list(argv))
+
+    run = verdict(lambda: trajectory(f"{cell},1,2.5").run)
+    assert verdict(lambda: flat(f"{cell},0,1,2.5").run) == run
+    assert verdict(lambda: flat(f"0,{cell},1,2.5").event) == run
+    assert verdict(lambda: flag("run", "--out", "x", f"--seed={cell}").seed) == run
+    count = verdict(lambda: trajectory(f"0,{cell},2.5").points[0].time)
+    assert verdict(lambda: flat(f"0,0,{cell},2.5").evaluations) == count
+    assert verdict(lambda: flag("run", "--out", "x", f"--runs={cell}").runs) == count
+    quality = verdict(lambda: trajectory(f"0,1,{cell}").points[0].quality)
+    assert verdict(lambda: flag("stats", "--in", "x", "--levels=0", f"--nadir={cell},5").nadir
+                   ) == ("rejected" if quality == "rejected" else (quality, 5.0))
+    assert verdict(lambda: flag("stats", "--in", "x", "--levels=0", f"--nadir=5,{cell}").nadir
+                   ) == ("rejected" if quality == "rejected" else (5.0, quality))
+    if quality != "rejected":
+        assert verdict(lambda: flat(f"0,0,1,{cell}").values["y"]) == quality
 
 
 def test_direction_max_reaches_the_kernels(ab_file, tmp_path, capsys):

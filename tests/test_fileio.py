@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from attainbench.attainment import AttainmentPoint, LevelSet, default_nadir, eaf_levels
 from attainbench.fileio import (
     NA,
-    _trajectory_fault,
+    _TRAJECTORY,
+    _fields,
     cell_stem,
     read_flat_file,
     read_trajectories,
@@ -142,27 +144,32 @@ class TestFlatFiles:
             read_flat_file(tmp_path / "missing.csv")
 
     @pytest.mark.parametrize("row, problem", [
-        ("0,2,3", "row has 3 cells, expected 4"),
-        ("0,2,3,4,5", "row has 5 cells, expected 4"),
-        ("0,2,3,abc", "could not convert string to float: 'abc'"),
-        ("0,x,3,4.0", "event x is not an integer >= 0"),
-        ("0,2,NA,4.0", "evaluation count NA is not an integer >= 1"),
-        ("0,0,nan,2.0", "evaluation count nan is not an integer >= 1"),
-        ("0,0,inf,2.0", "evaluation count inf is not an integer >= 1"),
-        ("0,0,1.5,2.0", "evaluation count 1.5 is not an integer >= 1"),
-        ("0,0,1.0,2.5", "evaluation count 1.0 is not an integer >= 1"),
-        ("0,0,-3,2.0", "evaluation count -3 is not an integer >= 1"),
-        ("0,0,0,2.0", "evaluation count 0 is not an integer >= 1"),
-        ("-1,-2,1,2.0", "run -1 is not an integer >= 0"),
-        ("0,-2,1,2.0", "event -2 is not an integer >= 0"),
-        ("0,0,1_0,2.0", "evaluation count 1_0 is not an integer >= 1"),
-        ("0,0, 1,2.0", "evaluation count  1 is not an integer >= 1"),
-        ("+0,0,1,2.0", "run \\+0 is not an integer >= 0"),
-        ("0,0,1,2_5", "could not convert string to float: '2_5'"),
-        ("0,0,1, 2.5", "could not convert string to float: ' 2.5'"),
-        ('0,0,1,"2.5"', "could not convert string to float: '\"2.5\"'"),
-        ('0,0,1,"2.5\n0,1,2,3.0', "could not convert string to float: '\"2.5'"),
-        ("\u0661,0,1,2.5", "run \u0661 is not an integer >= 0"),
+        ("0,2,3", "expected 4 cells, got 3"),
+        ("0,2,3,4,5", "expected 4 cells, got 5"),
+        ("0,2,3,abc", "y reading 'abc' is not a number or NA"),
+        ("0,x,3,4.0", r"event 'x' is not an integer in \[0, 2\*\*63\)"),
+        ("0,2,NA,4.0", r"evaluation count 'NA' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0,nan,2.0", r"evaluation count 'nan' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0,inf,2.0", r"evaluation count 'inf' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0,1.5,2.0", r"evaluation count '1\.5' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0,1.0,2.5", r"evaluation count '1\.0' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0,-3,2.0", r"evaluation count '-3' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0,0,2.0", r"evaluation count '0' is not an integer in \[1, 2\*\*63\)"),
+        ("-1,-2,1,2.0", r"run '-1' is not an integer in \[0, 2\*\*63\)"),
+        ("0,-2,1,2.0", r"event '-2' is not an integer in \[0, 2\*\*63\)"),
+        ("0,0,1_0,2.0", r"evaluation count '1_0' is not an integer in \[1, 2\*\*63\)"),
+        ("0,0, 1,2.0", r"evaluation count ' 1' is not an integer in \[1, 2\*\*63\)"),
+        ("+0,0,1,2.0", r"run '\+0' is not an integer in \[0, 2\*\*63\)"),
+        ("0,0,1,2_5", "y reading '2_5' is not a number or NA"),
+        ("0,0,1, 2.5", "y reading ' 2.5' is not a number or NA"),
+        ('0,0,1,"2.5"', "y reading '\"2.5\"' is not a number or NA"),
+        ('0,0,1,"2.5\n0,1,2,3.0', "y reading '\"2.5' is not a number or NA"),
+        ("\u0661,0,1,2.5", "run '\u0661' is not an integer in \\[0, 2\\*\\*63\\)"),
+        ("0,0,1,\u0661", "y reading '\u0661' is not a number or NA"),
+        (f"0,0,{2**63},2.5", rf"evaluation count '{2**63}' is not an integer in \[1, 2\*\*63\)"),
+        pytest.param("0,0," + "1" * 5000 + ",2.5",
+                     rf"evaluation count '{'1' * 5000}' is not an integer in \[1, 2\*\*63\)$",
+                     id="5000-digit count"),
     ])
     def test_bad_rows_name_path_and_line(self, tmp_path, row, problem):
         path = tmp_path / "x.csv"
@@ -209,7 +216,8 @@ class TestFlatFiles:
         assert [(r.run, r.event, r.evaluations, r.values) for r in rows] == [
             (0, 0, 1, {"y": 2.5}), (0, 1, 2, {"y": None})]
         path.write_bytes(b"run,event,evaluations,y\r\n0,0,1,2.5\r\n0,x,2,NA\r\n")
-        with pytest.raises(ValueError, match="x.csv:3: event x is not an integer >= 0"):
+        with pytest.raises(ValueError,
+                           match=r"x.csv:3: event 'x' is not an integer in \[0, 2\*\*63\)"):
             read_flat_file(path)
 
 
@@ -339,6 +347,28 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match=f"t.csv:4: {problem}"):
             read_trajectories(path)
 
+    def test_a_long_run_of_leading_zeros_reads_on_both_paths(self, tmp_path):
+        # Past Python's 4,300-digit limit for int(); loadtxt reads such a cell as well.
+        path = tmp_path / "t.csv"
+        padded = "0" * 5000
+        path.write_text(f"run,evaluations,quality\n{padded}0,{padded}1,9\n", encoding="utf-8")
+        (traj,) = read_trajectories(path)
+        assert (traj.run, traj.points) == (0, [AttainmentPoint(1, 9.0)])
+        path.write_text(f"run,evaluations,quality\n{padded}0,{padded}1,9\n0,x,8\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"t.csv:3: evaluation count 'x' is not an integer"):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("quality", ["1" * 50_000 + "x", "1." + "1" * 50_000 + "x"])
+    def test_a_long_cell_is_rejected_in_linear_time(self, tmp_path, quality):
+        # A backtracking number pattern takes over a minute on these; the rule takes ms.
+        path = tmp_path / "t.csv"
+        path.write_text(f"run,evaluations,quality\n0,1,{quality}\n", encoding="utf-8")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="t.csv:2: quality '1.* is not a finite number"):
+            read_trajectories(path)
+        assert time.perf_counter() - start < 5
+
     def test_an_exponent_sign_in_a_quality_is_accepted(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("run,evaluations,quality\n0,1,1e+20\n0,2,2.5e+19\n", encoding="utf-8")
@@ -395,6 +425,15 @@ class TestTrajectoryFiles:
             read_trajectories(path)
 
 
+def trajectory_fault(line: bytes):
+    """What the line rule finds wrong with one trajectory line, or None."""
+    try:
+        _fields(line, _TRAJECTORY)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 # Cells next to the edges of what numpy and the line rule read: a leading zero, ``-0``, a
 # leading ``+``, padding, an Arabic-Indic digit, ``_``, 2**63, an overflowing quality, NA.
 run_cells = ["0", "3", "-0", "007", str(2**63 - 1)]
@@ -423,7 +462,7 @@ def test_a_body_is_read_exactly_when_the_line_rule_flags_no_line(tmp_path_factor
         body = body.removesuffix(ends[len(raw) - 1].encode())
     path = tmp_path_factory.mktemp("rule") / "t.csv"
     path.write_bytes(b"run,evaluations,quality\n" + body)
-    flagged = [(n, problem) for n, problem in enumerate(map(_trajectory_fault, raw), start=2)
+    flagged = [(n, problem) for n, problem in enumerate(map(trajectory_fault, raw), start=2)
                if problem is not None]
     if not flagged:
         read_trajectories(path)
@@ -462,6 +501,23 @@ class TestAtomicWrites:
         path.write_text("earlier\n", encoding="utf-8")
         with pytest.raises((TypeError, ValueError, AttributeError)):
             getattr(self, writer)(path)
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("points, problem", [
+        ([(1, math.nan)], "not a strict staircase"),
+        ([(0, 1.0)], "not a strict staircase"),
+        ([(3, 1.0), (2, 0.5)], "not a strict staircase"),
+        ([(1, 1.0), (2, 2.0)], "not a strict staircase"),
+        ([], "run 1 has an empty trajectory"),
+    ])
+    def test_trajectories_the_reader_would_not_read_back_are_not_written(
+            self, tmp_path, points, problem):
+        path = tmp_path / "out"
+        path.write_text("earlier\n", encoding="utf-8")
+        trajs = as_trajectories([[(1, 10.0)], points], MIN)
+        with pytest.raises(ValueError, match=problem):
+            write_trajectories(path, trajs)
         assert path.read_text(encoding="utf-8") == "earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
