@@ -15,7 +15,7 @@ The ``bench`` console script exposes the run/ingest/analyze pipeline.
 from .attainment import (AttainmentPoint, LevelSelector, LevelSet, Trajectory,
                          TrajectoryLogger, default_nadir, eaf_levels, surface, volume)
 from .histogram import Axis, Discretization, Histogram, eah, fit_discretization
-from .loggers import CellKey, Combine, Cursor, Logger, LogInfo, Store, Watcher
+from .loggers import Batch, CellKey, Combine, Cursor, Logger, LogInfo, Store, Watcher
 from .problems import (SUITES, ContinuousSuite, Direction, LeadingOnes,
                        MetaData, OneMax, Problem, PseudoBooleanSuite,
                        Rastrigin, Sphere, Suite)
@@ -26,7 +26,7 @@ from . import triggers
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttainmentPoint", "Axis", "CellKey", "Combine", "ContinuousSuite",
+    "AttainmentPoint", "Axis", "Batch", "CellKey", "Combine", "ContinuousSuite",
     "Cursor", "Direction", "Discretization", "External",
     "Histogram", "LeadingOnes", "LevelSelector", "LevelSet", "LogInfo",
     "Logger", "MetaData", "OneMax", "Problem", "Property",

@@ -188,8 +188,20 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser, and parser class of its subcommands, that rejects a flag value of
+    exactly ``--``. Python 3.11's argparse drops that value before the flag's
+    converter runs, leaving an empty list as the flag's value."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            self._get_value(action, "--")  # a converter that rejects it names its own rule
+            raise argparse.ArgumentError(action, "expects a value, got '--'")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bench",
         description="Benchmark anytime optimizers and analyze attainment data.")
     sub = parser.add_subparsers(dest="command", required=True)

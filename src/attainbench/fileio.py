@@ -40,6 +40,7 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -157,8 +158,16 @@ def _read_bytes(path: Path, what: str) -> bytes:
 
 def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
     """Write trajectories as a ``run,evaluations,quality`` CSV. They are checked as
-    :func:`~attainbench.attainment.eaf_levels` checks them, so each reads back as written."""
+    :func:`~attainbench.attainment.eaf_levels` checks them, and their run ids as the
+    reader reads them, once each, so each trajectory reads back as written."""
     trajs, _, columns = _runs(trajectories, "write_trajectories")
+    seen = set()
+    for run in (traj.run for traj in trajs):
+        if isinstance(run, bool) or not isinstance(run, numbers.Integral) or not 0 <= run < 2**63:
+            raise ValueError(f"write_trajectories: run {run!r} is not an integer in [0, 2**63)")
+        if run in seen:
+            raise ValueError(f"write_trajectories: run {run} appears more than once")
+        seen.add(run)
     with _atomic_writer(Path(path), "trajectory file") as fh:
         fh.write("run,evaluations,quality\n")
         for traj, (times, qualities) in zip(trajs, columns):

@@ -1,12 +1,13 @@
 """Logger contract and the composite loggers built on it.
 
 Problems push three notifications at attached loggers: ``attach`` when a new
-(problem, dimension, instance) context begins, ``call`` for every objective
-evaluation (carrying a :class:`LogInfo` snapshot) and ``reset`` at run
-boundaries. Run indices are zero-based and advance on every reset, tracked
-per context so one logger can serve a whole suite.
+(problem, dimension, instance) context begins, ``call`` with one
+:class:`Batch` of objective evaluations and ``reset`` at run boundaries. A
+batch holds its evaluations in order, one tuple per column; a single
+evaluation is a batch of one. Run indices are zero-based and advance on
+every reset, tracked per context so one logger can serve a whole suite.
 
-A :class:`Watcher` records each event its triggers fire on as one tuple,
+A :class:`Watcher` records each row its triggers fire on as one tuple,
 ``(evaluations, *readings)``, where a reading is a ``float`` or ``None``
 when absent; :class:`Store` looks one reading up by cursor. Slot 0 is the
 one copy of the evaluation count, so ``evaluations`` names no property.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 from .properties import Property
@@ -24,9 +26,9 @@ from .triggers import Any
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class LogInfo:
-    """Per-evaluation snapshot handed to loggers.
+class LogInfo(NamedTuple):
+    """One evaluation: its count, values and the bests after it. A problem's
+    ``state`` is its last one, and row ``i`` of a :class:`Batch` is one.
 
     Best values are already updated for the evaluation being reported, so a
     strict improvement shows up as ``transformed_y == transformed_y_best``; so
@@ -39,6 +41,22 @@ class LogInfo:
     raw_y_best: float = float("nan")
     transformed_y: float = float("nan")
     transformed_y_best: float = float("nan")
+
+
+class Batch(NamedTuple):
+    """Consecutive evaluations handed to loggers in one ``call``, by column.
+
+    Row ``i`` of the batch is the :class:`LogInfo` made of each column's
+    ``i``-th entry. Counts are ``int`` and values ``float``, and each row's
+    bests already include that row. Every column is a tuple, so each logger
+    that is handed a batch, or keeps it, sees the values as they were logged.
+    """
+
+    evaluations: tuple
+    raw_y: tuple
+    raw_y_best: tuple
+    transformed_y: tuple
+    transformed_y_best: tuple
 
 
 class CellKey(NamedTuple):
@@ -91,12 +109,12 @@ class Logger:
         self._meta = meta
         self._on_attach(meta)
 
-    def call(self, info: LogInfo) -> None:
+    def call(self, batch: Batch) -> None:
         if self._meta is None:
             raise RuntimeError(
                 f"{type(self).__name__}.call() before attach(); attach the logger to a problem first"
             )
-        self._on_call(info)
+        self._on_call(batch)
 
     def reset(self) -> None:
         if self._meta is not None:
@@ -106,7 +124,7 @@ class Logger:
     def _on_attach(self, meta) -> None:
         pass
 
-    def _on_call(self, info: LogInfo) -> None:
+    def _on_call(self, batch: Batch) -> None:
         pass
 
     def _on_reset(self) -> None:
@@ -127,9 +145,9 @@ class Combine:
         for lg in self.loggers:
             lg.attach(meta)
 
-    def call(self, info: LogInfo) -> None:
+    def call(self, batch: Batch) -> None:
         for lg in self.loggers:
-            lg.call(info)
+            lg.call(batch)
 
     def reset(self) -> None:
         for lg in self.loggers:
@@ -140,15 +158,17 @@ class Watcher(Logger):
     """Logger gated by triggers, recording a fixed set of properties.
 
     The trigger list becomes one :class:`~attainbench.triggers.Any`,
-    :attr:`trigger`, which evaluates every trigger on every event, so stateful
+    :attr:`trigger`, which evaluates every trigger on every row, so stateful
     triggers (improvement tracking) advance uniformly; nest an ``All`` for
     all-of behaviour. Trigger state is cleared at run boundaries and when a
     new context attaches.
 
-    Each event that fires is recorded as one tuple, ``(evaluations,
+    Each row that fires is recorded as one tuple, ``(evaluations,
     *readings)``: the evaluation count as an ``int``, then one reading per
-    property in :attr:`property_names` order. Tuples are grouped by benchmark
-    cell and zero-based run index, in the order they were logged.
+    property in :attr:`property_names` order. Properties are read once per
+    batch that fires, so an external reading is the same on every row of one
+    batch. Tuples are grouped by benchmark cell and zero-based run index, in
+    the order they were logged.
 
     Property names must be unique within one watcher.
     """
@@ -173,11 +193,12 @@ class Watcher(Logger):
     def _on_reset(self) -> None:
         self.trigger.reset()
 
-    def _on_call(self, info: LogInfo) -> None:
-        if self.trigger(info, self._meta):
+    def _on_call(self, batch: Batch) -> None:
+        fired = self.trigger(batch, self._meta)
+        if True in fired:
             runs = self._cells.setdefault(self._cell, {})
-            runs.setdefault(self._run_index[self._cell], []).append(
-                (int(info.evaluations), *[p(info) for p in self.properties]))
+            runs.setdefault(self._run_index[self._cell], []).extend(compress(
+                zip(batch.evaluations, *[p(batch) for p in self.properties]), fired))
 
     def cells(self) -> list:
         """Benchmark cells with at least one recorded event, sorted."""

@@ -1,7 +1,9 @@
 """Watchable quantities recorded by loggers.
 
-A property is a named accessor that maps a log event to a scalar reading:
-a ``float``, or ``None`` when the reading is absent. A detached external
+A property is a named accessor that maps each row of a
+:class:`~attainbench.loggers.Batch` to a scalar reading: a ``float``, or
+``None`` when the reading is absent. It returns the readings of a whole
+batch as one tuple, in row order. A detached external
 binding reads ``None``, never a stale or made-up number, and file backends
 render it as the ``NA`` token; a present NaN stays a float. ``evaluations``
 is a reserved name, because every logged event carries that count already.
@@ -13,7 +15,7 @@ from typing import Callable, Optional
 
 
 class Property:
-    """Named accessor producing a ``float`` reading, or ``None``, from a log event.
+    """Named accessor producing one ``float`` reading, or ``None``, per batch row.
 
     The name heads a flat-file column: it must be non-empty, other than the
     fixed count column ``evaluations`` and free of ``,``, ``"``, CR and LF.
@@ -28,7 +30,7 @@ class Property:
             raise ValueError(f"property name {name!r} is reserved for the evaluation count")
         self.name = name
 
-    def __call__(self, info) -> Optional[float]:
+    def __call__(self, batch) -> tuple:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -36,16 +38,16 @@ class Property:
 
 
 class _Field(Property):
-    """Reads the :class:`LogInfo` field named by the subclass's ``field``,
-    which is also the default property name."""
+    """Reads the :class:`~attainbench.loggers.Batch` column named by the
+    subclass's ``field``, which is also the default property name."""
 
     field: str
 
     def __init__(self, name: Optional[str] = None):
         super().__init__(self.field if name is None else name)
 
-    def __call__(self, info) -> float:
-        return float(getattr(info, self.field))
+    def __call__(self, batch) -> tuple:
+        return getattr(batch, self.field)
 
 
 class RawY(_Field):
@@ -76,8 +78,9 @@ class External(Property):
     """Watches a value owned by the host program.
 
     The value is pulled through ``getter`` (a zero-argument callable) each
-    time the property is read, so recorded numbers reflect the host variable
-    at the moment the event fired, not at attach time. :meth:`detach`
+    time the property is read, which is once per batch: every row of one
+    batch reads the host variable as it was when the batch was logged, not
+    at attach time. A single evaluation is a batch of one. :meth:`detach`
     disables the binding, after which reads are ``None``; :meth:`rebind`
     points the property at a different host value mid-run, and subsequent
     reads track the new target.
@@ -99,7 +102,6 @@ class External(Property):
             raise ValueError("rebind target must be callable; use detach() to disable the binding")
         self._getter = getter
 
-    def __call__(self, info) -> Optional[float]:
-        if self._getter is None:
-            return None
-        return float(self._getter())
+    def __call__(self, batch) -> tuple:
+        reading = None if self._getter is None else float(self._getter())
+        return (reading,) * len(batch.evaluations)

@@ -1,8 +1,11 @@
 """Reference solvers for exercising the logging pipeline.
 
 Both are deliberately simple baselines: they spend exactly ``budget``
-objective calls per run and take their randomness from a caller-provided
-generator, so a seeded generator reproduces the run bit for bit.
+objective evaluations per run and take their randomness from a
+caller-provided generator, so a seeded generator reproduces the run bit for
+bit. Random search evaluates its budget in batches of at most
+:data:`BLOCK` rows, so its memory does not grow with the budget; the hill
+climber depends on each result, so it evaluates one solution at a time.
 """
 
 from __future__ import annotations
@@ -11,18 +14,24 @@ import numpy as np
 
 from .problems import Problem
 
+#: Rows per batch of :func:`random_search`, which bounds its memory whatever the budget.
+BLOCK = 256
 
-def _sample(problem: Problem, rng: np.random.Generator) -> np.ndarray:
-    d = problem.meta.dimension
+
+def _sample(problem: Problem, rng: np.random.Generator, *n: int) -> np.ndarray:
+    """A uniform sample of the search space, or ``n`` of them as rows. The rows
+    are the same draws, in order, as ``n`` single samples."""
+    size = (*n, problem.meta.dimension)
     if problem.domain == "boolean":
-        return rng.integers(0, 2, size=d)
-    return rng.uniform(problem.lower, problem.upper, size=d)
+        return rng.integers(0, 2, size=size)
+    return rng.uniform(problem.lower, problem.upper, size=size)
 
 
 def random_search(problem: Problem, budget: int, rng: np.random.Generator) -> None:
-    """Independent uniform samples of the search space."""
-    for _ in range(budget):
-        problem(_sample(problem, rng))
+    """Independent uniform samples of the search space, in batches of at most
+    :data:`BLOCK` rows; the draws do not depend on the batch size."""
+    for done in range(0, budget, BLOCK):
+        problem.evaluate(_sample(problem, rng, min(BLOCK, budget - done)))
 
 
 def hill_climber(problem: Problem, budget: int, rng: np.random.Generator) -> None:

@@ -1,20 +1,24 @@
 """Predicates deciding when a logger records an event.
 
-A trigger is a callable taking ``(info, meta)`` and returning a bool.
-Stateful triggers carry per-run state and implement :meth:`Trigger.reset`,
-which loggers invoke at run boundaries. Evaluation indices are 1-based: the
-first objective call of a run reports ``evaluations == 1``.
+A trigger is a callable taking ``(batch, meta)``, a
+:class:`~attainbench.loggers.Batch` of consecutive evaluations and the
+problem's metadata, and returning one bool per row of the batch, in order.
+Stateful triggers carry per-run state across batches and implement
+:meth:`Trigger.reset`, which loggers invoke at run boundaries. Evaluation
+indices are 1-based: the first objective call of a run reports
+``evaluations == 1``.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Sequence
 
 
 class Trigger:
-    """Boolean predicate over (event snapshot, problem metadata)."""
+    """Boolean predicate over the rows of a batch, given the problem metadata."""
 
-    def __call__(self, info, meta) -> bool:
+    def __call__(self, batch, meta) -> list:
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -24,26 +28,33 @@ class Trigger:
 class Always(Trigger):
     """Fires on every objective call."""
 
-    def __call__(self, info, meta) -> bool:
-        return True
+    def __call__(self, batch, meta) -> list:
+        return [True] * len(batch.evaluations)
 
 
 class OnImprovement(Trigger):
     """Fires when the transformed value strictly improves on the best seen.
 
     The internal best starts at the direction's worst value, so the first
-    evaluation of a run always fires; repeating the current best does not.
+    evaluation of a run always fires; repeating the current best does not,
+    and neither does NaN.
     """
 
     def __init__(self):
         self._best: Optional[float] = None
 
-    def __call__(self, info, meta) -> bool:
-        best = self._best if self._best is not None else meta.direction.worst
-        if meta.direction.better(info.transformed_y, best):
-            self._best = info.transformed_y
-            return True
-        return False
+    def __call__(self, batch, meta) -> list:
+        better = meta.direction.better
+        best = meta.direction.worst if self._best is None else self._best
+        fired = []
+        for y in batch.transformed_y:
+            if better(y, best):
+                best = y
+                fired.append(True)
+            else:
+                fired.append(False)
+        self._best = best
+        return fired
 
     def reset(self) -> None:
         self._best = None
@@ -57,8 +68,8 @@ class At(Trigger):
         if any(i < 1 for i in self.indices):
             raise ValueError("evaluation indices are 1-based positive integers")
 
-    def __call__(self, info, meta) -> bool:
-        return info.evaluations in self.indices
+    def __call__(self, batch, meta) -> list:
+        return [e in self.indices for e in batch.evaluations]
 
 
 class Each(Trigger):
@@ -72,9 +83,9 @@ class Each(Trigger):
         self.interval = int(interval)
         self.start = int(start)
 
-    def __call__(self, info, meta) -> bool:
-        e = info.evaluations
-        return e >= self.start and (e - self.start) % self.interval == 0
+    def __call__(self, batch, meta) -> list:
+        start, interval = self.start, self.interval
+        return [e >= start and (e - start) % interval == 0 for e in batch.evaluations]
 
 
 class During(Trigger):
@@ -91,20 +102,29 @@ class During(Trigger):
             spans.append((lo, hi))
         self.intervals = tuple(spans)
 
-    def __call__(self, info, meta) -> bool:
-        e = info.evaluations
-        return any(lo <= e <= hi for lo, hi in self.intervals)
+    def __call__(self, batch, meta) -> list:
+        return [any(lo <= e <= hi for lo, hi in self.intervals) for e in batch.evaluations]
 
 
 class _Junction(Trigger):
-    """Child triggers of :class:`Any` and :class:`All`.
+    """Child triggers of :class:`Any` and :class:`All`, joined row by row.
 
-    Every child is evaluated on every event (no short-circuiting) so that
+    Every child is evaluated on every batch (no short-circuiting) so that
     stateful children advance uniformly whatever their position in the list.
     """
 
+    _empty: bool  # the result with no children
+    _join: object  # joins two rows' results, a builtin so it does not bind
+
     def __init__(self, triggers: Iterable[Trigger]):
         self.triggers = list(triggers)
+
+    def __call__(self, batch, meta) -> list:
+        fired = None
+        for t in self.triggers:
+            mask = t(batch, meta)
+            fired = mask if fired is None else list(map(self._join, fired, mask))
+        return [self._empty] * len(batch.evaluations) if fired is None else fired
 
     def reset(self) -> None:
         for t in self.triggers:
@@ -114,17 +134,12 @@ class _Junction(Trigger):
 class Any(_Junction):
     """Logical OR over child triggers; empty means never."""
 
-    def __call__(self, info, meta) -> bool:
-        # Every Watcher calls this per event; a list comprehension adds ~0.5 us here.
-        fired = False
-        for t in self.triggers:
-            if t(info, meta):
-                fired = True
-        return fired
+    _empty = False
+    _join = operator.or_
 
 
 class All(_Junction):
     """Logical AND over child triggers; empty means always."""
 
-    def __call__(self, info, meta) -> bool:
-        return all([t(info, meta) for t in self.triggers])
+    _empty = True
+    _join = operator.and_

@@ -14,10 +14,16 @@ import math
 import numpy as np
 
 from attainbench.attainment import AttainmentPoint, Trajectory
+from attainbench.loggers import Batch
 from attainbench.problems import Direction, MetaData
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
+
+
+def batch_of(*rows):
+    """The batch whose rows are the given ``LogInfo`` rows, in order."""
+    return Batch(*zip(*rows)) if rows else Batch((), (), (), (), ())
 
 
 def improvement_count(values, direction):

@@ -31,6 +31,7 @@ from attainbench.triggers import Always, OnImprovement
 import oracles
 from oracles import (
     as_trajectories,
+    batch_of,
     attain_counts_grid,
     eah_bruteforce,
     minimal_from_grid,
@@ -57,10 +58,10 @@ def test_criterion_01_improvement_trigger_sequence():
     values = [9999.0, 100.0, 100.0, 10.0, 10.0, 99.0, 11.0, 9.0]
     trigger = OnImprovement()
     start = time.perf_counter()
-    fired = [trigger(LogInfo(evaluations=e, transformed_y=v), meta)
+    fired = [trigger(batch_of(LogInfo(evaluations=e, transformed_y=v)), meta)[0]
              for e, v in enumerate(values, start=1)]
     trigger.reset()
-    after_reset = trigger(LogInfo(evaluations=1, transformed_y=99.0), meta)
+    (after_reset,) = trigger(batch_of(LogInfo(evaluations=1, transformed_y=99.0)), meta)
     elapsed = time.perf_counter() - start
     ok = (fired == [True, True, False, True, False, False, False, True]
           and after_reset is True and elapsed < 1e-3)

@@ -27,7 +27,7 @@ from attainbench.loggers import CellKey, LogInfo
 from attainbench.problems import Direction, MetaData
 
 import oracles
-from oracles import as_trajectories, eaf_levels_bruteforce, random_staircases, weakly_dominates
+from oracles import as_trajectories, batch_of, eaf_levels_bruteforce, random_staircases, weakly_dominates
 from test_equivalence import staircase_groups
 
 MIN = Direction.MINIMIZATION
@@ -63,7 +63,8 @@ class TestTrajectoryLogger:
             for e, v in enumerate(values, start=1):
                 if meta.direction.better(v, best):
                     best = v
-                logger.call(LogInfo(evaluations=e, transformed_y=v, transformed_y_best=best))
+                logger.call(batch_of(LogInfo(evaluations=e, transformed_y=v,
+                                             transformed_y_best=best)))
             logger.reset()
         return logger
 
@@ -85,7 +86,8 @@ class TestTrajectoryLogger:
         for pid in (2, 1):
             meta = MetaData("fake", pid, 1, 4, MIN)
             logger.attach(meta)
-            logger.call(LogInfo(evaluations=1, transformed_y=1.0, transformed_y_best=1.0))
+            logger.call(batch_of(LogInfo(evaluations=1, transformed_y=1.0,
+                                         transformed_y_best=1.0)))
             logger.reset()
         assert [c.problem_id for c in logger.cells()] == [1, 2]
         assert [t.meta.problem_id for t in logger.trajectories()] == [1, 2]
@@ -220,8 +222,8 @@ class TestLevelSelector:
             meta = MetaData("fake", pid, 1, 4, MIN)
             logger.attach(meta)
             for run in range(runs_per_cell):
-                logger.call(LogInfo(evaluations=1, transformed_y=float(10 - run),
-                                    transformed_y_best=float(10 - run)))
+                logger.call(batch_of(LogInfo(evaluations=1, transformed_y=float(10 - run),
+                                             transformed_y_best=float(10 - run))))
                 logger.reset()
         return logger
 

@@ -381,6 +381,20 @@ def test_a_malformed_flag_is_named_by_argparse_and_writes_nothing(
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command, flag", [("run", "--runs"), ("run", "--seed"),
+                                           ("stats", "--levels"), ("stats", "--nadir")])
+def test_a_flag_value_of_two_dashes_is_rejected_by_the_subcommand(
+        tmp_path, capsys, ab_file, command, flag):
+    out = tmp_path / "out"
+    valid = {"run": ["--out", str(out)],
+             "stats": ["--in", str(ab_file), "--levels", "0"]}[command]
+    err = run_cli_expecting_usage_error([command, *valid, f"{flag}=--"])
+    assert f"bench {command}: error: argument {flag}: expects " in err
+    assert "got '--'" in err
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_an_integer_flag_past_the_int_digit_limit_gets_the_flag_message(ab_file):
     digits = "1" * 5000
     err = run_cli_expecting_usage_error(["stats", "--in", str(ab_file), f"--levels={digits}"])

@@ -1,5 +1,6 @@
 """The array kernels and the trajectory logger against brute force and frozen
-copies of the code they replaced.
+copies of the code they replaced, and batched evaluation against a loop of
+scalar calls.
 
 Groups are drawn from small coordinate ranges so that times are shared
 across runs and qualities tie across runs; raw trajectory rows repeat
@@ -8,18 +9,22 @@ evaluation counts within a run.
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attainbench import triggers as tg
 from attainbench.attainment import (LevelSet, TrajectoryLogger, default_nadir, eaf_levels,
                                     surface, volume)
 from attainbench.fileio import read_trajectories
 from attainbench.histogram import fit_discretization
-from attainbench.loggers import LogInfo
-from attainbench.problems import Direction, MetaData
+from attainbench.loggers import LogInfo, Store
+from attainbench.problems import Direction, LeadingOnes, MetaData, OneMax, Rastrigin, Sphere
+from attainbench.properties import External, RawY, RawYBest, TransformedY, TransformedYBest
 
-from oracles import (TrajectoryLoggerFrozen, as_trajectories, eaf_levels_bruteforce,
-                     improvement_staircase_rowwise, surface_sequential)
+from oracles import (TrajectoryLoggerFrozen, as_trajectories, batch_of,
+                     eaf_levels_bruteforce, improvement_staircase_rowwise, surface_sequential)
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
@@ -124,14 +129,109 @@ def test_trajectory_logger_equals_the_frozen_logger(cell_directions, first, step
     new, old = TrajectoryLogger(), TrajectoryLoggerFrozen()
     steps = [("attach", first)] + steps
     for evaluations, step in enumerate(steps, start=1):
+        if step[0] == "call":
+            info = LogInfo(evaluations=evaluations, transformed_y=step[1],
+                           transformed_y_best=step[2])
+            new.call(batch_of(info))
+            old.call(info)
         for logger in (new, old):
             if step[0] == "attach":
                 logger.attach(metas[step[1] % len(metas)])
-            elif step[0] == "call":
-                logger.call(LogInfo(evaluations=evaluations, transformed_y=step[1],
-                                    transformed_y_best=step[2]))
-            else:
+            elif step[0] == "reset":
                 logger.reset()
     assert new.cells() == old.cells()
     for cell in old.cells():
         assert new.trajectories(cell) == old.trajectories(cell)
+
+
+def leading_ones_rowwise(x):
+    zeros = np.flatnonzero(x == 0)
+    return float(zeros[0] if zeros.size else x.size)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 10, 16, 17, 33, 64, 100])
+def test_the_batch_kernels_keep_the_bits_of_the_row_kernels(d):
+    rng = np.random.default_rng(d)
+    X = rng.uniform(-5.0, 5.0, (9, d))
+    sphere = [float(np.dot(x, x)) for x in X]
+    assert Sphere(1, 1, d).evaluate(X) == sphere
+    assert list(map(Sphere(1, 1, d), X)) == sphere
+    rastrigin = [float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x))) for x in X]
+    assert Rastrigin(2, 1, d).evaluate(X) == rastrigin
+    assert list(map(Rastrigin(2, 1, d), X)) == rastrigin
+    bits = rng.integers(0, 2, (9, d))
+    bits[0] = 1
+    assert OneMax(1, 1, d).evaluate(bits) == [float(np.sum(x)) for x in bits]
+    assert LeadingOnes(2, 1, d).evaluate(bits) == [leading_ones_rowwise(x) for x in bits]
+
+
+class Peak(Sphere):
+    """Sphere under maximization, so that NaN values and ties meet both directions."""
+
+    direction = MAX
+
+
+LEAVES = {"always": tg.Always, "improvement": tg.OnImprovement, "at": tg.At,
+          "each": tg.Each, "during": tg.During, "any": tg.Any, "all": tg.All}
+
+trigger_specs = st.recursive(
+    st.one_of(st.tuples(st.just("always")),
+              st.tuples(st.just("improvement")),
+              st.tuples(st.just("at"), st.sets(st.integers(1, 12), max_size=4)),
+              st.tuples(st.just("each"), st.integers(1, 4), st.integers(0, 5)),
+              st.tuples(st.just("during"), st.lists(
+                  st.tuples(st.integers(1, 10), st.integers(0, 4)).map(
+                      lambda span: (span[0], span[0] + span[1])), max_size=2))),
+    lambda children: st.tuples(st.sampled_from(["any", "all"]), st.lists(children, max_size=3)),
+    max_leaves=6)
+
+
+def build(spec):
+    """A fresh trigger from its spec, so that two loggers never share trigger state."""
+    kind, *args = spec
+    if kind in ("any", "all"):
+        return LEAVES[kind]([build(child) for child in args[0]])
+    return LEAVES[kind](*args)
+
+
+# Rows of a 2-d problem: quarter steps tie often, and a NaN coordinate gives a NaN value.
+rows = st.lists(st.integers(-8, 8).map(lambda v: v / 4) | st.just(math.nan),
+                min_size=2, max_size=2)
+# Per batch: the rows, then what the external property is bound to (None: detached).
+batches = st.tuples(st.lists(rows, max_size=4), st.none() | small_qualities)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=st.sampled_from([Sphere, Peak]), instance=st.integers(1, 2),
+       specs=st.lists(trigger_specs, max_size=3),
+       runs=st.lists(st.lists(batches, max_size=5), min_size=1, max_size=3))
+def test_a_batch_equals_a_loop_of_scalar_calls(problem, instance, specs, runs):
+    external = External("extra")
+    properties = [RawY(), RawYBest(), TransformedY(), TransformedYBest(), external]
+    sides = []
+    for _ in range(2):
+        pb = problem(1, instance, 2)
+        store, trajectories = Store([build(s) for s in specs], properties), TrajectoryLogger()
+        pb.attach_logger(store)
+        pb.attach_logger(trajectories)
+        sides.append((pb, store, trajectories))
+    (batched, *_), (scalar, *_) = sides
+    for run in runs:
+        for batch, binding in run:
+            if binding is None:
+                external.detach()
+            else:
+                external.rebind(lambda binding=binding: binding)
+            got = batched.evaluate(np.array(batch, dtype=float).reshape(-1, 2))
+            assert repr(got) == repr([scalar(row) for row in batch])
+            assert repr(batched.state) == repr(scalar.state)
+        batched.reset()
+        scalar.reset()
+        assert repr(batched.state) == repr(scalar.state)
+    (_, store_b, traj_b), (_, store_s, traj_s) = sides
+    assert store_b.cells() == store_s.cells()
+    for cell in store_s.cells():
+        assert store_b.runs(cell) == store_s.runs(cell)
+        for run in store_s.runs(cell):
+            assert repr(store_b.events(cell, run)) == repr(store_s.events(cell, run))
+    assert traj_b.trajectories() == traj_s.trajectories()

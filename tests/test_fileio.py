@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -28,7 +29,7 @@ from attainbench.problems import Direction, MetaData
 from attainbench.properties import External, TransformedY, TransformedYBest
 from attainbench.triggers import Always
 
-from oracles import as_trajectories
+from oracles import as_trajectories, batch_of
 
 MIN = Direction.MINIMIZATION
 META = MetaData("fake", 3, 2, 5, MIN)
@@ -40,7 +41,8 @@ def feed(store, values, meta=META, runs=1):
         best = math.inf
         for e, v in enumerate(values, start=1):
             best = min(best, v)
-            store.call(LogInfo(evaluations=e, transformed_y=v, transformed_y_best=best))
+            store.call(batch_of(LogInfo(evaluations=e, transformed_y=v,
+                                        transformed_y_best=best)))
         store.reset()
 
 
@@ -69,9 +71,9 @@ class TestFlatFiles:
         external = External("extra", lambda: 7.0)
         store = Store([Always()], [TransformedY(), external])
         store.attach(META)
-        store.call(LogInfo(evaluations=1, transformed_y=1.0, transformed_y_best=1.0))
+        store.call(batch_of(LogInfo(evaluations=1, transformed_y=1.0, transformed_y_best=1.0)))
         external.detach()
-        store.call(LogInfo(evaluations=2, transformed_y=0.5, transformed_y_best=0.5))
+        store.call(batch_of(LogInfo(evaluations=2, transformed_y=0.5, transformed_y_best=0.5)))
         (path,) = write_flat_files(store, tmp_path)
         body = path.read_text(encoding="utf-8").splitlines()[1:]
         assert body == ["0,0,1,1.0,7.0", f"0,1,2,0.5,{NA}"]
@@ -80,9 +82,9 @@ class TestFlatFiles:
         external = External("extra", lambda: math.nan)
         store = Store([Always()], [external])
         store.attach(META)
-        store.call(LogInfo(evaluations=1))
+        store.call(batch_of(LogInfo(evaluations=1)))
         external.detach()
-        store.call(LogInfo(evaluations=2))
+        store.call(batch_of(LogInfo(evaluations=2)))
         first, second = (Cursor(*cell_key(META), event_index=i) for i in (0, 1))
         assert math.isnan(store.at(first, "extra"))
         assert store.at(second, "extra") is None
@@ -243,7 +245,7 @@ def test_flat_files_read_back_every_reading_the_store_holds(tmp_path_factory, na
                         prop.detach()
                     else:
                         prop.rebind(lambda value=value: value)
-                store.call(LogInfo(evaluations=count))
+                store.call(batch_of(LogInfo(evaluations=count)))
             store.reset()
     paths = write_flat_files(store, tmp_path_factory.mktemp("flat"))
     assert len(paths) == len(store.cells())
@@ -520,6 +522,19 @@ class TestAtomicWrites:
             write_trajectories(path, trajs)
         assert path.read_text(encoding="utf-8") == "earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("runs, problem", [
+        ((0, 0), "write_trajectories: run 0 appears more than once"),
+        ((0, -1), re.escape("write_trajectories: run -1 is not an integer in [0, 2**63)")),
+    ], ids=["duplicate", "negative"])
+    def test_run_ids_the_reader_would_not_read_back_are_not_written(
+            self, tmp_path, runs, problem):
+        trajs = as_trajectories([[(1, 10.0)], [(2, 8.0)]], MIN)
+        for traj, run in zip(trajs, runs):
+            traj.run = run
+        with pytest.raises(ValueError, match=problem):
+            write_trajectories(tmp_path / "t.csv", trajs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_target_names_the_path(self, tmp_path):
         trajs = as_trajectories([[(1, 10.0)]], MIN)

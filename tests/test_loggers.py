@@ -7,6 +7,8 @@ from attainbench.problems import Direction, MetaData
 from attainbench.properties import External, TransformedY
 from attainbench.triggers import Always, Each, OnImprovement
 
+from oracles import batch_of
+
 META = MetaData("fake", 1, 1, 5, Direction.MINIMIZATION)
 META_OTHER = MetaData("fake", 2, 1, 5, Direction.MINIMIZATION)
 
@@ -22,8 +24,8 @@ class Probe(Logger):
     def _on_attach(self, meta):
         self.events.append((self.name, "attach", cell_key(meta), self.current_run))
 
-    def _on_call(self, info):
-        self.events.append((self.name, "call", info.evaluations, self.current_run))
+    def _on_call(self, batch):
+        self.events.append((self.name, "call", batch.evaluations, self.current_run))
 
     def _on_reset(self):
         self.events.append((self.name, "reset", self.current_run))
@@ -35,13 +37,14 @@ def drive(logger, values, meta=META):
     for e, v in enumerate(values, start=1):
         if meta.direction.better(v, best):
             best = v
-        logger.call(LogInfo(evaluations=e, transformed_y=v, transformed_y_best=best))
+        logger.call(batch_of(LogInfo(evaluations=e, transformed_y=v,
+                                     transformed_y_best=best)))
 
 
 def test_call_before_attach_is_an_error():
     store = Store([Always()])
     with pytest.raises(RuntimeError):
-        store.call(LogInfo(evaluations=1))
+        store.call(batch_of(LogInfo(evaluations=1)))
 
 
 def test_current_run_is_zero_before_any_attach():
@@ -127,7 +130,7 @@ class TestCombine:
         a, b = Probe("a", events), Probe("b", events)
         combined = Combine([a, b])
         combined.attach(META)
-        combined.call(LogInfo(evaluations=1))
+        combined.call(batch_of(LogInfo(evaluations=1)))
         combined.reset()
         kinds = [(name, kind) for name, kind, *_ in events]
         assert kinds == [("a", "attach"), ("b", "attach"),
@@ -139,13 +142,13 @@ class TestCombine:
         a = Probe("a", events)
         combined = Combine([a, a])
         combined.attach(META)
-        combined.call(LogInfo(evaluations=1))
+        combined.call(batch_of(LogInfo(evaluations=1)))
         assert len([e for e in events if e[1] == "call"]) == 2
 
     def test_empty_combine_is_a_no_op(self):
         combined = Combine()
         combined.attach(META)
-        combined.call(LogInfo(evaluations=1))
+        combined.call(batch_of(LogInfo(evaluations=1)))
         combined.reset()
 
 
@@ -155,10 +158,12 @@ class TestStoreCursor:
         self.external = External("extra", lambda: self.holder["x"])
         self.store = Store([Always()], [TransformedY(), self.external])
         self.store.attach(META)
-        self.store.call(LogInfo(evaluations=1, transformed_y=4.0, transformed_y_best=4.0))
+        self.store.call(batch_of(LogInfo(evaluations=1, transformed_y=4.0,
+                                         transformed_y_best=4.0)))
         self.holder["x"] = 20.0
         self.external.detach()
-        self.store.call(LogInfo(evaluations=2, transformed_y=3.0, transformed_y_best=3.0))
+        self.store.call(batch_of(LogInfo(evaluations=2, transformed_y=3.0,
+                                         transformed_y_best=3.0)))
 
     def cursor(self, **kw):
         return Cursor("fake", 1, 5, 1, **kw)

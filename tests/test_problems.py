@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from attainbench.loggers import Logger
+from attainbench.loggers import Logger, Store, cell_key
 from attainbench.problems import (
     SUITES,
     ContinuousSuite,
@@ -18,20 +18,22 @@ from attainbench.problems import (
     Rastrigin,
     Sphere,
 )
+from attainbench.properties import TransformedY
+from attainbench.triggers import Always
 
 
 class Recorder(Logger):
     def __init__(self):
         super().__init__()
         self.attaches = []
-        self.infos = []
+        self.batches = []
         self.resets = 0
 
     def _on_attach(self, meta):
         self.attaches.append(meta)
 
-    def _on_call(self, info):
-        self.infos.append(info)
+    def _on_call(self, batch):
+        self.batches.append(batch)
 
     def _on_reset(self):
         self.resets += 1
@@ -90,7 +92,7 @@ class TestStateTracking:
         pb.attach_logger(rec)
         pb((1.0, 1.0))
         assert pb.state.evaluations == 1
-        assert rec.infos[0].evaluations == 1
+        assert rec.batches[0].evaluations == (1,)
 
     def test_best_values_update_on_strict_improvement_only(self):
         pb = Sphere(1, 1, 1)
@@ -111,9 +113,9 @@ class TestStateTracking:
         rec = Recorder()
         pb.attach_logger(rec)
         pb((1.0, 2.0))
-        info = rec.infos[-1]
-        assert info.raw_y == info.raw_y_best == 5.0
-        assert info.transformed_y_best == 5.0
+        batch = rec.batches[-1]
+        assert batch.raw_y == batch.raw_y_best == (5.0,)
+        assert batch.transformed_y_best == (5.0,)
 
     def test_reset_clears_state_and_advances_runs(self):
         pb = Sphere(1, 1, 2)
@@ -134,6 +136,79 @@ class TestStateTracking:
             pb((0.0, 0.0))
 
 
+class TestBatches:
+    def test_evaluate_returns_the_row_values_in_order(self):
+        pb = Sphere(1, 1, 2)
+        assert pb.evaluate([[1.0, 1.0], [0.0, 2.0], [0.5, 0.5]]) == [2.0, 4.0, 0.5]
+        assert pb.state == (3, 0.5, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("problem", [Sphere, Rastrigin])
+    def test_values_do_not_depend_on_the_memory_layout(self, problem):
+        X = np.random.default_rng(1).uniform(-5.0, 5.0, (50, 20))
+        by_rows = problem(1, 2, 20).evaluate(X)
+        assert problem(1, 2, 20).evaluate(np.asfortranarray(X)) == by_rows
+        assert problem(1, 2, 20).evaluate(np.repeat(X, 2, axis=1)[:, ::2]) == by_rows
+
+    @staticmethod
+    def watched(problem):
+        """The problem after one evaluation, with a recorder and a store attached."""
+        rec, store = Recorder(), Store([Always()], [TransformedY()])
+        problem.attach_logger(rec)
+        problem.attach_logger(store)
+        problem(np.ones(problem.meta.dimension))
+        return rec, store
+
+    @pytest.mark.parametrize("problem, rows, match", [
+        (Sphere, [[0.0, 0.0], [1.0]], None),
+        (Sphere, np.zeros((3, 3)), "length 2"),
+        (OneMax, [[1, 0], [0.5, 1], [1, 1]], "0/1"),
+    ], ids=["ragged", "wrong length", "half a bit"])
+    def test_a_batch_with_one_bad_row_raises_and_logs_nothing(self, problem, rows, match):
+        pb = problem(1, 1, 2)
+        rec, store = self.watched(pb)
+        before = pb.state
+        with pytest.raises(ValueError, match=match):
+            pb.evaluate(rows)
+        assert pb.state == before
+        assert len(rec.batches) == 1
+        assert store.events(cell_key(pb.meta), 0) == [(1, before.transformed_y)]
+
+    def test_a_batch_after_teardown_raises_and_logs_nothing(self):
+        pb = Sphere(1, 1, 2)
+        rec, store = self.watched(pb)
+        pb.teardown()
+        with pytest.raises(RuntimeError, match="teardown"):
+            pb.evaluate(np.zeros((2, 2)))
+        assert pb.state.evaluations == 1
+        assert len(rec.batches) == 1
+        assert len(store.events(cell_key(pb.meta), 0)) == 1
+
+    def test_an_empty_batch_counts_and_logs_nothing(self):
+        pb = Sphere(1, 1, 2)
+        rec, _ = self.watched(pb)
+        assert pb.evaluate(np.zeros((0, 2))) == []
+        assert pb.state.evaluations == 1 and len(rec.batches) == 1
+
+    @pytest.mark.parametrize("instance", [1, 2])
+    def test_a_logger_or_the_caller_cannot_change_what_the_next_logger_reads(self, instance):
+        class Scribbler(Logger):
+            def _on_call(self, batch):
+                for column in batch:
+                    with pytest.raises(TypeError):
+                        column[0] = 0.0
+
+        pb = Sphere(1, instance, 1)
+        pb.attach_logger(Scribbler())
+        rec, store = self.watched(pb)
+        values = pb.evaluate([[3.0], [2.0]])
+        logged = [list(column) for column in rec.batches[-1]]
+        values.sort()
+        values[0] = -1.0
+        assert [list(column) for column in rec.batches[-1]] == logged
+        assert [v for _, v in store.events(cell_key(pb.meta), 0)][1:] == logged[3]
+        assert logged[0] == [2, 3]
+
+
 class TestLoggerWiring:
     def test_attach_notifies_immediately(self):
         pb = Sphere(7, 1, 3, suite_name="adhoc")
@@ -149,7 +224,7 @@ class TestLoggerWiring:
             pb.attach_logger(rec)
         assert "already attached" in caplog.text
         pb((0.0, 0.0))
-        assert len(rec.infos) == 1
+        assert len(rec.batches) == 1
 
     def test_detached_logger_sees_nothing_further(self):
         pb = Sphere(1, 1, 2)
@@ -159,7 +234,7 @@ class TestLoggerWiring:
         pb.detach_logger(rec)
         pb((1.0, 1.0))
         pb.reset()
-        assert len(rec.infos) == 1 and rec.resets == 0
+        assert len(rec.batches) == 1 and rec.resets == 0
 
     def test_loggers_hear_each_notification_in_attach_order(self):
         heard = []
@@ -172,8 +247,9 @@ class TestLoggerWiring:
             def _on_attach(self, meta):
                 heard.append((self.tag, "attach"))
 
-            def _on_call(self, info):
-                heard.append((self.tag, "call", info.evaluations))
+            def _on_call(self, batch):
+                (evaluations,) = batch.evaluations
+                heard.append((self.tag, "call", evaluations))
 
             def _on_reset(self):
                 heard.append((self.tag, "reset"))
@@ -240,7 +316,7 @@ class TestSuites:
         for problem in suite:
             problem(np.ones(4, dtype=int))
         assert [m.problem_id for m in rec.attaches] == [1, 2]
-        assert len(rec.infos) == 2
+        assert len(rec.batches) == 2
 
     def test_moving_on_tears_down_the_previous_problem(self):
         suite = ContinuousSuite([1], [1, 2], [2])
@@ -282,7 +358,7 @@ class TestSuites:
         assert "already attached to suite continuous" in caplog.text
         for problem in suite:
             problem((0.0, 0.0))
-        assert len(rec.attaches) == 1 and len(rec.infos) == 1
+        assert len(rec.attaches) == 1 and len(rec.batches) == 1
 
     def test_registry_names(self):
         assert set(SUITES) == {"continuous", "pseudo-boolean"}

@@ -14,15 +14,17 @@ from attainbench.properties import (
     TransformedYBest,
 )
 
-INFO = LogInfo(evaluations=7, raw_y=4.0, raw_y_best=2.0,
-               transformed_y=5.0, transformed_y_best=3.0)
+from oracles import batch_of
+
+INFO = batch_of(LogInfo(evaluations=7, raw_y=4.0, raw_y_best=2.0,
+                        transformed_y=5.0, transformed_y_best=3.0))
 
 
 def test_builtin_properties_read_their_fields():
-    assert RawY()(INFO) == 4.0
-    assert RawYBest()(INFO) == 2.0
-    assert TransformedY()(INFO) == 5.0
-    assert TransformedYBest()(INFO) == 3.0
+    assert RawY()(INFO) == (4.0,)
+    assert RawYBest()(INFO) == (2.0,)
+    assert TransformedY()(INFO) == (5.0,)
+    assert TransformedYBest()(INFO) == (3.0,)
 
 
 def test_default_names_are_snake_case():
@@ -47,9 +49,9 @@ def test_the_name_of_the_evaluation_count_is_reserved():
 
 
 def test_reads_do_not_mutate_the_record():
-    before = INFO
+    before = [list(column) for column in INFO]
     TransformedYBest()(INFO)
-    assert INFO == before
+    assert [list(column) for column in INFO] == before
 
 
 class TestExternal:
@@ -57,31 +59,31 @@ class TestExternal:
         holder = {"x": 0.0}
         prop = External("extra", lambda: holder["x"])
         holder["x"] = 3.5
-        assert prop(INFO) == 3.5
+        assert prop(INFO) == (3.5,)
         holder["x"] = -1.0
-        assert prop(INFO) == -1.0
+        assert prop(INFO) == (-1.0,)
 
     def test_detached_reads_are_absent(self):
         prop = External("extra", lambda: 1.0)
         prop.detach()
         assert prop.detached
-        assert prop(INFO) is None
+        assert prop(INFO) == (None,)
 
     def test_rebind_tracks_the_new_target(self):
         prop = External("extra", lambda: 1.0)
         prop.rebind(lambda: 9.0)
-        assert prop(INFO) == 9.0
+        assert prop(INFO) == (9.0,)
 
     def test_rebind_reattaches(self):
         prop = External("extra", lambda: 1.0)
         prop.detach()
         prop.rebind(lambda: 2.0)
-        assert prop(INFO) == 2.0
+        assert prop(INFO) == (2.0,)
 
     def test_starts_detached_without_a_getter(self):
         prop = External("extra")
         assert prop.detached
-        assert prop(INFO) is None
+        assert prop(INFO) == (None,)
 
     def test_rebind_rejects_none(self):
         prop = External("extra", lambda: 1.0)

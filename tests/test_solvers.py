@@ -1,9 +1,16 @@
 """Reference solvers: budget accounting, determinism, improvement behaviour."""
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from attainbench import solvers
+from attainbench.loggers import Store, cell_key
 from attainbench.problems import OneMax, Sphere
+from attainbench.properties import TransformedY, TransformedYBest
 from attainbench.solvers import SOLVERS, hill_climber, random_search
+from attainbench.triggers import Always, OnImprovement
 
 
 def test_registry():
@@ -22,6 +29,38 @@ def test_a_zero_budget_evaluates_nothing():
         pb = Sphere(1, 1, 3)
         solver(pb, 0, np.random.default_rng(0))
         assert pb.state.evaluations == 0, name
+
+
+def test_a_zero_budget_random_search_logs_nothing_and_leaves_the_state_fresh():
+    pb = Sphere(1, 1, 3)
+    store = Store([Always()])
+    pb.attach_logger(store)
+    random_search(pb, 0, np.random.default_rng(0))
+    assert store.cells() == []
+    assert pb.state == Sphere(1, 1, 3).state
+    assert pb.state.evaluations == 0 and pb.state.transformed_y_best == math.inf
+
+
+def test_random_search_evaluates_the_rows_single_draws_would_give():
+    batched, looped = Sphere(1, 2, 5), Sphere(1, 2, 5)
+    random_search(batched, 30, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        looped(rng.uniform(looped.lower, looped.upper, 5))
+    assert batched.state == looped.state
+
+
+@pytest.mark.parametrize("budget", [7, 8, 9, 1])
+def test_random_search_logs_the_same_across_a_block_boundary(monkeypatch, budget):
+    def logged(block):
+        monkeypatch.setattr(solvers, "BLOCK", block)
+        pb = Sphere(1, 2, 3)
+        store = Store([Always(), OnImprovement()], [TransformedY(), TransformedYBest()])
+        pb.attach_logger(store)
+        random_search(pb, budget, np.random.default_rng(5))
+        return pb.state, store.events(cell_key(pb.meta), 0)
+
+    assert logged(4) == logged(3) == logged(budget) == logged(1024)
 
 
 def test_seeded_runs_reproduce_the_same_best():

@@ -8,18 +8,25 @@ from attainbench import triggers as tg
 from attainbench.loggers import LogInfo
 from attainbench.problems import Direction, MetaData
 
-from oracles import improvement_count
+from oracles import batch_of, improvement_count
 
 META_MIN = MetaData("fake", 1, 1, 2, Direction.MINIMIZATION)
 META_MAX = MetaData("fake", 1, 1, 2, Direction.MAXIMIZATION)
 
 
 def info(value=0.0, evaluations=1):
-    return LogInfo(evaluations=evaluations, transformed_y=value)
+    """A batch of one evaluation."""
+    return batch_of(LogInfo(evaluations=evaluations, transformed_y=value))
+
+
+def fire(trigger, batch, meta=META_MIN):
+    """Whether ``trigger`` fires on a batch of one."""
+    (fired,) = trigger(batch, meta)
+    return fired
 
 
 def fire_sequence(trigger, values, meta=META_MIN):
-    return [trigger(info(v, i + 1), meta) for i, v in enumerate(values)]
+    return [fire(trigger, info(v, i + 1), meta) for i, v in enumerate(values)]
 
 
 class TestOnImprovement:
@@ -32,11 +39,11 @@ class TestOnImprovement:
         t = tg.OnImprovement()
         fire_sequence(t, [9999.0, 100.0, 10.0])
         t.reset()
-        assert t(info(99.0), META_MIN) is True
+        assert fire(t, info(99.0)) is True
 
     def test_first_value_fires_under_maximization(self):
         t = tg.OnImprovement()
-        assert t(info(-5.0), META_MAX) is True
+        assert fire(t, info(-5.0), META_MAX) is True
 
     def test_equal_value_never_fires(self):
         t = tg.OnImprovement()
@@ -55,28 +62,28 @@ class TestOnImprovement:
 class TestSchedules:
     def test_at_fires_only_on_listed_evaluations(self):
         t = tg.At([1, 5])
-        assert [t(info(0.0, e), META_MIN) for e in range(1, 7)] == [
+        assert [fire(t, info(0.0, e)) for e in range(1, 7)] == [
             True, False, False, False, True, False]
 
     def test_each_fires_on_multiples(self):
         t = tg.Each(3)
-        assert [t(info(0.0, e), META_MIN) for e in range(1, 8)] == [
+        assert [fire(t, info(0.0, e)) for e in range(1, 8)] == [
             False, False, True, False, False, True, False]
 
     def test_each_with_start_offset(self):
         t = tg.Each(2, start=5)
-        assert [t(info(0.0, e), META_MIN) for e in range(1, 10)] == [
+        assert [fire(t, info(0.0, e)) for e in range(1, 10)] == [
             False, False, False, False, True, False, True, False, True]
 
     def test_each_interval_one_equals_always(self):
         each, always = tg.Each(1), tg.Always()
         for e in range(1, 101):
             i = info(0.0, e)
-            assert each(i, META_MIN) is always(i, META_MIN) is True
+            assert fire(each, i) is fire(always, i) is True
 
     def test_during_fires_inside_closed_ranges(self):
         t = tg.During([(2, 4), (10, 10)])
-        got = {e: t(info(0.0, e), META_MIN) for e in (1, 2, 3, 4, 5, 9, 10, 11)}
+        got = {e: fire(t, info(0.0, e)) for e in (1, 2, 3, 4, 5, 9, 10, 11)}
         assert got == {1: False, 2: True, 3: True, 4: True,
                        5: False, 9: False, 10: True, 11: False}
 
@@ -93,17 +100,17 @@ class TestSchedules:
 class TestCombinators:
     def test_any_fires_when_one_child_fires(self):
         t = tg.Any([tg.At([3]), tg.At([5])])
-        assert [t(info(0.0, e), META_MIN) for e in range(1, 6)] == [
+        assert [fire(t, info(0.0, e)) for e in range(1, 6)] == [
             False, False, True, False, True]
 
     def test_all_requires_every_child(self):
         t = tg.All([tg.Each(2), tg.During([(4, 8)])])
-        assert [t(info(0.0, e), META_MIN) for e in range(1, 9)] == [
+        assert [fire(t, info(0.0, e)) for e in range(1, 9)] == [
             False, False, False, True, False, True, False, True]
 
     def test_empty_any_never_fires_empty_all_always_fires(self):
-        assert tg.Any([])(info(), META_MIN) is False
-        assert tg.All([])(info(), META_MIN) is True
+        assert fire(tg.Any([]), info()) is False
+        assert fire(tg.All([]), info()) is True
 
     def test_always_and_improvement_equals_improvement(self):
         combo = tg.All([tg.Always(), tg.OnImprovement()])
@@ -111,24 +118,24 @@ class TestCombinators:
         values = [9999.0, 100.0, 100.0, 10.0, 10.0, 99.0, 11.0, 9.0]
         for e, v in enumerate(values, start=1):
             i = info(v, e)
-            assert combo(i, META_MIN) is solo(i, META_MIN)
+            assert fire(combo, i) is fire(solo, i)
 
     def test_any_does_not_short_circuit_stateful_children(self):
         inner = tg.OnImprovement()
         gate = tg.Any([tg.Always(), inner])
-        assert gate(info(5.0, 1), META_MIN) is True
+        assert fire(gate, info(5.0, 1)) is True
         # inner must have seen 5.0 even though Always already decided the outcome
-        assert inner(info(9.0, 2), META_MIN) is False
+        assert fire(inner, info(9.0, 2)) is False
 
     def test_all_does_not_short_circuit_stateful_children(self):
         inner = tg.OnImprovement()
         gate = tg.All([tg.At([999]), inner])
-        assert gate(info(5.0, 1), META_MIN) is False
-        assert inner(info(9.0, 2), META_MIN) is False
+        assert fire(gate, info(5.0, 1)) is False
+        assert fire(inner, info(9.0, 2)) is False
 
     def test_reset_cascades_to_children(self):
         inner = tg.OnImprovement()
         gate = tg.Any([inner])
-        gate(info(10.0, 1), META_MIN)
+        fire(gate, info(10.0, 1))
         gate.reset()
-        assert inner(info(99.0, 1), META_MIN) is True
+        assert fire(inner, info(99.0, 1)) is True
