@@ -169,9 +169,8 @@ class TrajectoryLogger(Watcher):
         if cell is None:
             return [t for c in self.cells() for t in self.trajectories(c)]
         meta = self._metas[cell]
-        runs = self._cells.get(cell, {})
-        return [Trajectory(meta, run, list(map(AttainmentPoint._make, events)))
-                for run, events in sorted(runs.items())]
+        return [Trajectory(meta, run, list(map(AttainmentPoint._make, self.events(cell, run))))
+                for run in self.runs(cell)]
 
 
 def _common_direction(directions: Iterable[Direction], what: str) -> Direction:

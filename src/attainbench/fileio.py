@@ -44,6 +44,7 @@ import numbers
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -87,8 +88,32 @@ def cell_stem(cell) -> str:
     return f"{cell.suite_name}_f{cell.problem_id}_d{cell.dimension}_i{cell.instance}"
 
 
+#: Rows of one run that :func:`write_flat_files` renders at a time. It bounds the
+#: writer's transient strings and tuples, which add to the peak memory of a run.
+_FLAT_BLOCK = 256
+
+
+def _rendered(columns: Sequence[Sequence[Optional[float]]]) -> list:
+    """The readings of equal-length columns as :func:`_render` renders them, one list
+    per column. Each run of equal readings in a column is rendered once: equal means the same
+    float64 bits, which keeps ``-0.0`` and ``0.0`` apart, and the same presence, which
+    keeps a present NaN and ``None`` apart."""
+    values = np.array(columns, dtype=float)  # None reads as NaN
+    present = np.ones(values.shape, dtype=bool)
+    for column, row in np.argwhere(np.isnan(values)).tolist():
+        present[column, row] = columns[column][row] is not None
+    bits = values.view(np.int64)
+    new = np.ones(values.shape, dtype=bool)
+    new[:, 1:] = (bits[:, 1:] != bits[:, :-1]) | (present[:, 1:] != present[:, :-1])
+    starts = np.flatnonzero(new)
+    texts = np.array(list(map(repr, values.ravel()[starts].tolist())), dtype=object)
+    texts[~present.ravel()[starts]] = NA
+    return texts[np.cumsum(new) - 1].reshape(values.shape).tolist()
+
+
 def write_flat_files(store: Store, directory) -> list:
-    """Write one CSV per benchmark cell recorded in the store; returns the written paths."""
+    """Write one CSV per benchmark cell recorded in the store; returns the written paths.
+    Each run is written from its columns, :data:`_FLAT_BLOCK` rows at a time."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = ",".join(["run", "event", "evaluations", *store.property_names])
@@ -98,9 +123,14 @@ def write_flat_files(store: Store, directory) -> list:
         with _atomic_writer(path, "flat file") as fh:
             fh.write(header + "\n")
             for run in store.runs(cell):
-                for index, (count, *readings) in enumerate(store.events(cell, run)):
-                    cells = [str(run), str(index), str(count), *map(_render, readings)]
-                    fh.write(",".join(cells) + "\n")
+                counts, *readings = store.columns(cell, run)
+                line = f"{run},%d,%d" + ",%s" * len(readings) + "\n"
+                for start in range(0, len(counts), _FLAT_BLOCK):
+                    stop = min(start + _FLAT_BLOCK, len(counts))
+                    block = [column[start:stop] for column in readings]
+                    texts = _rendered(block) if block else ()
+                    rows = zip(range(start, stop), counts[start:stop], *texts)
+                    fh.write(line * (stop - start) % tuple(chain.from_iterable(rows)))
         paths.append(path)
     return paths
 
@@ -295,11 +325,10 @@ def _json_points(times: np.ndarray, qualities) -> str:
     qualities, as ``json.dump(..., indent=2)`` renders them in the document."""
     if not len(times):
         return "[]"
+    point = "[\n          %d,\n          %s\n        ]"
     # zip asks times first, so it takes no quality past the level's last time.
-    cells = zip(map(str, times.tolist()), qualities)
-    return ("[\n        [\n          "
-            + "\n        ],\n        [\n          ".join(map(",\n          ".join, cells))
-            + "\n        ]\n      ]")
+    cells = chain.from_iterable(zip(times.tolist(), qualities))
+    return "[\n        " + ",\n        ".join([point] * len(times)) % tuple(cells) + "\n      ]"
 
 
 def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,

@@ -7,10 +7,12 @@ batch holds its evaluations in order, one tuple per column; a single
 evaluation is a batch of one. Run indices are zero-based and advance on
 every reset, tracked per context so one logger can serve a whole suite.
 
-A :class:`Watcher` records each row its triggers fire on as one tuple,
-``(evaluations, *readings)``, where a reading is a ``float`` or ``None``
-when absent; :class:`Store` looks one reading up by cursor. Slot 0 is the
-one copy of the evaluation count, so ``evaluations`` names no property.
+A :class:`Watcher` records the rows its triggers fire on by column, per run:
+the evaluation counts, then one column of readings per property, where a
+reading is a ``float`` or ``None`` when absent. Only :meth:`Watcher.events`
+turns the columns into one tuple per event, ``(evaluations, *readings)``;
+:class:`Store` looks one reading up by cursor. The count column is the one
+copy of the evaluation count, so ``evaluations`` names no property.
 """
 
 from __future__ import annotations
@@ -163,12 +165,14 @@ class Watcher(Logger):
     all-of behaviour. Trigger state is cleared at run boundaries and when a
     new context attaches.
 
-    Each row that fires is recorded as one tuple, ``(evaluations,
-    *readings)``: the evaluation count as an ``int``, then one reading per
-    property in :attr:`property_names` order. Properties are read once per
-    batch that fires, so an external reading is the same on every row of one
-    batch. Tuples are grouped by benchmark cell and zero-based run index, in
-    the order they were logged.
+    Each (benchmark cell, zero-based run) keeps one list per column: the
+    evaluation counts as ``int``, then one list of readings per property in
+    :attr:`property_names` order. A row that fires appends its entry to each
+    column, so the columns stay in the order the rows were logged.
+    Properties are read once per batch that fires, so an external reading is
+    the same on every row of one batch. :meth:`columns` hands out the columns
+    of one run and :meth:`events` its rows, each the tuple
+    ``(evaluations, *readings)``.
 
     Property names must be unique within one watcher.
     """
@@ -181,7 +185,7 @@ class Watcher(Logger):
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
             raise ValueError(f"duplicate property name(s) in one watcher: {duplicates}")
-        self._cells: dict[CellKey, dict[int, list]] = {}
+        self._cells: dict[CellKey, dict[int, list[list]]] = {}
 
     @property
     def property_names(self) -> list:
@@ -197,8 +201,12 @@ class Watcher(Logger):
         fired = self.trigger(batch, self._meta)
         if True in fired:
             runs = self._cells.setdefault(self._cell, {})
-            runs.setdefault(self._run_index[self._cell], []).extend(compress(
-                zip(batch.evaluations, *[p(batch) for p in self.properties]), fired))
+            run = self._run_index[self._cell]
+            columns = runs.get(run) or runs.setdefault(
+                run, [[] for _ in range(1 + len(self.properties))])
+            columns[0].extend(compress(batch.evaluations, fired))
+            for column, prop in zip(columns[1:], self.properties):
+                column.extend(compress(prop(batch), fired))
 
     def cells(self) -> list:
         """Benchmark cells with at least one recorded event, sorted."""
@@ -207,8 +215,16 @@ class Watcher(Logger):
     def runs(self, cell: CellKey) -> list:
         return sorted(self._cells.get(cell, ()))
 
+    def columns(self, cell: CellKey, run: int) -> tuple:
+        """One run's counts, then its readings per property, each a tuple in event order."""
+        columns = self._cells.get(cell, {}).get(run)
+        if columns is None:
+            return ((),) * (1 + len(self.properties))
+        return tuple(map(tuple, columns))
+
     def events(self, cell: CellKey, run: int) -> list:
-        return list(self._cells.get(cell, {}).get(run, ()))
+        """One run's events in order, each the tuple ``(evaluations, *readings)``."""
+        return list(zip(*self.columns(cell, run)))
 
 
 class Store(Watcher):
@@ -227,11 +243,10 @@ class Store(Watcher):
         """
         name = prop.name if isinstance(prop, Property) else str(prop)
         cell = CellKey(cursor.suite_name, cursor.problem_id, cursor.dimension, cursor.instance)
-        events = self._cells.get(cell, {}).get(cursor.run)
-        if not events or not 0 <= cursor.event_index < len(events):
+        columns = self._cells.get(cell, {}).get(cursor.run)
+        if columns is None or not 0 <= cursor.event_index < len(columns[0]):
             return None
-        event = events[cursor.event_index]
         if name == "evaluations":
-            return float(event[0])
+            return float(columns[0][cursor.event_index])
         names = self.property_names
-        return event[names.index(name) + 1] if name in names else None
+        return columns[names.index(name) + 1][cursor.event_index] if name in names else None

@@ -5,7 +5,9 @@ objective evaluations per run and take their randomness from a
 caller-provided generator, so a seeded generator reproduces the run bit for
 bit. Random search evaluates its budget in batches of at most
 :data:`BLOCK` rows, so its memory does not grow with the budget; the hill
-climber depends on each result, so it evaluates one solution at a time.
+climber depends on each result, so it evaluates one solution at a time, but
+draws its steps in blocks of at most :data:`BLOCK`. Block draws are the
+same numbers, in order, as one draw per row or step.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 
 from .problems import Problem
 
-#: Rows per batch of :func:`random_search`, which bounds its memory whatever the budget.
+#: Rows per batch of :func:`random_search` and steps per draw of :func:`hill_climber`,
+#: which bounds their memory whatever the budget.
 BLOCK = 256
 
 
@@ -46,17 +49,21 @@ def hill_climber(problem: Problem, budget: int, rng: np.random.Generator) -> Non
     best_x = _sample(problem, rng)
     best_y = problem(best_x)
     d = problem.meta.dimension
-    for _ in range(budget - 1):
+    for done in range(1, budget, BLOCK):
+        n = min(BLOCK, budget - done)
         if problem.domain == "boolean":
-            candidate = best_x.copy()
-            flip = rng.integers(0, d)
-            candidate[flip] ^= 1
+            steps = rng.integers(0, d, size=n).tolist()
         else:
-            candidate = np.clip(best_x + rng.normal(0.0, 0.3, size=d),
-                                problem.lower, problem.upper)
-        y = problem(candidate)
-        if direction.better(y, best_y):
-            best_x, best_y = candidate, y
+            steps = rng.normal(0.0, 0.3, size=(n, d))
+        for step in steps:
+            if problem.domain == "boolean":
+                candidate = best_x.copy()
+                candidate[step] ^= 1
+            else:
+                candidate = np.clip(best_x + step, problem.lower, problem.upper)
+            y = problem(candidate)
+            if direction.better(y, best_y):
+                best_x, best_y = candidate, y
 
 
 SOLVERS = {

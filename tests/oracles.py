@@ -10,11 +10,14 @@ identity.
 from __future__ import annotations
 
 import math
+from itertools import compress
+from pathlib import Path
 
 import numpy as np
 
 from attainbench.attainment import AttainmentPoint, Trajectory
-from attainbench.loggers import Batch
+from attainbench.fileio import NA, cell_stem
+from attainbench.loggers import Batch, CellKey, Store
 from attainbench.problems import Direction, MetaData
 
 MIN = Direction.MINIMIZATION
@@ -229,3 +232,85 @@ class TrajectoryLoggerFrozen:
         runs = self._points.get(cell, {})
         return [Trajectory(self._metas[cell], run, list(points))
                 for run, points in sorted(runs.items())]
+
+
+class StoreFrozen(Store):
+    """A store keeping one ``(evaluations, *readings)`` tuple per event, frozen
+    from the store before it kept one list per column."""
+
+    def __init__(self, triggers, properties=()):
+        super().__init__(triggers, properties)
+        self._events = {}
+
+    def _on_call(self, batch):
+        fired = self.trigger(batch, self._meta)
+        if True in fired:
+            runs = self._events.setdefault(self._cell, {})
+            runs.setdefault(self._run_index[self._cell], []).extend(compress(
+                zip(batch.evaluations, *[p(batch) for p in self.properties]), fired))
+
+    def cells(self):
+        return sorted(self._events)
+
+    def runs(self, cell):
+        return sorted(self._events.get(cell, ()))
+
+    def events(self, cell, run):
+        return list(self._events.get(cell, {}).get(run, ()))
+
+    def at(self, cursor, prop):
+        name = prop if isinstance(prop, str) else prop.name
+        cell = CellKey(cursor.suite_name, cursor.problem_id, cursor.dimension, cursor.instance)
+        events = self._events.get(cell, {}).get(cursor.run)
+        if not events or not 0 <= cursor.event_index < len(events):
+            return None
+        event = events[cursor.event_index]
+        if name == "evaluations":
+            return float(event[0])
+        names = self.property_names
+        return event[names.index(name) + 1] if name in names else None
+
+
+def hill_climber_per_step(problem, budget, rng):
+    """The hill climber drawing each step as it takes it, frozen from the solver
+    before it drew its steps in blocks."""
+    if budget < 1:
+        return
+    direction = problem.meta.direction
+    best_x = (rng.integers(0, 2, size=problem.meta.dimension) if problem.domain == "boolean"
+              else rng.uniform(problem.lower, problem.upper, size=problem.meta.dimension))
+    best_y = problem(best_x)
+    d = problem.meta.dimension
+    for _ in range(budget - 1):
+        if problem.domain == "boolean":
+            candidate = best_x.copy()
+            flip = rng.integers(0, d)
+            candidate[flip] ^= 1
+        else:
+            candidate = np.clip(best_x + rng.normal(0.0, 0.3, size=d),
+                                problem.lower, problem.upper)
+        y = problem(candidate)
+        if direction.better(y, best_y):
+            best_x, best_y = candidate, y
+
+
+def write_flat_files_per_row(store, directory):
+    """The flat-file writer that renders each event's cells one at a time, frozen
+    from the writer before it rendered whole columns."""
+    def render(value):
+        return NA if value is None else repr(float(value))
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    header = ",".join(["run", "event", "evaluations", *store.property_names])
+    paths = []
+    for cell in store.cells():
+        path = directory / f"{cell_stem(cell)}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header + "\n")
+            for run in store.runs(cell):
+                for index, (count, *readings) in enumerate(store.events(cell, run)):
+                    cells = [str(run), str(index), str(count), *map(render, readings)]
+                    fh.write(",".join(cells) + "\n")
+        paths.append(path)
+    return paths

@@ -4,12 +4,14 @@ import json
 import math
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attainbench import fileio
 from attainbench.attainment import AttainmentPoint, LevelSet, default_nadir, eaf_levels
 from attainbench.fileio import (
     NA,
@@ -26,10 +28,10 @@ from attainbench.fileio import (
 from attainbench.histogram import eah, fit_discretization
 from attainbench.loggers import CellKey, Cursor, LogInfo, Store, cell_key
 from attainbench.problems import Direction, MetaData
-from attainbench.properties import External, TransformedY, TransformedYBest
-from attainbench.triggers import Always
+from attainbench.properties import External, Property, TransformedY, TransformedYBest
+from attainbench.triggers import Always, Trigger
 
-from oracles import as_trajectories, batch_of
+from oracles import as_trajectories, batch_of, write_flat_files_per_row
 
 MIN = Direction.MINIMIZATION
 META = MetaData("fake", 3, 2, 5, MIN)
@@ -262,6 +264,90 @@ def test_flat_files_read_back_every_reading_the_store_holds(tmp_path_factory, na
             assert row.evaluations == store.at(cursor, "evaluations")
             for name in names:
                 assert same(row.values[name], store.at(cursor, name))
+
+
+class Scripted(Property):
+    """Reads, for each batch, the readings a test set on it beforehand."""
+
+    readings = ()
+
+    def __call__(self, batch):
+        return self.readings
+
+
+class ScriptedTrigger(Trigger):
+    """Fires, for each batch, on the rows a test chose beforehand."""
+
+    fired = ()
+
+    def __call__(self, batch, meta):
+        return self.fired
+
+
+def scripted_store(names, cells):
+    """A store fed, per cell, runs of batches of ``(fired, *readings)`` rows, one
+    reading per name; a reset ends each run."""
+    trigger, properties = ScriptedTrigger(), [Scripted(name) for name in names]
+    store = Store([trigger], properties)
+    for meta, runs in zip((META, MetaData("fake", 4, 2, 5, MIN)), cells):
+        store.attach(meta)
+        count = 0
+        for batches in runs:
+            for rows in batches:
+                trigger.fired, *columns = (list(column) for column in zip(*rows))
+                for prop, column in zip(properties, columns):
+                    prop.readings = tuple(column)
+                counts = range(count + 1, count + len(rows) + 1)
+                store.call(batch_of(*(LogInfo(evaluations=e) for e in counts)))
+                count += len(rows)
+            store.reset()
+    return store
+
+
+def assert_the_per_row_bytes(store, directory, block):
+    with mock.patch.object(fileio, "_FLAT_BLOCK", block):
+        paths = write_flat_files(store, directory / "columns")
+    expected = write_flat_files_per_row(store, directory / "rows")
+    assert [path.name for path in paths] == [path.name for path in expected]
+    for path, reference in zip(paths, expected):
+        assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("column", [
+    [1.0, 1.0, 1.0, 2.0, 2.0],
+    [0.0, -0.0, -0.0, 0.0],
+    [math.nan, None, None, math.nan],
+    [1.0, None, None, 1.0],
+    [-0.0, None, 0.0, math.nan, -math.nan],
+    [math.inf, -math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1e16, None],
+])
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_flat_files_are_the_bytes_the_per_row_writer_gives(tmp_path, column, block):
+    rows = [(True, value, 3.0) for value in column]
+    store = scripted_store(["y", "z"], [[[rows[:2], rows[2:]], [[(False, 0.0, 0.0)]], [rows]]])
+    assert_the_per_row_bytes(store, tmp_path, block)
+
+
+#: Pairs of readings that a writer comparing values, or ignoring presence, would merge,
+#: and other edges of float rendering.
+reading_pairs = st.sampled_from([(0.0, -0.0), (math.nan, None), (1.0, None),
+                                 (math.inf, -math.inf), (5e-324, 1e16)])
+edge_readings = st.sampled_from([0.0, -0.0, math.nan, None, math.inf, -math.inf,
+                                 5e-324, 1e16, 2.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(property_names, max_size=3, unique=True),
+       block=st.sampled_from([1, 2, 3, 4096]), data=st.data())
+def test_columns_render_as_the_per_row_writer_renders_each_row(tmp_path_factory, names, block,
+                                                                data):
+    # A pool of two or three readings makes runs of equal readings, and each pair of its
+    # readings side by side, common.
+    pool = st.sampled_from(data.draw(reading_pairs) + (data.draw(edge_readings),))
+    rows = st.tuples(st.booleans(), *[pool] * len(names))
+    runs = st.lists(st.lists(st.lists(rows, min_size=1, max_size=5), max_size=4), max_size=3)
+    store = scripted_store(names, data.draw(st.lists(runs, min_size=1, max_size=2)))
+    assert_the_per_row_bytes(store, tmp_path_factory.mktemp("flat"), block)
 
 
 class TestTrajectoryFiles:

@@ -1,13 +1,15 @@
 """Logger lifecycle, watcher gating, fan-out, and the in-memory store."""
 
+import numpy as np
 import pytest
 
+from attainbench.attainment import TrajectoryLogger
 from attainbench.loggers import CellKey, Combine, Cursor, LogInfo, Logger, Store, cell_key
-from attainbench.problems import Direction, MetaData
-from attainbench.properties import External, TransformedY
+from attainbench.problems import Direction, MetaData, Sphere
+from attainbench.properties import External, Property, TransformedY
 from attainbench.triggers import Always, Each, OnImprovement
 
-from oracles import batch_of
+from oracles import StoreFrozen, TrajectoryLoggerFrozen, batch_of
 
 META = MetaData("fake", 1, 1, 5, Direction.MINIMIZATION)
 META_OTHER = MetaData("fake", 2, 1, 5, Direction.MINIMIZATION)
@@ -190,3 +192,90 @@ class TestStoreCursor:
 
 def test_cell_key_fields():
     assert cell_key(META) == CellKey(suite_name="fake", problem_id=1, dimension=5, instance=1)
+
+
+def test_events_readings_and_trajectories_are_those_the_per_event_store_keeps():
+    holder = {}
+
+    def watching():
+        return [OnImprovement(), Each(3)], [TransformedY(), External("x", lambda: holder["x"])]
+
+    store, reference = Store(*watching()), StoreFrozen(*watching())
+    trajectories, frozen = TrajectoryLogger(), TrajectoryLoggerFrozen()
+    count, best = 0, None
+
+    def call(*values, x=None):
+        nonlocal count, best
+        holder["x"] = x
+        rows = []
+        for count, value in enumerate(values, start=count + 1):
+            best = value if best is None else min(best, value)
+            rows.append(LogInfo(count, transformed_y=value, transformed_y_best=best))
+        for logger in (store, reference, trajectories):
+            logger.call(batch_of(*rows))
+        for row in rows:
+            frozen.call(row)
+
+    def notify(kind, *args):
+        nonlocal count, best
+        count, best = 0, None
+        for logger in (store, reference, trajectories, frozen):
+            getattr(logger, kind)(*args)
+
+    notify("attach", META)
+    call(5.0, 7.0, 4.0, 4.0, x=1.5)  # mixed: improvements, Each(3) and rows neither fires on
+    call(6.0, x=2.5)
+    notify("reset")
+    notify("reset")  # a run with no events
+    call(9.0, 3.0, x=3.5)
+    notify("attach", META_OTHER)
+    call(1.0, 2.0, 3.0, x=4.5)
+    for watcher in (store, reference):
+        watcher.properties[1].detach()
+    notify("attach", META)  # the first cell again: its events join its run 2
+    call(8.0, 2.0, x=5.5)
+    notify("reset")
+    call(4.0)
+
+    assert store.cells() == reference.cells() == [cell_key(META), cell_key(META_OTHER)]
+    for cell in store.cells():
+        assert store.runs(cell) == reference.runs(cell)
+        for run in range(4):
+            assert store.events(cell, run) == reference.events(cell, run)
+            for index in range(-1, 6):
+                cursor = Cursor(*cell, run=run, event_index=index)
+                for name in ("evaluations", "transformed_y", "x", "raw_y"):
+                    assert store.at(cursor, name) == reference.at(cursor, name)
+        assert ([(t.meta, t.run, t.points) for t in trajectories.trajectories(cell)]
+                == [(t.meta, t.run, t.points) for t in frozen.trajectories(cell)])
+    assert store.runs(cell_key(META)) == [0, 2, 3]
+    assert store.events(cell_key(META), 2) == [(1, 9.0, 3.5), (2, 3.0, 3.5),
+                                               (1, 8.0, None), (2, 2.0, None)]
+    assert store.events(cell_key(META), 3)[-1] == (1, 4.0, None)
+
+
+class Kept(Property):
+    """Hands out a list that it keeps and a caller may change later."""
+
+    def __call__(self, batch):
+        self.last = list(batch.transformed_y)
+        return self.last
+
+
+def test_changing_what_the_store_handed_out_or_was_handed_changes_nothing_it_holds():
+    problem, kept = Sphere(1, 1, 3), Kept("kept")
+    store = Store([Always()], [TransformedY(), kept])
+    problem.attach_logger(store)
+    X = np.random.default_rng(0).uniform(-5.0, 5.0, size=(4, 3))
+    values = problem.evaluate(X)
+    cell = cell_key(problem.meta)
+    before = store.events(cell, 0)
+    values.reverse()
+    X[:] = 0.0
+    kept.last.clear()
+    events = store.events(cell, 0)
+    events.reverse()
+    events.append((0, 0.0, 0.0))
+    assert store.events(cell, 0) == before
+    assert store.columns(cell, 0) == tuple(zip(*before))
+    assert [store.at(Cursor(*cell, event_index=i), "kept") for i in range(4)] == values[::-1]

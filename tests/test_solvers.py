@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from attainbench import solvers
+from attainbench import cli, solvers
 from attainbench.loggers import Store, cell_key
 from attainbench.problems import OneMax, Sphere
 from attainbench.properties import TransformedY, TransformedYBest
 from attainbench.solvers import SOLVERS, hill_climber, random_search
 from attainbench.triggers import Always, OnImprovement
+
+from oracles import hill_climber_per_step
 
 
 def test_registry():
@@ -70,6 +72,36 @@ def test_seeded_runs_reproduce_the_same_best():
         random_search(pb, 25, np.random.default_rng(11))
         values.append(pb.state.transformed_y_best)
     assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("problem", [OneMax, Sphere])
+@pytest.mark.parametrize("budget", [1, solvers.BLOCK, solvers.BLOCK + 1, 2 * solvers.BLOCK + 1])
+def test_hill_climber_takes_the_steps_per_step_draws_would_give(problem, budget):
+    def logged(solver):
+        pb = problem(1, 2, 7)
+        store = Store([Always()], [TransformedY(), TransformedYBest()])
+        pb.attach_logger(store)
+        solver(pb, budget, np.random.default_rng(9))
+        return pb.state, store.events(cell_key(pb.meta), 0)
+
+    blocked, per_step = logged(hill_climber), logged(hill_climber_per_step)
+    assert blocked == per_step
+    assert len(blocked[1]) == budget
+
+
+def test_a_hill_climb_of_the_continuous_suite_writes_the_files_per_step_draws_give(
+        tmp_path, monkeypatch):
+    def written(out):
+        config = cli.RunConfig(suite="continuous", problems=(1, 2), instances=(1, 2),
+                               dimensions=(3,), runs=2, budget=solvers.BLOCK + 40,
+                               solver="hill", loggers=("eaf", "eah", "flatfile"), out_dir=out)
+        files = cli.run_benchmark(config)["files"]
+        return {path.name: path.read_bytes() for path in files}
+
+    blocked = written(tmp_path / "blocked")
+    monkeypatch.setitem(cli.SOLVERS, "hill", hill_climber_per_step)
+    assert written(tmp_path / "per_step") == blocked
+    assert len(blocked) == 3 * 4
 
 
 def test_hill_climber_respects_the_boolean_domain():
