@@ -55,6 +55,8 @@ class _Staircase:
     def _assign(self, points) -> None:
         self._points, self._columns = points, None
 
+    points = property(_view, _assign)
+
     def _leave(self, qualities: np.ndarray) -> np.ndarray:
         return _minimizing(qualities, self._direction)
 
@@ -75,7 +77,7 @@ class Trajectory(_Staircase):
 
     meta: MetaData
     run: int
-    points: list
+    points: list = field()
     _columns: tuple = field(default=None, kw_only=True, repr=False, compare=False)
 
     _direction = property(lambda self: self.meta.direction)
@@ -87,7 +89,7 @@ class LevelSet(_Staircase):
     """Minimal points of the region attained by at least ``level`` runs."""
 
     level: int
-    points: list
+    points: list = field()
     direction: Direction = Direction.MINIMIZATION
     _columns: tuple = field(default=None, kw_only=True, repr=False, compare=False)
 
@@ -97,11 +99,6 @@ class LevelSet(_Staircase):
     def _leave(self, qualities: np.ndarray) -> np.ndarray:
         # 0.0 and -0.0 tie, so which one the sweep keeps is arbitrary: a level set has 0.0.
         return super()._leave(qualities) + 0.0
-
-
-# Set after the dataclasses are built, so that their field initializers assign
-# through it instead of taking it as the field's default.
-_Staircase.points = property(_Staircase._view, _Staircase._assign)
 
 
 def _minimizing(qualities, direction: Direction) -> np.ndarray:
@@ -268,11 +265,12 @@ class LevelSelector:
             raise ValueError("level indices are zero-based and non-negative")
 
     def __call__(self, logger: TrajectoryLogger) -> dict:
-        return {cell: self._levels(logger.trajectories(cell), f"cell {cell}")
+        return {cell: self.select(logger.trajectories(cell), f"cell {cell}")
                 for cell in logger.cells()}
 
-    def _levels(self, trajectories: Sequence[Trajectory], owner) -> list:
-        """Level sets of the selected indices over the trajectories that ``owner`` holds."""
+    def select(self, trajectories: Sequence[Trajectory], owner) -> list:
+        """Level sets of the selected indices over the trajectories that ``owner`` holds;
+        an index that is not below their number is rejected, naming ``owner``."""
         m = len(trajectories)
         bad = [j for j in self.indices if j >= m]
         if bad:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attainment import LevelSelector, TrajectoryLogger, default_nadir, eaf_levels, surface, volume
+from .attainment import LevelSelector, TrajectoryLogger, default_nadir, surface, volume
 from .fileio import (_finite, _integer, cell_stem, read_trajectories, write_flat_files,
                      write_histogram, write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
@@ -155,7 +155,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_eaf(args) -> int:
     trajectories = read_trajectories(args.infile, args.direction)
-    sets = LevelSelector(args.levels)._levels(trajectories, args.infile)
+    sets = LevelSelector(args.levels).select(trajectories, args.infile)
     nadir = default_nadir(trajectories)
     write_level_sets(args.out, sets, nadir, {"source": str(args.infile), "runs": len(trajectories)})
     return 0
@@ -177,7 +177,7 @@ def _cmd_eah(args) -> int:
 
 def _cmd_stats(args) -> int:
     trajectories = read_trajectories(args.infile, args.direction)
-    sets = LevelSelector(args.levels)._levels(trajectories, args.infile)
+    sets = LevelSelector(args.levels).select(trajectories, args.infile)
     nadir = args.nadir or default_nadir(trajectories)
     # Every value is computed before the first line is printed, so a failure prints nothing.
     rows = [f"surface\t{ls.level}\t{surface(ls, nadir)!r}" for ls in sets]

@@ -54,16 +54,10 @@ from .attainment import LevelSet, Trajectory, _runs, _staircases
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
-from .properties import Property
+from .properties import Property, _check_distinct
 
 #: Token standing in for an absent reading in delimited files.
 NA = "NA"
-
-
-def _render(value: Optional[float]) -> str:
-    # repr() of a Python float is the shortest decimal string that parses
-    # back to the same bits; an absent reading renders as NA.
-    return NA if value is None else repr(float(value))
 
 
 @contextlib.contextmanager
@@ -93,22 +87,26 @@ def cell_stem(cell) -> str:
 _FLAT_BLOCK = 256
 
 
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of ``values``, the shortest decimal text that reads back
+    to the same bits, as an object array of their shape. Each distinct bit pattern is
+    rendered once, so ``-0.0`` and ``0.0`` stay apart."""
+    # return_index makes np.unique sort stably. Its default int64 sort pages in a kernel
+    # that no other step of ``bench run`` uses, which raised peak RSS by about 0.25 MB.
+    bits, _, index = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[index].reshape(values.shape)
+
+
 def _rendered(columns: Sequence[Sequence[Optional[float]]]) -> list:
-    """The readings of equal-length columns as :func:`_render` renders them, one list
-    per column. Each run of equal readings in a column is rendered once: equal means the same
-    float64 bits, which keeps ``-0.0`` and ``0.0`` apart, and the same presence, which
-    keeps a present NaN and ``None`` apart."""
+    """The readings of equal-length columns rendered by :func:`_reprs`, ``None`` as
+    :data:`NA`, one list per column."""
     values = np.array(columns, dtype=float)  # None reads as NaN
-    present = np.ones(values.shape, dtype=bool)
+    texts = _reprs(values)
     for column, row in np.argwhere(np.isnan(values)).tolist():
-        present[column, row] = columns[column][row] is not None
-    bits = values.view(np.int64)
-    new = np.ones(values.shape, dtype=bool)
-    new[:, 1:] = (bits[:, 1:] != bits[:, :-1]) | (present[:, 1:] != present[:, :-1])
-    starts = np.flatnonzero(new)
-    texts = np.array(list(map(repr, values.ravel()[starts].tolist())), dtype=object)
-    texts[~present.ravel()[starts]] = NA
-    return texts[np.cumsum(new) - 1].reshape(values.shape).tolist()
+        if columns[column][row] is None:
+            texts[column, row] = NA
+    return texts.tolist()
 
 
 def write_flat_files(store: Store, directory) -> list:
@@ -162,11 +160,9 @@ def read_flat_file(path):
     try:
         for name in names:
             Property(name)
+        _check_distinct(names)
     except ValueError as exc:
         raise ValueError(f"{path}:1: {exc}") from None
-    duplicates = sorted({name for name in names if names.count(name) > 1})
-    if duplicates:
-        raise ValueError(f"{path}:1: duplicate property name(s): {duplicates}")
     columns = [("run", _integer(0)), ("event", _integer(0)), ("evaluation count", _integer(1)),
                *((f"{name} reading", _na_or_float) for name in names)]
     return names, [FlatRow(run, event, count, dict(zip(names, readings)))
@@ -342,12 +338,7 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     sets = list(level_sets)
     columns = [ls._checked() for ls in sets]
     qualities = np.concatenate([ls._leave(q) for ls, (_, q) in zip(sets, columns)] or [[]])
-    # Checked qualities are finite and a level set's zeros are 0.0, so each distinct
-    # value is one bit pattern: the C encoder, which renders numbers exactly as the
-    # indenting one does, runs once per value, and the strings are gathered by index.
-    distinct = np.unique(qualities)
-    rendered = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
-    rendered = iter(rendered[np.searchsorted(distinct, qualities)].tolist())
+    rendered = iter(_reprs(qualities).tolist())
     head = json.dumps({
         "group": dict(group or {}),
         "direction": sets[0].direction.value if sets else None,
@@ -367,8 +358,7 @@ def write_histogram(path, histogram: Histogram) -> None:
     with _atomic_writer(Path(path), "histogram") as fh:
         fh.write("# axis,buckets,origin,extent,scale\n")
         for label, axis in (("time", disc.time), ("quality", disc.quality)):
-            fh.write(f"# {label},{axis.buckets},{_render(axis.origin)},"
-                     f"{_render(axis.extent)},{axis.scale}\n")
+            fh.write(f"# {label},{axis.buckets},{axis.origin!r},{axis.extent!r},{axis.scale}\n")
         fh.write(f"# runs,{histogram.runs}\n")
         fh.write("t_bucket,q_bucket,count\n")
         # One format per row keeps the body's transient tuple and text to one row's worth.

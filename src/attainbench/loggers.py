@@ -17,15 +17,12 @@ copy of the evaluation count, so ``evaluations`` names no property.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .properties import Property
+from .properties import Property, _check_distinct
 from .triggers import Any
-
-log = logging.getLogger(__name__)
 
 
 class LogInfo(NamedTuple):
@@ -159,32 +156,19 @@ class Combine:
 class Watcher(Logger):
     """Logger gated by triggers, recording a fixed set of properties.
 
-    The trigger list becomes one :class:`~attainbench.triggers.Any`,
-    :attr:`trigger`, which evaluates every trigger on every row, so stateful
-    triggers (improvement tracking) advance uniformly; nest an ``All`` for
-    all-of behaviour. Trigger state is cleared at run boundaries and when a
-    new context attaches.
-
-    Each (benchmark cell, zero-based run) keeps one list per column: the
-    evaluation counts as ``int``, then one list of readings per property in
-    :attr:`property_names` order. A row that fires appends its entry to each
-    column, so the columns stay in the order the rows were logged.
-    Properties are read once per batch that fires, so an external reading is
-    the same on every row of one batch. :meth:`columns` hands out the columns
-    of one run and :meth:`events` its rows, each the tuple
-    ``(evaluations, *readings)``.
-
-    Property names must be unique within one watcher.
+    The triggers are joined into one :class:`~attainbench.triggers.Any`,
+    :attr:`trigger`, whose state is cleared at run boundaries and when a new
+    context attaches; nest an ``All`` for all-of behaviour. Properties, whose
+    names must be distinct, are read once per batch that fires. A trigger or
+    property that does not answer once per row of a batch is rejected before
+    anything of that batch is recorded.
     """
 
     def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
         super().__init__()
         self.trigger = Any(triggers)
         self.properties = list(properties)
-        names = [p.name for p in self.properties]
-        duplicates = sorted({n for n in names if names.count(n) > 1})
-        if duplicates:
-            raise ValueError(f"duplicate property name(s) in one watcher: {duplicates}")
+        _check_distinct(self.property_names)
         self._cells: dict[CellKey, dict[int, list[list]]] = {}
 
     @property
@@ -200,13 +184,18 @@ class Watcher(Logger):
     def _on_call(self, batch: Batch) -> None:
         fired = self.trigger(batch, self._meta)
         if True in fired:
+            readings = [prop(batch) for prop in self.properties]
+            for prop, reading in zip(self.properties, readings):
+                if len(reading) != len(fired):
+                    raise ValueError(f"property {prop.name!r} gave {len(reading)} reading(s) for "
+                                     f"{len(fired)} row(s) from evaluation {batch.evaluations[0]}")
             runs = self._cells.setdefault(self._cell, {})
             run = self._run_index[self._cell]
             columns = runs.get(run) or runs.setdefault(
                 run, [[] for _ in range(1 + len(self.properties))])
             columns[0].extend(compress(batch.evaluations, fired))
-            for column, prop in zip(columns[1:], self.properties):
-                column.extend(compress(prop(batch), fired))
+            for column, reading in zip(columns[1:], readings):
+                column.extend(compress(reading, fired))
 
     def cells(self) -> list:
         """Benchmark cells with at least one recorded event, sorted."""

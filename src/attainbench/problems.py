@@ -78,17 +78,9 @@ class MetaData:
 class Problem:
     """Base objective function with evaluation counting and logging hooks.
 
-    :meth:`evaluate` takes an ``(n, d)`` array, one solution per row, and
-    returns the rows' transformed qualities; calling the problem with one
-    solution vector is ``evaluate`` of a batch of one and returns its
-    quality. A batch is checked as a whole before any row is counted. Its
-    rows then take the next evaluation counts of the run and their running
-    bests, and the batch goes as one :class:`~attainbench.loggers.Batch` to
-    one :class:`Combine` of the attached loggers. :attr:`state` is the run's
-    last evaluation.
-
-    A problem object is not thread-safe; concurrent use is supported across
-    distinct problem objects, which share no mutable state.
+    A batch is checked as a whole before any row is counted, then goes as one
+    :class:`~attainbench.loggers.Batch` to the attached loggers. A problem
+    object is not thread-safe; distinct problem objects share no mutable state.
     """
 
     domain = "continuous"
@@ -208,10 +200,7 @@ class Sphere(Problem):
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
         # Stacked matmul gives each row the bits of np.dot(x, x); einsum and
-        # (X * X).sum(1) differ in the last place on some shapes. One row takes
-        # the same dot product without the stacked views, about 0.7 us sooner.
-        if len(X) == 1:
-            return X @ X[0]
+        # (X * X).sum(1) differ in the last place on some shapes.
         return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 

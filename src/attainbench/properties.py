@@ -11,7 +11,14 @@ is a reserved name, because every logged event carries that count already.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+
+def _check_distinct(names: Sequence[str]) -> None:
+    """Reject property names that are not distinct: each heads its own flat-file column."""
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate property name(s): {duplicates}")
 
 
 class Property:

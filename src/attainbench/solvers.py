@@ -3,11 +3,8 @@
 Both are deliberately simple baselines: they spend exactly ``budget``
 objective evaluations per run and take their randomness from a
 caller-provided generator, so a seeded generator reproduces the run bit for
-bit. Random search evaluates its budget in batches of at most
-:data:`BLOCK` rows, so its memory does not grow with the budget; the hill
-climber depends on each result, so it evaluates one solution at a time, but
-draws its steps in blocks of at most :data:`BLOCK`. Block draws are the
-same numbers, in order, as one draw per row or step.
+bit. The hill climber depends on each result, so it evaluates one solution
+at a time; the steps it draws in blocks are the numbers of one draw per step.
 """
 
 from __future__ import annotations

@@ -120,11 +120,15 @@ class _Junction(Trigger):
         self.triggers = list(triggers)
 
     def __call__(self, batch, meta) -> list:
-        fired = None
+        fired, n = None, len(batch.evaluations)
         for t in self.triggers:
             mask = t(batch, meta)
+            if len(mask) != n:
+                first = batch.evaluations[0] if n else None
+                raise ValueError(f"trigger {type(t).__name__} gave {len(mask)} answer(s) for "
+                                 f"{n} row(s) from evaluation {first}")
             fired = mask if fired is None else list(map(self._join, fired, mask))
-        return [self._empty] * len(batch.evaluations) if fired is None else fired
+        return [self._empty] * n if fired is None else fired
 
     def reset(self) -> None:
         for t in self.triggers:

@@ -149,7 +149,7 @@ def leading_ones_rowwise(x):
     return float(zeros[0] if zeros.size else x.size)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 10, 16, 17, 33, 64, 100])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9, 10, 16, 17, 31, 33, 64, 100, 127, 299])
 def test_the_batch_kernels_keep_the_bits_of_the_row_kernels(d):
     rng = np.random.default_rng(d)
     X = rng.uniform(-5.0, 5.0, (9, d))

@@ -7,7 +7,7 @@ from attainbench.attainment import TrajectoryLogger
 from attainbench.loggers import CellKey, Combine, Cursor, LogInfo, Logger, Store, cell_key
 from attainbench.problems import Direction, MetaData, Sphere
 from attainbench.properties import External, Property, TransformedY
-from attainbench.triggers import Always, Each, OnImprovement
+from attainbench.triggers import Always, Each, OnImprovement, Trigger
 
 from oracles import StoreFrozen, TrajectoryLoggerFrozen, batch_of
 
@@ -93,6 +93,37 @@ def test_watcher_without_properties_still_keeps_evaluations():
 def test_duplicate_property_names_are_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         Store([Always()], [TransformedY(), TransformedY()])
+
+
+class OneReading(Property):
+    """A faulty property: one reading, whatever the batch's length."""
+
+    def __call__(self, batch):
+        return (1.0,)
+
+
+class OneAnswer(Trigger):
+    """A faulty trigger: one answer, whatever the batch's length."""
+
+    def __call__(self, batch, meta):
+        return [True]
+
+
+@pytest.mark.parametrize("triggers, properties, match", [
+    ([Always()], [TransformedY(), OneReading("y")],
+     r"property 'y' gave 1 reading\(s\) for 3 row\(s\) from evaluation 4$"),
+    ([Always(), OneAnswer()], [TransformedY()],
+     r"trigger OneAnswer gave 1 answer\(s\) for 3 row\(s\) from evaluation 4$"),
+], ids=["property", "trigger"])
+def test_a_batch_answered_short_is_rejected_and_records_nothing(triggers, properties, match):
+    store = Store(triggers, properties)
+    store.attach(META)
+    drive(store, [5.0, 4.0, 3.0])
+    before = store.columns(cell_key(META), 0)
+    rows = [LogInfo(evaluations=e, transformed_y=2.0, transformed_y_best=2.0) for e in (4, 5, 6)]
+    with pytest.raises(ValueError, match=match):
+        store.call(batch_of(*rows))
+    assert store.columns(cell_key(META), 0) == before
 
 
 def test_trigger_state_clears_at_run_boundaries():

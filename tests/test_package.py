@@ -1,11 +1,13 @@
 """The package's public surface and the README's examples."""
 
+import ast
 import re
 from pathlib import Path
 
 import attainbench
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(attainbench.__file__).parent
 
 
 def test_every_public_name_resolves_and_is_listed_once():
@@ -13,6 +15,38 @@ def test_every_public_name_resolves_and_is_listed_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(attainbench, name)]
     assert missing == []
+
+
+def test_every_top_level_name_is_read_or_imported():
+    """A module's top-level import or assignment, or private function or class, is dead
+    when the module never reads it, lists it in ``__all__`` or is imported from for it."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    dead = []
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        listed = {name for node in tree.body if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "__all__"
+                  for name in ast.literal_eval(node.value)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                kind = " (import)"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names, kind = [t.id for t in targets if isinstance(t, ast.Name)], ""
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                names, kind = [node.name], ""
+            else:
+                continue
+            dead += [f"{module}.{name}{kind}" for name in names
+                     if not (name.startswith("__") or name in read or name in listed
+                             or (module, name) in imported)]
+    assert dead == []
 
 
 def test_the_readme_python_examples_run_in_order(capsys):
