@@ -126,7 +126,20 @@ def _int_at_least(least: int):
     return _flag(_integer(least), f"an integer in [{least}, 2**63)")
 
 
-_buckets = _flag(lambda text: _pair(_integer(1), "x")(text.lower()), "TxQ positive counts")
+#: Most buckets a ``--buckets`` flag may give either axis. It bounds what a histogram
+#: holds, one count per grid cell and one best quality per run and time bucket, and is
+#: checked before anything is allocated.
+MAX_BUCKETS = 1000
+
+
+def _bucket_pair(text: str) -> tuple:
+    pair = _pair(_integer(1), "x")(text.lower())
+    if max(pair) > MAX_BUCKETS:
+        raise ValueError(f"more than {MAX_BUCKETS} buckets")
+    return pair
+
+
+_buckets = _flag(_bucket_pair, f"TxQ counts in [1, {MAX_BUCKETS}]")
 _nadir = _flag(_pair(_finite, ","), "finite T,Q")
 
 
@@ -223,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", dest="out_dir", type=Path, required=True, metavar="OUT",
                      help="output directory")
     run.add_argument("--buckets", dest="eah_buckets", type=_buckets, metavar="BUCKETS",
-                     help="eah bucket counts, TxQ")
+                     help=f"eah bucket counts, TxQ, each at most {MAX_BUCKETS}")
     run.add_argument("--scale", dest="eah_scales", type=_scales, metavar="SCALE",
                      help="eah scales, time,quality")
     run.set_defaults(func=_cmd_run)
@@ -241,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     eaf_cmd.add_argument("--out", required=True, help="output JSON path")
     eaf_cmd.set_defaults(func=_cmd_eaf)
     eah_cmd.add_argument("--buckets", type=_buckets, default=argparse.SUPPRESS,
-                         help="bucket counts, TxQ")
+                         help=f"bucket counts, TxQ, each at most {MAX_BUCKETS}")
     eah_cmd.add_argument("--scale", dest="scales", type=_scales, default=argparse.SUPPRESS,
                          metavar="SCALE", help="scales, time,quality")
     eah_cmd.add_argument("--time-range", type=_range, help="time axis bounds, lo:hi")

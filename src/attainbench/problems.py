@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -134,24 +134,36 @@ class Problem:
             raise ValueError(f"{type(self).__name__} expects a 0/1 vector")
         return X
 
-    def evaluate(self, X) -> list:
+    def evaluate(self, X, until: Optional[float] = None) -> list:
         """Evaluate the rows of an ``(n, d)`` array in order; return their
-        transformed qualities as a list of floats."""
+        transformed qualities as a list of floats.
+
+        With ``until`` given, the batch ends at the first row whose transformed
+        quality is strictly better than ``until`` in the problem's direction (NaN
+        never is): only the rows up to and including it are counted, logged and
+        returned. The whole array is checked and computed either way.
+        """
         if self._torn_down:
             raise RuntimeError(f"evaluation after suite teardown: {self.meta}")
         X = self._coerce(X)
         raw = self._raw(X)
         if self._shift is None:
-            values = raw.tolist()
-            raw = transformed = tuple(values)
+            values = raw = raw.tolist()
         else:
             X = X - self._shift  # drops a caller's temporary batch before the second kernel
             values = (self._raw(X) + self._offset).tolist()
-            raw, transformed = tuple(raw.tolist()), tuple(values)
+            raw = raw.tolist()
+        better = self.direction.better
+        if until is not None:
+            for n, value in enumerate(values, 1):
+                if better(value, until):
+                    del values[n:], raw[n:]
+                    break
         if not values:
             return values
+        transformed = tuple(values)
+        raw = transformed if raw is values else tuple(raw)
         count, _, raw_best, _, best = self._last
-        better = self.direction.better
         raw_bests, bests = [], []
         for r, t in zip(raw, transformed):
             if better(r, raw_best):
@@ -218,6 +230,12 @@ class Rastrigin(Problem):
         return 10.0 * X.shape[1] + np.add.reduce(square, 1)
 
 
+def _floats(counts: np.ndarray) -> np.ndarray:
+    """``counts.astype(float)``, by way of Python ints. numpy's own cast of more than one
+    element pages in about 64 KB of its code that nothing else in a boolean run uses."""
+    return np.array(counts.tolist(), dtype=float)
+
+
 class OneMax(Problem):
     """Number of one-bits; optimum equals the dimension."""
 
@@ -225,9 +243,9 @@ class OneMax(Problem):
     direction = Direction.MAXIMIZATION
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
-        # Summed in X's own dtype, then cast: a float dtype in the reduction would cast
-        # through numpy's iterator buffers, which raised peak RSS by about 0.1-0.2 MB.
-        return np.add.reduce(X, 1).astype(float)
+        # Summed in X's own dtype: a float dtype in the reduction would cast through
+        # numpy's iterator buffers, which raised peak RSS by about 0.1-0.2 MB.
+        return _floats(np.add.reduce(X, 1))
 
 
 class LeadingOnes(Problem):
@@ -237,7 +255,7 @@ class LeadingOnes(Problem):
     direction = Direction.MAXIMIZATION
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
-        return np.add.reduce(np.minimum.accumulate(X, 1), 1).astype(float)
+        return _floats(np.add.reduce(np.minimum.accumulate(X, 1), 1))
 
 
 class Suite:

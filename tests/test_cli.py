@@ -364,6 +364,8 @@ MALFORMED_FLAGS = [
     ("stats", "--nadir", "\u0661\u0660, 5"),
     ("eah", "--time-range", " 1:1_0"),
     ("run", "--seed", str(2**63)),
+    ("eah", "--buckets", "2x1001"),
+    ("run", "--buckets", "1001x1"),
 ]
 
 
@@ -400,6 +402,27 @@ def test_an_integer_flag_past_the_int_digit_limit_gets_the_flag_message(ab_file)
     err = run_cli_expecting_usage_error(["stats", "--in", str(ab_file), f"--levels={digits}"])
     assert (f"argument --levels: expects comma-separated integers in [0, 2**63), got '{digits}'"
             in err)
+
+
+def test_a_grid_past_the_bucket_cap_is_refused_before_the_input_is_read(
+        ab_file, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a histogram was set up")
+
+    monkeypatch.setattr(cli, "read_trajectories", refuse)
+    monkeypatch.setattr(cli, "fit_discretization", refuse)
+    out = tmp_path / "h.csv"
+    err = run_cli_expecting_usage_error(["eah", "--in", str(ab_file), "--out", str(out),
+                                         "--buckets", "100000000x2"])
+    assert (f"argument --buckets: expects TxQ counts in [1, {cli.MAX_BUCKETS}], "
+            "got '100000000x2'") in err
+    assert not out.exists()
+    cap = f"{cli.MAX_BUCKETS}X{cli.MAX_BUCKETS}"
+    parser = cli.build_parser()
+    assert parser.parse_args(["eah", "--in", "x", "--out", "y", "--buckets", cap]).buckets == (
+        cli.MAX_BUCKETS, cli.MAX_BUCKETS)
+    assert parser.parse_args(["run", "--out", "y", "--buckets", cap]).eah_buckets == (
+        cli.MAX_BUCKETS, cli.MAX_BUCKETS)
 
 
 # Pieces of cells next to the edges of the cell grammar: a sign, leading zeros, padding, an

@@ -197,8 +197,10 @@ def build(spec):
 # Rows of a 2-d problem: quarter steps tie often, and a NaN coordinate gives a NaN value.
 rows = st.lists(st.integers(-8, 8).map(lambda v: v / 4) | st.just(math.nan),
                 min_size=2, max_size=2)
-# Per batch: the rows, then what the external property is bound to (None: detached).
-batches = st.tuples(st.lists(rows, max_size=4), st.none() | small_qualities)
+# Per batch: the rows, what the external property is bound to (None: detached), and
+# where the batch may stop: None, or ``until`` at the value of a row nudged by a step.
+batches = st.tuples(st.lists(rows, max_size=4), st.none() | small_qualities,
+                    st.none() | st.tuples(st.integers(0, 3), st.sampled_from([-0.25, 0.0, 0.25])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,13 +219,21 @@ def test_a_batch_equals_a_loop_of_scalar_calls(problem, instance, specs, runs):
         sides.append((pb, store, trajectories))
     (batched, *_), (scalar, *_) = sides
     for run in runs:
-        for batch, binding in run:
+        for batch, binding, stop in run:
             if binding is None:
                 external.detach()
             else:
                 external.rebind(lambda binding=binding: binding)
-            got = batched.evaluate(np.array(batch, dtype=float).reshape(-1, 2))
-            assert repr(got) == repr([scalar(row) for row in batch])
+            until = None
+            if stop is not None and batch:
+                until = problem(1, instance, 2)(batch[stop[0] % len(batch)]) + stop[1]
+            got = batched.evaluate(np.array(batch, dtype=float).reshape(-1, 2), until=until)
+            expected = []
+            for row in batch:
+                expected.append(scalar(row))
+                if until is not None and scalar.direction.better(expected[-1], until):
+                    break
+            assert repr(got) == repr(expected)
             assert repr(batched.state) == repr(scalar.state)
         batched.reset()
         scalar.reset()

@@ -120,6 +120,32 @@ class TestFlatFiles:
         paths = write_flat_files(store, tmp_path)
         assert sorted(p.name for p in paths) == ["fake_f1_d5_i1.csv", "fake_f3_d5_i2.csv"]
 
+    @pytest.mark.parametrize("reading", [[1], "1.5", True, "x", 1],
+                             ids=["list", "numeric text", "bool", "text", "int"])
+    def test_a_reading_that_is_not_a_float_is_named_and_its_file_not_written(
+            self, tmp_path, reading):
+        class Odd(Property):
+            """Reads ``reading`` at evaluation 3 and 1.0 elsewhere."""
+
+            def __call__(self, batch):
+                return tuple(reading if e == 3 else 1.0 for e in batch.evaluations)
+
+        store = Store([Always()], [TransformedY(), Odd("odd")])
+        feed(store, [4.0, 3.5])
+        feed(store, [4.0, 3.5, 3.0, 2.0])
+        path = tmp_path / f"{cell_stem(META)}.csv"
+        message = f"{path}: run 1, event 2: property 'odd' reading {reading!r} is not a float"
+        with mock.patch.object(fileio, "_FLAT_BLOCK", 2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write_flat_files(store, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_float_subclass_is_a_float_reading(self, tmp_path):
+        store = Store([Always()], [TransformedY()])
+        feed(store, [np.float64(4.0), 3.5])
+        (path,) = write_flat_files(store, tmp_path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == ["0,0,1,4.0", "0,1,2,3.5"]
+
     def test_no_property_can_stand_in_for_the_evaluations_column(self):
         with pytest.raises(ValueError, match="property name 'evaluations' is reserved"):
             Store([Always()], [External("evaluations"), TransformedY()])
@@ -485,6 +511,29 @@ class TestTrajectoryFiles:
         path.write_text("run,evaluations,quality\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match=f"t.csv{problem}"):
             read_trajectories(path)
+
+    @pytest.mark.parametrize("bad, problem, calls", [
+        (["0,51,nan"], "quality 'nan' is not a finite number", 1),
+        (["0,0,2.5", "-1,52,2.5"], r"evaluation count '0' is not an integer in \[1, 2\*\*63\)", 1),
+        (["-1,51,2.5\r"], r"run '-1' is not an integer in \[0, 2\*\*63\)", 1),
+        (["0,51, 2.5", "0,52,nan"], r"quality ' 2\.5' is not a finite number", 51),
+        (["", "0,52,nan"], "blank line", 51),
+    ], ids=["value", "first of two", "crlf", "padded cell", "blank line"])
+    def test_when_only_the_values_are_at_fault_the_rule_starts_at_the_first_flagged_row(
+            self, tmp_path, monkeypatch, bad, problem, calls):
+        fields = []
+
+        def counted(line, columns):
+            fields.append(line)
+            return _fields(line, columns)
+
+        path = tmp_path / "t.csv"
+        lines = [f"0,{i + 1},{100 - i}" for i in range(50)] + bad
+        path.write_text("run,evaluations,quality\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(fileio, "_fields", counted)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:52: {problem}$"):
+            read_trajectories(path)
+        assert len(fields) == calls
 
     def test_an_error_that_names_no_row_falls_back_to_the_path(self, tmp_path, monkeypatch):
         def loadtxt(*args, **kwargs):

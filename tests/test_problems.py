@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from attainbench.attainment import TrajectoryLogger
 from attainbench.loggers import Logger, Store, cell_key
 from attainbench.problems import (
     SUITES,
@@ -18,7 +19,7 @@ from attainbench.problems import (
     Rastrigin,
     Sphere,
 )
-from attainbench.properties import TransformedY
+from attainbench.properties import RawY, TransformedY, TransformedYBest
 from attainbench.triggers import Always
 
 
@@ -207,6 +208,62 @@ class TestBatches:
         assert [list(column) for column in rec.batches[-1]] == logged
         assert [v for _, v in store.events(cell_key(pb.meta), 0)][1:] == logged[3]
         assert logged[0] == [2, 3]
+
+
+class TestUntil:
+    """``evaluate(X, until=u)`` against ``evaluate`` of the rows it keeps."""
+
+    @staticmethod
+    def watched(problem, instance):
+        """A problem after one evaluation, with a store and a trajectory logger attached."""
+        pb = problem(1, instance, 2)
+        store = Store([Always()], [RawY(), TransformedY(), TransformedYBest()])
+        trajectories = TrajectoryLogger()
+        pb.attach_logger(store)
+        pb.attach_logger(trajectories)
+        pb(np.ones(2))
+        return pb, store, trajectories
+
+    @staticmethod
+    def seen(pb, store, trajectories):
+        cell = cell_key(pb.meta)
+        return repr((pb.state, store.events(cell, 0),
+                     [t.points for t in trajectories.trajectories(cell)]))
+
+    @pytest.mark.parametrize("problem, instance, rows, until, kept", [
+        (Sphere, 1, [[3.0, 0.0], [2.0, 1.0], [1.0, 1.0], [0.0, 0.0]], 4.5, 3),
+        (Sphere, 1, [[1.0, 1.0], [0.0, 0.0]], 5.0, 1),
+        (Sphere, 1, [[3.0, 0.0], [2.0, 1.0]], 5.0, 2),
+        (Sphere, 1, [[math.nan, 0.0], [3.0, 0.0], [1.0, 0.0]], 4.0, 3),
+        (Sphere, 1, [[math.nan, 0.0], [3.0, 0.0]], 4.0, 2),
+        (Sphere, 1, [[1.0, 1.0], [0.0, 0.0]], math.nan, 2),
+        # transformed 109.5, 108.2, 102.5, 106.3 from raw 5, 2, 0, 9
+        (Sphere, 2, [[2.0, 1.0], [1.0, 1.0], [0.0, 0.0], [3.0, 0.0]], 105.0, 3),
+        (OneMax, 1, [[0, 0], [1, 0], [1, 1], [0, 1]], 1.0, 3),
+        (OneMax, 1, [[0, 0], [1, 0]], 1.0, 2),
+        (LeadingOnes, 1, [[0, 1], [1, 1], [1, 0]], 1.0, 2),
+    ], ids=["min", "first row", "a tie is not better", "after a NaN row", "only NaN and worse",
+            "until NaN", "instance 2", "max", "max, none better", "leading ones"])
+    def test_only_the_rows_up_to_the_first_better_one_are_counted_logged_and_returned(
+            self, problem, instance, rows, until, kept):
+        cut, prefix = self.watched(problem, instance), self.watched(problem, instance)
+        values = cut[0].evaluate(np.array(rows), until=until)
+        assert len(values) == kept
+        assert repr(values) == repr(prefix[0].evaluate(np.array(rows[:kept])))
+        assert self.seen(*cut) == self.seen(*prefix)
+
+    def test_an_empty_batch_counts_and_logs_nothing(self):
+        pb, store, trajectories = self.watched(Sphere, 1)
+        before = self.seen(pb, store, trajectories)
+        assert pb.evaluate(np.zeros((0, 2)), until=1.0) == []
+        assert self.seen(pb, store, trajectories) == before
+
+    def test_a_bad_row_after_the_stop_rejects_the_whole_batch(self):
+        pb, store, trajectories = self.watched(OneMax, 1)
+        before = self.seen(pb, store, trajectories)
+        with pytest.raises(ValueError, match="0/1"):
+            pb.evaluate([[1, 1], [0.5, 1]], until=0.0)
+        assert self.seen(pb, store, trajectories) == before
 
 
 class TestLoggerWiring:

@@ -7,7 +7,7 @@ import pytest
 
 from attainbench import cli, solvers
 from attainbench.loggers import Store, cell_key
-from attainbench.problems import OneMax, Sphere
+from attainbench.problems import LeadingOnes, OneMax, Rastrigin, Sphere
 from attainbench.properties import TransformedY, TransformedYBest
 from attainbench.solvers import SOLVERS, hill_climber, random_search
 from attainbench.triggers import Always, OnImprovement
@@ -74,8 +74,10 @@ def test_seeded_runs_reproduce_the_same_best():
     assert values[0] == values[1]
 
 
-@pytest.mark.parametrize("problem", [OneMax, Sphere])
-@pytest.mark.parametrize("budget", [1, solvers.BLOCK, solvers.BLOCK + 1, 2 * solvers.BLOCK + 1])
+@pytest.mark.parametrize("problem", [OneMax, Sphere, LeadingOnes, Rastrigin])
+@pytest.mark.parametrize("budget", [1, solvers.BLOCK, solvers.BLOCK + 1, 2 * solvers.BLOCK + 1,
+                                    solvers.WINDOW - 1, solvers.WINDOW, solvers.WINDOW + 1,
+                                    solvers.WINDOW + 2, solvers.BLOCK + solvers.WINDOW + 2])
 def test_hill_climber_takes_the_steps_per_step_draws_would_give(problem, budget):
     def logged(solver):
         pb = problem(1, 2, 7)
@@ -89,18 +91,32 @@ def test_hill_climber_takes_the_steps_per_step_draws_would_give(problem, budget)
     assert len(blocked[1]) == budget
 
 
-def test_a_hill_climb_of_the_continuous_suite_writes_the_files_per_step_draws_give(
-        tmp_path, monkeypatch):
+def written_by_both_hill_climbers(tmp_path, monkeypatch, suite, dimension):
+    """The files a hill climb of two runs per cell of the suite writes with all three
+    loggers, by the solver and by the per-step oracle."""
     def written(out):
-        config = cli.RunConfig(suite="continuous", problems=(1, 2), instances=(1, 2),
-                               dimensions=(3,), runs=2, budget=solvers.BLOCK + 40,
+        config = cli.RunConfig(suite=suite, problems=(1, 2), instances=(1, 2),
+                               dimensions=(dimension,), runs=2, budget=solvers.BLOCK + 40,
                                solver="hill", loggers=("eaf", "eah", "flatfile"), out_dir=out)
         files = cli.run_benchmark(config)["files"]
         return {path.name: path.read_bytes() for path in files}
 
     blocked = written(tmp_path / "blocked")
     monkeypatch.setitem(cli.SOLVERS, "hill", hill_climber_per_step)
-    assert written(tmp_path / "per_step") == blocked
+    return blocked, written(tmp_path / "per_step")
+
+
+def test_a_hill_climb_of_the_continuous_suite_writes_the_files_per_step_draws_give(
+        tmp_path, monkeypatch):
+    blocked, per_step = written_by_both_hill_climbers(tmp_path, monkeypatch, "continuous", 3)
+    assert per_step == blocked
+    assert len(blocked) == 3 * 4
+
+
+def test_a_hill_climb_of_the_pseudo_boolean_suite_writes_the_files_per_step_draws_give(
+        tmp_path, monkeypatch):
+    blocked, per_step = written_by_both_hill_climbers(tmp_path, monkeypatch, "pseudo-boolean", 16)
+    assert per_step == blocked
     assert len(blocked) == 3 * 4
 
 
