@@ -137,8 +137,8 @@ def _staircases(meta: MetaData, runs, times, qualities) -> list:
     kept = np.flatnonzero(minimized < best_before)
     last = np.ones(len(kept), dtype=bool)
     last[:-1] = (by_run[kept[1:]] != by_run[kept[:-1]]) | (by_time[kept[1:]] != by_time[kept[:-1]])
-    kept = order[kept[last]]
-    runs, times, qualities = runs[kept], times[kept], _minimizing(qualities[kept], meta.direction)
+    kept = kept[last]
+    runs, times, qualities = by_run[kept], by_time[kept], minimized[kept]
     starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]]).tolist()
     return [Trajectory(meta, int(runs[a]), None, _columns=(times[a:b], qualities[a:b]))
             for a, b in zip(starts, starts[1:] + [len(runs)])]
@@ -155,11 +155,6 @@ class TrajectoryLogger(Watcher):
 
     def __init__(self):
         super().__init__([OnImprovement()], [TransformedYBest()])
-        self._metas: dict = {}
-
-    def _on_attach(self, meta) -> None:
-        self._metas[self._cell] = meta
-        super()._on_attach(meta)
 
     def trajectories(self, cell: Optional[CellKey] = None) -> list:
         """Trajectories of one cell (or of all cells, cell-major, run order)."""

@@ -60,10 +60,10 @@ def run_benchmark(config: RunConfig) -> dict:
     solver = SOLVERS[config.solver]
     wants = set(config.loggers)
 
-    trajectory_logger = TrajectoryLogger() if wants & {"eaf", "eah"} else None
-    store = Store([Always()], [TransformedY(), TransformedYBest()]) if "flatfile" in wants else None
-    for logger in (trajectory_logger, store):
-        if logger is not None:
+    trajectory_logger = TrajectoryLogger()
+    store = Store([Always()], [TransformedY(), TransformedYBest()])
+    for logger, kinds in ((trajectory_logger, {"eaf", "eah"}), (store, {"flatfile"})):
+        if wants & kinds:
             suite.attach_logger(logger)
 
     for problem in suite:
@@ -74,24 +74,23 @@ def run_benchmark(config: RunConfig) -> dict:
             solver(problem, config.budget, np.random.default_rng(seed))
             problem.reset()
 
+    # A logger that was not attached recorded no cell, so it writes nothing.
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
-    if trajectory_logger is not None:
-        for cell in trajectory_logger.cells():
-            stem = cell_stem(cell)
-            trajectories = trajectory_logger.trajectories(cell)
-            if "eaf" in wants:
-                path = out / f"{stem}_traj.csv"
-                write_trajectories(path, trajectories)
-                files.append(path)
-            if "eah" in wants:
-                disc = fit_discretization(trajectories, config.eah_buckets, config.eah_scales)
-                path = out / f"{stem}_eah.csv"
-                write_histogram(path, eah(trajectories, disc))
-                files.append(path)
-    if store is not None:
-        files.extend(write_flat_files(store, out))
+    for cell in trajectory_logger.cells():
+        stem = cell_stem(cell)
+        trajectories = trajectory_logger.trajectories(cell)
+        if "eaf" in wants:
+            path = out / f"{stem}_traj.csv"
+            write_trajectories(path, trajectories)
+            files.append(path)
+        if "eah" in wants:
+            disc = fit_discretization(trajectories, config.eah_buckets, config.eah_scales)
+            path = out / f"{stem}_eah.csv"
+            write_histogram(path, eah(trajectories, disc))
+            files.append(path)
+    files.extend(write_flat_files(store, out))
 
     cells = len(suite)
     return {"cells": cells, "runs": cells * config.runs,
@@ -127,8 +126,7 @@ def _int_at_least(least: int):
 
 
 #: Most buckets a ``--buckets`` flag may give either axis. It bounds what a histogram
-#: holds, one count per grid cell and one best quality per run and time bucket, and is
-#: checked before anything is allocated.
+#: holds, one count per grid cell, and is checked before anything is allocated.
 MAX_BUCKETS = 1000
 
 

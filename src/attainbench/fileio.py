@@ -393,5 +393,4 @@ def write_histogram(path, histogram: Histogram) -> None:
         fh.write("t_bucket,q_bucket,count\n")
         # One format per row keeps the body's transient tuple and text to one row's worth.
         for i, row in enumerate(histogram.counts.astype(np.int64)):
-            cells = np.column_stack((np.arange(len(row)), row))
-            fh.write(f"{i},%d,%d\n" * len(row) % tuple(cells.ravel().tolist()))
+            fh.write(f"{i},%d,%d\n" * len(row) % tuple(chain.from_iterable(enumerate(row.tolist()))))

@@ -123,7 +123,7 @@ def eah(trajectories: Sequence[Trajectory], discretization: Discretization) -> H
     For every grid cell, counts the runs with a trajectory point weakly
     dominating the cell's representative (time edge, quality edge) point.
     Trajectory points outside the grid's box are clamped into the boundary
-    buckets.
+    buckets. Memory is one count per grid cell, whatever the number of runs.
     """
     trajs, direction, columns = _runs(trajectories, "eah")
 
@@ -131,14 +131,18 @@ def eah(trajectories: Sequence[Trajectory], discretization: Discretization) -> H
     reps_t = np.asarray(t_axis.representatives)
     reps_q = _minimizing(q_axis.representatives, direction)
     q_lo, q_hi = np.sort(_minimizing([q_axis.origin, q_axis.top], direction))
-    # Best quality each run attains by each time representative: trajectories are
-    # time-sorted with improving quality, so it is the quality of the last point
-    # no later than the representative.
-    best = np.empty((t_axis.buckets, len(columns)))
-    for run, (times, quals) in enumerate(columns):
+    order = np.argsort(reps_q, kind="stable")
+    ascending, rows = reps_q[order], np.arange(t_axis.buckets)
+    # One count per grid cell and none per run: at each time representative a run adds
+    # one at the first quality representative, in ascending order, that it attains (the
+    # last column if none), and a sum along the quality axis counts it at each worse one.
+    counts = np.zeros((t_axis.buckets, q_axis.buckets + 1), dtype=np.intp)
+    for times, quals in columns:
+        # The best quality a run attains by a time representative is that of its last
+        # point no later than it: trajectories are time-sorted with improving quality.
         idx = np.searchsorted(np.clip(times, t_axis.origin, t_axis.top), reps_t, side="right") - 1
-        best[:, run] = np.where(idx >= 0, np.clip(quals, q_lo, q_hi)[np.maximum(idx, 0)], math.inf)
-    # With each row sorted, a cell's count is the number of its row's bests <= its quality.
-    best.sort(axis=1)
-    counts = np.array([np.searchsorted(row, reps_q, side="right") for row in best])
+        best = np.where(idx >= 0, np.clip(quals, q_lo, q_hi)[np.maximum(idx, 0)], math.inf)
+        counts[rows, np.searchsorted(ascending, best)] += 1
+    np.cumsum(counts, axis=1, out=counts)
+    counts = counts[:, np.argsort(order)]
     return Histogram(discretization, counts, len(trajs))

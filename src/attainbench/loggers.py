@@ -84,7 +84,8 @@ class Cursor:
 
 
 class Logger:
-    """Base logger: tracks the active context and zero-based run indices.
+    """Base logger: tracks the active context, each context's metadata and
+    zero-based run indices.
 
     Subclasses implement the ``_on_*`` hooks; the base class guarantees that
     ``call`` is rejected before the first ``attach`` and that every ``reset``
@@ -94,18 +95,17 @@ class Logger:
     def __init__(self):
         self._meta = None
         self._cell: Optional[CellKey] = None
+        self._metas: dict[CellKey, object] = {}
         self._run_index: dict[CellKey, int] = {}
 
     @property
     def current_run(self) -> int:
-        if self._meta is None:
-            return 0
-        return self._run_index[self._cell]
+        return self._run_index.get(self._cell, 0)
 
     def attach(self, meta) -> None:
         self._cell = cell_key(meta)
         self._run_index.setdefault(self._cell, 0)
-        self._meta = meta
+        self._meta = self._metas[self._cell] = meta
         self._on_attach(meta)
 
     def call(self, batch: Batch) -> None:

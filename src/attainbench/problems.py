@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
@@ -67,6 +68,11 @@ class MetaData:
     direction: Direction
 
     def __post_init__(self):
+        # The suite name starts every per-cell file name, so it must name no directory.
+        name = self.suite_name
+        if not name or any(c and c in name for c in (os.sep, os.altsep, "\0")):
+            raise ValueError(f"suite_name must be non-empty with no path separator or NUL, "
+                             f"got {name!r}")
         if self.problem_id < 1:
             raise ValueError(f"problem_id must be >= 1, got {self.problem_id}")
         if self.instance < 1:

@@ -2,9 +2,12 @@
 
 import contextlib
 import io
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,9 @@ from attainbench import cli
 from attainbench.fileio import (_TRAJECTORY, _fields, read_flat_file, read_trajectories,
                                 write_histogram)
 from attainbench.histogram import eah, fit_discretization
+from attainbench.problems import Direction
+
+from oracles import as_trajectories
 
 AB_CSV = ("run,evaluations,quality\n"
           "0,1,10\n0,3,5\n"
@@ -52,6 +58,15 @@ class TestRun:
             "continuous_f2_d4_i1.csv", "continuous_f2_d4_i1_eah.csv",
             "continuous_f2_d4_i1_traj.csv",
         ]
+
+    @pytest.mark.parametrize("kinds", [kinds for n in (1, 2, 3)
+                                       for kinds in itertools.combinations(cli.LOG_CHOICES, n)])
+    def test_each_set_of_logger_kinds_writes_exactly_its_files(self, tmp_path, kinds):
+        suffix = {"eaf": "_traj.csv", "eah": "_eah.csv", "flatfile": ".csv"}
+        summary = cli.run_benchmark(cli.RunConfig(problems=(1, 2), dimensions=(4,), runs=2,
+                                                  budget=6, loggers=kinds, out_dir=tmp_path))
+        expected = sorted(f"continuous_f{p}_d4_i1{suffix[kind]}" for p in (1, 2) for kind in kinds)
+        assert run_files(tmp_path) == sorted(path.name for path in summary["files"]) == expected
 
     def test_store_logging_is_materialized_as_flat_files(self, tmp_path):
         out = tmp_path / "out"
@@ -423,6 +438,25 @@ def test_a_grid_past_the_bucket_cap_is_refused_before_the_input_is_read(
         cli.MAX_BUCKETS, cli.MAX_BUCKETS)
     assert parser.parse_args(["run", "--out", "y", "--buckets", cap]).eah_buckets == (
         cli.MAX_BUCKETS, cli.MAX_BUCKETS)
+
+
+def test_a_histogram_at_the_time_bucket_cap_needs_memory_for_its_grid_not_its_runs():
+    # 3,000 one-point runs: a best quality per run and time bucket alone would be 24 MB.
+    times, qualities = np.arange(1, 3001), -np.arange(3000.0)
+    trajectories = as_trajectories([[point] for point in zip(times.tolist(), qualities.tolist())],
+                                   Direction.MINIMIZATION)
+    disc = fit_discretization(trajectories, (cli.MAX_BUCKETS, 2))
+    eah(trajectories, disc)  # checks and caches each run's columns
+    tracemalloc.start()
+    try:
+        counts = eah(trajectories, disc).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    reps_t, reps_q = (np.array(axis.representatives) for axis in (disc.time, disc.quality))
+    attained = ((times <= reps_t[:, None])[:, :, None] & (qualities[:, None] <= reps_q))
+    assert (counts == attained.sum(axis=1)).all()
 
 
 # Pieces of cells next to the edges of the cell grammar: a sign, leading zeros, padding, an

@@ -33,6 +33,10 @@ class Probe(Logger):
         self.events.append((self.name, "reset", self.current_run))
 
 
+def points(trajectory):
+    return [(p.time, p.quality) for p in trajectory.points]
+
+
 def drive(logger, values, meta=META):
     """Feed a minimization run: values arrive as evaluations 1..n with running bests."""
     best = meta.direction.worst
@@ -155,6 +159,26 @@ def test_reattach_after_reset_continues_with_next_run():
     store.reset()
     store.attach(META)
     assert store.current_run == 1
+
+
+def test_a_cell_attached_again_keeps_its_runs_and_hands_out_its_latest_metadata():
+    meta_again = MetaData("fake", 1, 1, 5, Direction.MINIMIZATION)  # META's cell, a new object
+    trajectory_logger, store = TrajectoryLogger(), Store([Always()], [TransformedY()])
+    both = Combine([trajectory_logger, store])
+    for meta, values in ((META, [3.0, 1.0]), (META_OTHER, [2.0]), (meta_again, [4.0, 0.5])):
+        both.attach(meta)
+        drive(both, values, meta)
+        both.reset()
+    a, b = cell_key(META), cell_key(META_OTHER)
+    assert [(t.meta, t.run, points(t)) for t in trajectory_logger.trajectories(a)] == [
+        (meta_again, 0, [(1, 3.0), (2, 1.0)]), (meta_again, 1, [(1, 4.0), (2, 0.5)])]
+    assert all(t.meta is meta_again for t in trajectory_logger.trajectories(a))
+    (other,) = trajectory_logger.trajectories(b)
+    assert other.meta is META_OTHER and points(other) == [(1, 2.0)]
+    assert store.cells() == [a, b] and store.runs(a) == [0, 1] and store.runs(b) == [0]
+    assert [store.at(Cursor(*a, run=1, event_index=i), "transformed_y") for i in (0, 1)] == [4.0, 0.5]
+    assert store.at(Cursor(*b, event_index=0), "transformed_y") == 2.0
+    assert store.at(Cursor(*a, run=0, event_index=1), "evaluations") == 2.0
 
 
 class TestCombine:

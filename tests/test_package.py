@@ -6,6 +6,8 @@ from pathlib import Path
 
 import attainbench
 
+import code_lines
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(attainbench.__file__).parent
 
@@ -58,3 +60,17 @@ def test_the_readme_python_examples_run_in_order(capsys):
         # Pad with blank lines so a traceback gives the README's own line numbers.
         source = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
         exec(compile(source, str(README), "exec"), namespace)
+
+
+def test_lines_that_hold_code_leave_out_docstrings_comments_and_blank_lines():
+    source = ('"""Module docstring,\n'
+              'on two lines."""\n'
+              '\n'
+              '# A comment.\n'
+              'def f(a,\n'
+              '      b):  # a statement on two lines\n'
+              '    """Function docstring."""\n'
+              '    text = """a string\n'
+              'that is not a docstring"""\n'
+              '    return a + b\n')
+    assert code_lines.code_lines(source) == 5

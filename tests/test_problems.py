@@ -1,6 +1,8 @@
 """Objective functions, per-run state, instance transformations, suites."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +431,18 @@ def test_metadata_validation():
         MetaData("s", 1, 0, 1, Direction.MINIMIZATION)
     with pytest.raises(ValueError):
         MetaData("s", 1, 1, 0, Direction.MINIMIZATION)
+
+
+@pytest.mark.parametrize("name", ["", "../esc/x", "a/b", "a\0b", os.sep + "x"]
+                         + ([f"a{os.altsep}b"] if os.altsep else []))
+def test_a_suite_name_that_could_name_a_directory_is_rejected(name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        MetaData(name, 1, 1, 1, Direction.MINIMIZATION)
+
+
+def test_every_suite_names_its_problems_with_a_valid_suite_name():
+    for make in SUITES.values():
+        assert [problem.meta.suite_name for problem in make((1,), (1,), (2,))] == [make.name]
 
 
 def test_base_problem_requires_an_objective():
