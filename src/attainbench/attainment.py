@@ -121,24 +121,32 @@ def _check(points: Sequence, direction: Direction, label: str) -> tuple:
     return np.array(times, dtype=np.int64), qualities
 
 
-def _staircases(meta: MetaData, runs, times, qualities) -> list:
-    """Trajectories of non-empty row columns, by run id: each run's rows in time
-    order that strictly improve on all earlier ones, the last (best) of several at
-    one time. A run with no such row is left out. ``times`` are int64 >= 1 and
-    ``qualities`` finite, in the direction of ``meta``."""
+def _improving(runs, times, minimized) -> np.ndarray:
+    """Indices of the rows that strictly improve on every earlier row of their run,
+    in order of run id, then time, then position: rows at one time count as
+    earlier in the order they are given. ``minimized`` are the rows' qualities
+    canonicalized to minimization."""
     order = np.lexsort((times, runs))
-    by_run, by_time = runs[order], times[order]
-    minimized = _minimizing(qualities, meta.direction)[order]
+    by_run, minimized = runs[order], minimized[order]
     best_before = np.empty_like(minimized)
     bounds = np.flatnonzero(by_run[1:] != by_run[:-1]) + 1
     for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(runs)]):
         best_before[start] = math.inf
         np.fmin.accumulate(minimized[start:stop - 1], out=best_before[start + 1:stop])
-    kept = np.flatnonzero(minimized < best_before)
+    return order[minimized < best_before]
+
+
+def _staircases(meta: MetaData, runs, times, qualities) -> list:
+    """Trajectories of non-empty row columns, by run id: each run's rows in time
+    order that strictly improve on all earlier ones, the last (best) of several at
+    one time. A run with no such row is left out. ``times`` are int64 >= 1 and
+    ``qualities`` finite, in the direction of ``meta``."""
+    minimized = _minimizing(qualities, meta.direction)
+    kept = _improving(runs, times, minimized)
+    runs, times, qualities = runs[kept], times[kept], minimized[kept]
     last = np.ones(len(kept), dtype=bool)
-    last[:-1] = (by_run[kept[1:]] != by_run[kept[:-1]]) | (by_time[kept[1:]] != by_time[kept[:-1]])
-    kept = kept[last]
-    runs, times, qualities = by_run[kept], by_time[kept], minimized[kept]
+    last[:-1] = (runs[1:] != runs[:-1]) | (times[1:] != times[:-1])
+    runs, times, qualities = runs[last], times[last], qualities[last]
     starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]]).tolist()
     return [Trajectory(meta, int(runs[a]), None, _columns=(times[a:b], qualities[a:b]))
             for a, b in zip(starts, starts[1:] + [len(runs)])]
@@ -318,10 +326,16 @@ def volume(level_sets: Sequence[LevelSet], nadir, normalized: bool = False) -> f
     best over all points of the given level sets, which must share one direction.
     """
     sets = list(level_sets)
+    return _volume(sets, (surface(ls, nadir) for ls in sets), nadir, normalized)
+
+
+def _volume(sets: list, surfaces: Iterable[float], nadir, normalized: bool) -> float:
+    """:func:`volume` of ``sets`` whose surfaces at ``nadir`` are ``surfaces``, in
+    the same order. They are read only once the sets pass the checks."""
     if not sets:
         raise ValueError("volume of an empty level-set collection")
     direction = _common_direction((ls.direction for ls in sets), "level sets")
-    total = float(np.add.accumulate([surface(ls, nadir) for ls in sets])[-1])
+    total = float(np.add.accumulate(list(surfaces))[-1])
     if not normalized:
         return total
     ideal_t, _, ideal_q, _ = _bounds([ls._checked() for ls in sets])

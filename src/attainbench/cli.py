@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attainment import LevelSelector, TrajectoryLogger, default_nadir, surface, volume
+from .attainment import LevelSelector, TrajectoryLogger, _volume, default_nadir, surface
 from .fileio import (_finite, _integer, cell_stem, read_trajectories, write_flat_files,
                      write_histogram, write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
@@ -191,9 +191,10 @@ def _cmd_stats(args) -> int:
     sets = LevelSelector(args.levels).select(trajectories, args.infile)
     nadir = args.nadir or default_nadir(trajectories)
     # Every value is computed before the first line is printed, so a failure prints nothing.
-    rows = [f"surface\t{ls.level}\t{surface(ls, nadir)!r}" for ls in sets]
+    surfaces = [surface(ls, nadir) for ls in sets]
+    rows = [f"surface\t{ls.level}\t{value!r}" for ls, value in zip(sets, surfaces)]
     label = ",".join(str(ls.level) for ls in sets)
-    rows.append(f"volume\t{label}\t{volume(sets, nadir, args.normalized)!r}")
+    rows.append(f"volume\t{label}\t{_volume(sets, surfaces, nadir, args.normalized)!r}")
     print(f"# nadir\t{float(nadir[0])!r}\t{float(nadir[1])!r}", "metric\tlevel\tvalue", *rows,
           sep="\n")
     return 0

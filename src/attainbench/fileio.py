@@ -16,7 +16,9 @@ Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
     evaluation. Rows need not be improvement-filtered: ingestion applies
     the same strict-improvement filter trajectory capture uses. Runs are
-    integers >= 0, counts integers >= 1 and qualities finite numbers.
+    integers >= 0, counts integers >= 1 and qualities finite numbers. The
+    reader holds one block of lines and the rows that can still improve,
+    not the whole file.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
@@ -29,9 +31,11 @@ Histogram export
 Every writer replaces its target atomically, so a failure mid-write leaves
 the earlier file in place. Both CSV readers count lines by LF, accept CRLF
 line endings, reject a CR that no LF follows and name the first line that
-:func:`_fields` flags. Their cells and every ``bench`` integer and number flag
-take one grammar: integers in ASCII digits with an optional ``-``, below 2**63,
-and numbers as ``float`` reads them from ASCII with no ``_`` or padding.
+:func:`_fields` flags; the trajectory reader does so block by block, so a
+fault in an earlier block is named before a lone CR in a later one. Their
+cells and every ``bench`` integer and number flag take one grammar: integers
+in ASCII digits with an optional ``-``, below 2**63, and numbers as ``float``
+reads them from ASCII with no ``_`` or padding.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attainment import LevelSet, Trajectory, _runs, _staircases
+from .attainment import LevelSet, Trajectory, _improving, _minimizing, _runs, _staircases
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
@@ -189,16 +193,21 @@ def read_flat_file(path):
 
 
 def _read_bytes(path: Path, what: str) -> bytes:
-    """Contents of the ``what`` at ``path``; a CR that no LF follows is rejected,
-    naming its line as counted by LF alone."""
+    """Contents of the ``what`` at ``path``, checked by :func:`_check_crs`."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read {what} {path}: {exc}") from exc
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        line = data.count(b"\n", 0, re.search(b"\r(?!\n)", data).start()) + 1
-        raise ValueError(f"{path}:{line}: carriage return without a line feed after it")
+    _check_crs(path, data, 1)
     return data
+
+
+def _check_crs(path: Path, data: bytes, first: int) -> None:
+    """Reject a CR in ``data`` that no LF follows, naming its line as counted by LF
+    alone, from ``first`` for the line ``data`` starts."""
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        line = data.count(b"\n", 0, re.search(b"\r(?!\n)", data).start()) + first
+        raise ValueError(f"{path}:{line}: carriage return without a line feed after it")
 
 
 def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
@@ -300,24 +309,73 @@ def _flagged(rows: np.ndarray) -> np.ndarray:
     return (rows["evaluations"] < 1) | ~np.isfinite(rows["quality"]) | (rows["run"] < 0)
 
 
+#: Bytes a trajectory file is read in, each block extended to the end of its last line.
+_READ_BLOCK = 1 << 18
+
+
+def _blocks(path: Path):
+    """The trajectory file at ``path`` as blocks of whole lines, each :data:`_READ_BLOCK`
+    bytes and the rest of the line they end in, paired with whether it is the last."""
+    try:
+        with open(path, "rb") as fh:
+            while True:
+                block = fh.read(_READ_BLOCK) + fh.readline()
+                last = not fh.peek(1)
+                yield block, last
+                if last:
+                    return
+    except OSError as exc:
+        raise OSError(f"cannot read trajectory file {path}: {exc}") from exc
+
+
 def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> list:
     """Read a ``run,evaluations,quality`` CSV into improvement-filtered trajectories.
 
     Rows are grouped by run id and sorted by evaluation count; the strict
-    improvement filter reduces each group to its attainment staircase. A lone
-    CR and the first line :func:`_fields` flags are rejected as
-    ``path:line``, and a body numpy cannot read for any other reason as ``path``.
-    The trajectories carry placeholder metadata with the given direction.
+    improvement filter reduces each group to its attainment staircase. The
+    file is read in blocks of whole lines (see :data:`_READ_BLOCK`), and of
+    each block but the last only the rows that strictly improve on every
+    earlier row of their run in that block are kept, so memory holds one block
+    and the rows that can still improve. Blocks are checked in file order: a
+    lone CR and the first line :func:`_fields` flags are rejected as
+    ``path:line``, and a body numpy cannot read for any other reason as
+    ``path``, so of several faults in different blocks the first block's is
+    named. The trajectories carry placeholder metadata with the given direction.
     """
     path = Path(path)
     meta = MetaData("file", 1, 1, 1, direction)
-    # Only the body stays referenced: the whole file is not held beside it.
-    header, _, body = _read_bytes(path, "trajectory file").partition(b"\n")
-    if header.rstrip(b"\r") != b"run,evaluations,quality":
-        header = header.decode(errors="replace")
-        raise ValueError(f"{path}: not a trajectory file (header {header!r})")
-    if not body:
+    kept, first = [], 1
+    for block, last in _blocks(path):
+        _check_crs(path, block, first)
+        if first == 1:
+            header, _, block = block.partition(b"\n")
+            if header.rstrip(b"\r") != b"run,evaluations,quality":
+                header = header.decode(errors="replace")
+                raise ValueError(f"{path}: not a trajectory file (header {header!r})")
+            first = 2
+        if not block:
+            continue
+        lines = block.count(b"\n")
+        rows = _block_rows(path, block, first, lines)
+        if not last:
+            # A row beaten within its block is beaten in the file, and the first row to
+            # reach each running best of its block is kept, so _staircases sees every
+            # row that can matter, still in file order.
+            improving = _improving(rows["run"], rows["evaluations"],
+                                   _minimizing(rows["quality"], direction))
+            rows = rows[np.sort(improving)]
+        kept.append(rows)
+        first += lines
+    if not kept:
         raise ValueError(f"{path}: no trajectory rows")
+    rows = np.concatenate(kept)
+    return _staircases(meta, rows["run"], rows["evaluations"], rows["quality"])
+
+
+def _block_rows(path: Path, body: bytes, first: int, lines: int) -> np.ndarray:
+    """The trajectory rows of ``body``, whole lines numbered from ``first`` and holding
+    ``lines`` LFs, checked by the line rule where numpy fails or a check finds them
+    suspect."""
     rows = error = None
     if not body.isspace():  # loadtxt would warn that it found no data
         try:
@@ -329,21 +387,20 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     # loadtxt skips blank lines, strips what str.strip strips from a cell and takes a
     # leading + on an integer: the byte scans find none of these in a well-formed body,
     # and allocate nothing.
-    plain = not (rows is None or len(rows) < body.count(b"\n") + (not body.endswith(b"\n"))
+    plain = not (rows is None or len(rows) < lines + (not body.endswith(b"\n"))
                  or not body.isascii()
                  or any(byte in body for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
                  or b"+" in body and _SIGNED.search(body) is not None)
-    if not plain or _flagged(rows).any():
+    if not plain or (flagged := _flagged(rows)).any():
         # Row i of a plain body is its line i, and no line before the first flagged row
-        # is at fault. The mask is built again rather than kept: one held through
-        # _staircases raised peak RSS by about 0.7 MB on a 102k-row file. The body has
-        # no lone CR, so splitlines breaks at LF and drops a CRLF's CR.
-        first = int(_flagged(rows).argmax()) if plain else 0
-        for _ in _lines(path, body.splitlines()[first:], _TRAJECTORY, error, first + 2):
+        # is at fault. The body has no lone CR, so splitlines breaks at LF and drops a
+        # CRLF's CR.
+        start = int(flagged.argmax()) if plain else 0
+        for _ in _lines(path, body.splitlines()[start:], _TRAJECTORY, error, first + start):
             pass
         if rows is None:
             raise ValueError(f"{path}: {error}") from error
-    return _staircases(meta, rows["run"], rows["evaluations"], rows["quality"])
+    return rows
 
 
 def _json_points(times: np.ndarray, qualities) -> str:
@@ -392,5 +449,5 @@ def write_histogram(path, histogram: Histogram) -> None:
         fh.write(f"# runs,{histogram.runs}\n")
         fh.write("t_bucket,q_bucket,count\n")
         # One format per row keeps the body's transient tuple and text to one row's worth.
-        for i, row in enumerate(histogram.counts.astype(np.int64)):
+        for i, row in enumerate(histogram.counts.astype(np.int64, copy=False)):
             fh.write(f"{i},%d,%d\n" * len(row) % tuple(chain.from_iterable(enumerate(row.tolist()))))

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attainbench import cli
+from attainbench import attainment, cli
+from attainbench.attainment import surface
 from attainbench.fileio import (_TRAJECTORY, _fields, read_flat_file, read_trajectories,
                                 write_histogram)
 from attainbench.histogram import eah, fit_discretization
@@ -252,6 +253,31 @@ class TestStats:
                   "--nadir", "5,12", "--normalized"])
         out = capsys.readouterr().out
         assert "volume\t1,2\t0.45" in out
+
+    def test_the_volume_adds_the_printed_surfaces_in_level_order(self, tmp_path, capsys):
+        # Surfaces 2**53, 1 and 1: in level order the sum stays 2**53, from the end it
+        # would be 2**53 + 2.
+        path = tmp_path / "t.csv"
+        path.write_text("run,evaluations,quality\n0,1,0\n1,1,9007199254740991\n"
+                        "2,1,9007199254740991\n", encoding="utf-8")
+        cli.main(["stats", "--in", str(path), "--levels", "0,1,2",
+                  "--nadir", "2,9007199254740992"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == ["surface\t1\t9007199254740992.0", "surface\t2\t1.0",
+                             "surface\t3\t1.0", "volume\t1,2,3\t9007199254740992.0"]
+
+    def test_each_surface_is_computed_once(self, ab_file, monkeypatch, capsys):
+        calls = []
+
+        def counted(level_set, nadir):
+            calls.append(level_set.level)
+            return surface(level_set, nadir)
+
+        for module in (attainment, cli):
+            monkeypatch.setattr(module, "surface", counted)
+        cli.main(["stats", "--in", str(ab_file), "--levels", "0,1", "--nadir", "5,12"])
+        assert calls == [1, 2]
+        assert "volume\t1,2\t36.0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("row", ["0,0,4", "1,3,nan", "1,3,-inf"])
     def test_rejected_rows_exit_2_with_their_line(self, tmp_path, capsys, row):

@@ -8,12 +8,14 @@ evaluation counts within a run.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attainbench import fileio
 from attainbench import triggers as tg
 from attainbench.attainment import (LevelSet, TrajectoryLogger, default_nadir, eaf_levels,
                                     surface, volume)
@@ -70,6 +72,21 @@ def test_read_trajectories_equals_the_rowwise_filter(tmp_path_factory, rows, dir
     path.write_text("run,evaluations,quality\n"
                     + "".join(f"{r},{e},{q!r}\n" for r, e, q in rows), encoding="utf-8")
     trajectories = read_trajectories(path, direction)
+    assert [t.run for t in trajectories] == sorted({r for r, _, _ in rows})
+    for traj in trajectories:
+        pairs = [(e, q) for r, e, q in rows if r == traj.run]
+        assert traj.points == improvement_staircase_rowwise(pairs, direction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=raw_rows, direction=directions, block=st.sampled_from([1, 2, 7, 64]))
+def test_read_trajectories_in_small_blocks_equals_the_rowwise_filter(tmp_path_factory, rows,
+                                                                     direction, block):
+    path = tmp_path_factory.mktemp("raw") / "t.csv"
+    path.write_text("run,evaluations,quality\n"
+                    + "".join(f"{r},{e},{q!r}\n" for r, e, q in rows), encoding="utf-8")
+    with mock.patch.object(fileio, "_READ_BLOCK", block):
+        trajectories = read_trajectories(path, direction)
     assert [t.run for t in trajectories] == sorted({r for r, _, _ in rows})
     for traj in trajectories:
         pairs = [(e, q) for r, e, q in rows if r == traj.run]

@@ -25,13 +25,14 @@ from attainbench.fileio import (
     write_level_sets,
     write_trajectories,
 )
-from attainbench.histogram import eah, fit_discretization
+from attainbench.histogram import Axis, Discretization, Histogram, eah, fit_discretization
 from attainbench.loggers import CellKey, Cursor, LogInfo, Store, cell_key
 from attainbench.problems import Direction, MetaData
 from attainbench.properties import External, Property, TransformedY, TransformedYBest
 from attainbench.triggers import Always, Trigger
 
-from oracles import as_trajectories, batch_of, write_flat_files_per_row
+from oracles import (as_trajectories, batch_of, improvement_staircase_rowwise,
+                     write_flat_files_per_row)
 
 MIN = Direction.MINIMIZATION
 META = MetaData("fake", 3, 2, 5, MIN)
@@ -610,6 +611,111 @@ def test_a_body_is_read_exactly_when_the_line_rule_flags_no_line(tmp_path_factor
     assert str(exc.value) == f"{path}:{number}: {problem}"
 
 
+#: Block sizes, in bytes, that cut a trajectory file inside lines and between them.
+SMALL_BLOCKS = [1, 2, 7, 64]
+
+
+class TestTrajectoryFilesInSmallBlocks(TestTrajectoryFiles):
+    """Every case above, with the file read in blocks of a few bytes: the same
+    trajectories and the same messages."""
+
+    @pytest.fixture(autouse=True, params=SMALL_BLOCKS)
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(fileio, "_READ_BLOCK", request.param)
+
+    # Only the message is compared: how many lines the rule reads depends on where
+    # the block that holds the flagged row starts.
+    @pytest.mark.parametrize("bad, problem", [
+        (["0,51,nan"], "quality 'nan' is not a finite number"),
+        (["0,0,2.5", "-1,52,2.5"], r"evaluation count '0' is not an integer in \[1, 2\*\*63\)"),
+        (["-1,51,2.5\r"], r"run '-1' is not an integer in \[0, 2\*\*63\)"),
+        (["0,51, 2.5", "0,52,nan"], r"quality ' 2\.5' is not a finite number"),
+        (["", "0,52,nan"], "blank line"),
+    ], ids=["value", "first of two", "crlf", "padded cell", "blank line"])
+    def test_when_only_the_values_are_at_fault_the_rule_starts_at_the_first_flagged_row(
+            self, tmp_path, bad, problem):
+        path = tmp_path / "t.csv"
+        lines = [f"0,{i + 1},{100 - i}" for i in range(50)] + bad
+        path.write_text("run,evaluations,quality\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:52: {problem}$"):
+            read_trajectories(path)
+
+
+#: The well-formed files of TestTrajectoryFiles.
+WELL_FORMED = [
+    "run,evaluations,quality\n0,1,9.0\n0,4,3.0\n1,2,7.0\n",
+    "run,evaluations,quality\n0,1,9\n0,2,7\n0,3,7\n0,4,3\n",
+    "run,evaluations,quality\n0,4,3\n0,1,9\n0,2,7\n",
+    "run,evaluations,quality\n0,1,9\n0,1,7\n0,2,8\n",
+    "run,evaluations,quality\n0,1,1\n0,2,4\n0,3,2\n",
+    f"run,evaluations,quality\n{'0' * 5000}0,{'0' * 5000}1,9\n",
+    "run,evaluations,quality\n0,1,1e+20\n0,2,2.5e+19\n",
+    "run,evaluations,quality\r\n0,1,9\r\n0,2,8\r\n",
+]
+
+
+def raw_log(seed: int) -> str:
+    """A raw trajectory file: four runs in stretches that straddle small blocks, rows out
+    of time order, ties in time and in quality, ``-0`` beside ``0``, and LF and CRLF
+    line endings mixed."""
+    rng = np.random.default_rng(seed)
+    qualities, ends = ["7", "3", "2.5", "1e-3", "0", "-0", "-1.25"], ["\n", "\r\n"]
+    lines = ["run,evaluations,quality\n"]
+    for _ in range(12):
+        run = rng.integers(4)
+        lines += [f"{run},{rng.integers(1, 20)},{rng.choice(qualities)}{rng.choice(ends)}"
+                  for _ in range(rng.integers(1, 15))]
+    return "".join(lines)
+
+
+def read_back(path, direction) -> list:
+    """Each trajectory of ``path`` as its run and (time, quality bits) points."""
+    return [(traj.run, [(p.time, p.quality.hex()) for p in traj.points])
+            for traj in read_trajectories(path, direction)]
+
+
+@pytest.mark.parametrize("direction", [MIN, Direction.MAXIMIZATION])
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_small_blocks_read_what_one_block_reads(tmp_path, monkeypatch, block, direction):
+    paths = [tmp_path / f"t{n}.csv" for n in range(len(WELL_FORMED) + 3)]
+    for path, text in zip(paths, WELL_FORMED + [raw_log(seed) for seed in range(3)]):
+        path.write_bytes(text.encode())
+    whole = [read_back(path, direction) for path in paths]
+    monkeypatch.setattr(fileio, "_READ_BLOCK", block)
+    assert [read_back(path, direction) for path in paths] == whole
+
+
+@pytest.mark.parametrize("head, problem", [
+    ("run,evaluations,quality\n0,x,9\n", r"t.csv:2: evaluation count 'x' is not an integer"),
+    ("run,quality\n0,9\n", r"t.csv: not a trajectory file \(header 'run,quality'\)"),
+], ids=["bad row", "bad header"])
+def test_a_fault_in_an_earlier_block_is_named_before_a_lone_cr_in_a_later_one(
+        tmp_path, monkeypatch, head, problem):
+    path = tmp_path / "t.csv"
+    rows = "".join(f"0,{i},1\n" for i in range(1, 101))
+    path.write_bytes((head + rows + "0,101\r,1\n").encode())
+    # In one block the lone CR is found first, as it was when the whole file was scanned.
+    with pytest.raises(ValueError, match="t.csv:103: carriage return without a line feed"):
+        read_trajectories(path)
+    monkeypatch.setattr(fileio, "_READ_BLOCK", 64)
+    with pytest.raises(ValueError, match=problem):
+        read_trajectories(path)
+
+
+def test_reading_a_raw_log_needs_memory_for_a_block_and_the_kept_rows(tmp_path, traced_peak):
+    # 51 runs of 2,000 evaluations, about 2.7 MB: 11 blocks, of whose rows under 1% are kept.
+    qualities = np.random.default_rng(11).normal(size=(51, 2000)).tolist()
+    path = tmp_path / "raw.csv"
+    path.write_text("run,evaluations,quality\n" + "".join(
+        f"{run},{count},{quality!r}\n" for run, column in enumerate(qualities)
+        for count, quality in enumerate(column, start=1)), encoding="utf-8")
+    trajectories = read_trajectories(path)  # also loads what a first call loads
+    assert traced_peak(read_trajectories, path) < 2_000_000
+    assert [traj.run for traj in trajectories] == list(range(51))
+    for traj, column in zip(trajectories, qualities):
+        assert traj.points == improvement_staircase_rowwise(enumerate(column, start=1), MIN)
+
+
 class TestAtomicWrites:
     """A writer that fails mid-document leaves the earlier file and no temporary file."""
 
@@ -738,3 +844,12 @@ class TestHistogramExport:
         assert lines[3] == "# runs,2"
         assert lines[4] == "t_bucket,q_bucket,count"
         assert lines[5:] == ["0,0,0", "0,1,2", "1,0,1", "1,1,2"]
+
+    def test_writing_needs_memory_for_a_row_not_the_grid(self, tmp_path, traced_peak):
+        grid = Discretization(Axis(1000, 1.0, 999.0), Axis(200, 0.0, 1.0))
+        counts = np.arange(200_000, dtype=np.intp).reshape(1000, 200) % 7  # 1.6 MB
+        path = tmp_path / "h.csv"
+        assert traced_peak(write_histogram, path, Histogram(grid, counts, 7)) < 1_000_000
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[5:7] == ["0,0,0", "0,1,1"] and lines[-1] == f"999,199,{199_999 % 7}"
+        assert len(lines) == 5 + 200_000
