@@ -40,16 +40,17 @@ class AttainmentPoint(NamedTuple):
 
 
 class _Staircase:
-    """Points over a per-object cache of checked columns: int64 times and float64
-    qualities negated under maximization. The first kernel to read the columns
-    checks the points; ingest and :func:`eaf_levels` pass ``_columns`` that are
-    strict by construction instead, and ``points`` is built when first read."""
+    """Points held either as a list or as checked columns, int64 times and float64
+    qualities negated under maximization, never both, so an edit of the list is what
+    the next kernel reads. A kernel checks the list into columns; ingest and
+    :func:`eaf_levels` pass ``_columns`` that are strict by construction instead.
+    Reading ``points`` rebuilds the list from the columns, which drops them."""
 
     def _view(self) -> list:
         if self._points is None:
             times, qualities = self._columns
-            self._points = list(map(AttainmentPoint._make,
-                                    zip(times.tolist(), self._leave(qualities).tolist())))
+            self._assign(list(map(AttainmentPoint._make,
+                                  zip(times.tolist(), self._leave(qualities).tolist()))))
         return self._points
 
     def _assign(self, points) -> None:
@@ -61,9 +62,9 @@ class _Staircase:
         return _minimizing(qualities, self._direction)
 
     def _checked(self) -> tuple:
-        """(times, minimized qualities), checked on the first call."""
+        """(times, minimized qualities), checked from ``points`` unless held already."""
         if self._columns is None:
-            self._columns = _check(self._points, self._direction, self._label)
+            self._columns, self._points = _check(self._points, self._direction, self._label), None
         return self._columns
 
 
@@ -121,34 +122,30 @@ def _check(points: Sequence, direction: Direction, label: str) -> tuple:
     return np.array(times, dtype=np.int64), qualities
 
 
-def _improving(runs, times, minimized) -> np.ndarray:
-    """Indices of the rows that strictly improve on every earlier row of their run,
-    in order of run id, then time, then position: rows at one time count as
-    earlier in the order they are given. ``minimized`` are the rows' qualities
+def _improving(runs, times, minimized) -> tuple:
+    """The rows that strictly improve on every earlier row of their run, the last (best)
+    of several at one time, as (runs, times, minimized) columns in order of run id, then
+    time. Rows at one time count as earlier in the order they are given, so the first
+    row to reach a quality is the one kept. ``minimized`` are the rows' qualities
     canonicalized to minimization."""
     order = np.lexsort((times, runs))
-    by_run, minimized = runs[order], minimized[order]
-    best_before = np.empty_like(minimized)
-    bounds = np.flatnonzero(by_run[1:] != by_run[:-1]) + 1
-    for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(runs)]):
+    by_run, ordered = runs[order], minimized[order]
+    best_before = np.empty_like(ordered)
+    bounds = (np.flatnonzero(by_run[1:] != by_run[:-1]) + 1).tolist()
+    for start, stop in zip([0, *bounds], [*bounds, len(runs)]):
         best_before[start] = math.inf
-        np.fmin.accumulate(minimized[start:stop - 1], out=best_before[start + 1:stop])
-    return order[minimized < best_before]
+        np.fmin.accumulate(ordered[start:stop - 1], out=best_before[start + 1:stop])
+    kept = order[ordered < best_before]
+    del order, by_run, ordered, best_before
+    runs, times, minimized = runs[kept], times[kept], minimized[kept]
+    last = np.append((runs[1:] != runs[:-1]) | (times[1:] != times[:-1]), True)
+    return runs[last], times[last], minimized[last]
 
 
-def _staircases(meta: MetaData, runs, times, qualities) -> list:
-    """Trajectories of non-empty row columns, by run id: each run's rows in time
-    order that strictly improve on all earlier ones, the last (best) of several at
-    one time. A run with no such row is left out. ``times`` are int64 >= 1 and
-    ``qualities`` finite, in the direction of ``meta``."""
-    minimized = _minimizing(qualities, meta.direction)
-    kept = _improving(runs, times, minimized)
-    runs, times, qualities = runs[kept], times[kept], minimized[kept]
-    last = np.ones(len(kept), dtype=bool)
-    last[:-1] = (runs[1:] != runs[:-1]) | (times[1:] != times[:-1])
-    runs, times, qualities = runs[last], times[last], qualities[last]
+def _staircases(meta: MetaData, runs, times, minimized) -> list:
+    """Trajectories of the columns that :func:`_improving` keeps, one per run id."""
     starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]]).tolist()
-    return [Trajectory(meta, int(runs[a]), None, _columns=(times[a:b], qualities[a:b]))
+    return [Trajectory(meta, int(runs[a]), None, _columns=(times[a:b], minimized[a:b]))
             for a, b in zip(starts, starts[1:] + [len(runs)])]
 
 

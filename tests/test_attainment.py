@@ -373,3 +373,38 @@ class TestCheckedOnce:
         sets = every_kernel(read_trajectories(path))
         write_level_sets(tmp_path / "levels.json", sets, (99, 99.0))
         assert not checked
+
+
+class TestEditsAfterAKernel:
+    """A kernel's check drops the ``points`` list and reading ``points`` drops the
+    columns, so an edit of the list a kernel has read is what the next kernel reads."""
+
+    def test_a_point_appended_to_a_trajectory_reaches_the_next_kernel(self):
+        a, b = trajectories_ab()
+        assert points(eaf_levels([a, b], [1])[0]) == LEVEL_1
+        a.points.append(AttainmentPoint(5, 1.0))
+        assert points(eaf_levels([a, b], [1])[0]) == LEVEL_1 + [(5, 1.0)]
+        assert default_nadir([a, b]) == (5, 10.0)
+
+    def test_a_point_replaced_in_a_trajectory_is_checked_by_the_next_kernel(self):
+        a, b = trajectories_ab()
+        eaf_levels([a, b])
+        a.points[0] = AttainmentPoint(1, -100.0)
+        for kernel in (eaf_levels, default_nadir):
+            with pytest.raises(ValueError, match="^run 0 is not a strict staircase"):
+                kernel([a, b])
+
+    def test_a_point_appended_to_a_level_set_reaches_the_next_kernel(self):
+        (ls,) = eaf_levels(trajectories_ab(), [1])
+        assert surface(ls, (6, 12.0)) == 33.0
+        ls.points.append(AttainmentPoint(5, 1.0))
+        assert ls.points is ls.points
+        assert surface(ls, (6, 12.0)) == 34.0
+        assert points(ls) == LEVEL_1 + [(5, 1.0)]
+
+    def test_a_point_replaced_in_a_level_set_is_checked_by_the_next_kernel(self):
+        (ls,) = eaf_levels(trajectories_ab(), [1])
+        assert surface(ls, (6, 12.0)) == 33.0
+        ls.points[0] = AttainmentPoint(1, -100.0)
+        with pytest.raises(ValueError, match="^level set is not a strict staircase"):
+            surface(ls, (6, 12.0))

@@ -668,6 +668,17 @@ def raw_log(seed: int) -> str:
     return "".join(lines)
 
 
+#: Rows that meet only across a block boundary at every size of SMALL_BLOCKS, 72 bytes
+#: of another run's rows apart: a later block's earlier time that beats a kept row, and
+#: rows at one (run, time) split across blocks, of two qualities and of 0 and -0.
+PADDING = "1,1,9\n" * 12
+ACROSS_BLOCKS = [
+    f"run,evaluations,quality\n0,5,3\n0,6,2\n{PADDING}0,2,1\n0,7,0.5\n",
+    f"run,evaluations,quality\n0,3,5\n0,4,0\n{PADDING}0,3,4\n0,4,-0\n0,4,-1\n2,1,0\n"
+    f"{PADDING}2,1,-0\n",
+]
+
+
 def read_back(path, direction) -> list:
     """Each trajectory of ``path`` as its run and (time, quality bits) points."""
     return [(traj.run, [(p.time, p.quality.hex()) for p in traj.points])
@@ -677,8 +688,9 @@ def read_back(path, direction) -> list:
 @pytest.mark.parametrize("direction", [MIN, Direction.MAXIMIZATION])
 @pytest.mark.parametrize("block", SMALL_BLOCKS)
 def test_small_blocks_read_what_one_block_reads(tmp_path, monkeypatch, block, direction):
-    paths = [tmp_path / f"t{n}.csv" for n in range(len(WELL_FORMED) + 3)]
-    for path, text in zip(paths, WELL_FORMED + [raw_log(seed) for seed in range(3)]):
+    texts = WELL_FORMED + ACROSS_BLOCKS + [raw_log(seed) for seed in range(3)]
+    paths = [tmp_path / f"t{n}.csv" for n in range(len(texts))]
+    for path, text in zip(paths, texts):
         path.write_bytes(text.encode())
     whole = [read_back(path, direction) for path in paths]
     monkeypatch.setattr(fileio, "_READ_BLOCK", block)
@@ -714,6 +726,24 @@ def test_reading_a_raw_log_needs_memory_for_a_block_and_the_kept_rows(tmp_path, 
     assert [traj.run for traj in trajectories] == list(range(51))
     for traj, column in zip(trajectories, qualities):
         assert traj.points == improvement_staircase_rowwise(enumerate(column, start=1), MIN)
+
+
+def test_reading_a_one_block_staircase_file_needs_under_4_times_its_size(tmp_path, traced_peak):
+    # 101 improvement-only runs of 40-60 points, about 130 KB, as `bench run --log eaf`
+    # writes them: every row is kept, so one cut is as large as the block's rows.
+    rng = np.random.default_rng(17)
+    lines = ["run,evaluations,quality\n"]
+    for run in range(101):
+        n = int(rng.integers(40, 61))
+        times = np.sort(rng.choice(5000, size=n, replace=False)) + 1
+        qualities = 100.0 * np.exp(-np.cumsum(rng.exponential(0.05, n)))
+        lines += [f"{run},{t},{q!r}\n" for t, q in zip(times.tolist(), qualities.tolist())]
+    path = tmp_path / "staircases.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert path.stat().st_size < fileio._READ_BLOCK
+    trajectories = read_trajectories(path)  # also loads what a first call loads
+    assert traced_peak(read_trajectories, path) < 4 * path.stat().st_size
+    assert sum(len(traj.points) for traj in trajectories) == len(lines) - 1
 
 
 class TestAtomicWrites:
@@ -853,3 +883,17 @@ class TestHistogramExport:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[5:7] == ["0,0,0", "0,1,1"] and lines[-1] == f"999,199,{199_999 % 7}"
         assert len(lines) == 5 + 200_000
+
+    def test_writing_leaves_no_tuple_on_the_20_item_free_list(self, tmp_path, new_free_20_tuples):
+        # At 10 quality buckets a row of (bucket, count) pairs would free a 20-item tuple,
+        # which CPython 3.11 keeps on a free list that it never takes back from.
+        setup = ("import numpy as np\n"
+                 "from attainbench.fileio import write_histogram\n"
+                 "from attainbench.histogram import Axis, Discretization, Histogram\n"
+                 "grid = Discretization(Axis(1000, 1.0, 999.0), Axis(10, 0.0, 1.0))\n"
+                 "counts = np.arange(10_000, dtype=np.intp).reshape(1000, 10) % 7\n"
+                 "histogram = Histogram(grid, counts, 7)")
+        write = f"write_histogram({str(tmp_path / 'h.csv')!r}, histogram)"
+        assert new_free_20_tuples(setup, write) <= 0
+        lines = (tmp_path / "h.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[5:7] == ["0,0,0", "0,1,1"] and lines[-1] == f"999,9,{9_999 % 7}"

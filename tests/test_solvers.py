@@ -134,3 +134,19 @@ def test_hill_climber_improves_on_sphere():
     rng = np.random.default_rng(3)
     first_sample = rng.uniform(first.lower, first.upper, 4)
     assert pb.state.transformed_y_best <= first(first_sample)
+
+
+def test_hill_climber_windows_leave_no_tuple_on_the_20_item_free_list(new_free_20_tuples):
+    # A window of 20 rows would hand loggers 20-item column tuples, which CPython 3.11
+    # keeps on a free list that it never takes back from: WINDOW stays off 20 for this.
+    setup = ("import numpy as np\n"
+             "from attainbench.attainment import TrajectoryLogger\n"
+             "from attainbench.problems import OneMax\n"
+             "from attainbench.solvers import hill_climber\n"
+             "pb = OneMax(1, 1, 64)\n"
+             "pb.attach_logger(TrajectoryLogger())\n"
+             "rng = np.random.default_rng(0)")
+    climb = ("for _ in range(20):\n"
+             "    hill_climber(pb, 3000, rng)\n"
+             "    pb.reset()")
+    assert new_free_20_tuples(setup, climb) <= 0
