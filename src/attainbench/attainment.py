@@ -25,7 +25,7 @@ import numpy as np
 
 from .loggers import CellKey, Watcher
 from .problems import Direction, MetaData
-from .properties import TransformedYBest
+from .properties import TransformedYBest, _as_whole, _whole
 from .triggers import OnImprovement
 
 #: Distinct event times per block of the :func:`eaf_levels` sweep.
@@ -110,16 +110,19 @@ def _minimizing(qualities, direction: Direction) -> np.ndarray:
 
 
 def _check(points: Sequence, direction: Direction, label: str) -> tuple:
-    """``points`` as int64 times and minimized qualities, checked to form a
-    strict staircase of finite qualities at integral times in [1, 2**63)."""
+    """``points`` as int64 times and minimized qualities, checked to form a strict
+    staircase of finite qualities at times that :func:`_whole` takes from 1 on."""
     times, qualities = zip(*points) if len(points) else ((), ())
-    t, qualities = np.array(times, dtype=float), _minimizing(qualities, direction)
-    broken = ~((t >= 1) & (t < 2.0 ** 63) & (t == np.floor(t)) & np.isfinite(qualities))
+    # A time the rule rejects reads 0 and a text quality NaN, so both are flagged below.
+    t = np.array([int(x) if _whole(x, 1) else 0 for x in times], dtype=np.int64)
+    qualities = _minimizing([math.nan if isinstance(x, (str, bytes)) else x
+                             for x in qualities], direction)
+    broken = (t < 1) | ~np.isfinite(qualities)
     broken[1:] |= ~((t[1:] > t[:-1]) & (qualities[1:] < qualities[:-1]))
     if broken.any():
         raise ValueError(f"{label} is not a strict staircase of finite qualities at integral "
                          f"times in [1, 2**63), at point {tuple(points[int(np.argmax(broken))])}")
-    return np.array(times, dtype=np.int64), qualities
+    return t, qualities
 
 
 def _improving(runs, times, minimized) -> tuple:
@@ -216,10 +219,11 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
     """
     trajs, direction, columns = _runs(trajectories, "eaf_levels")
     m = len(trajs)
-    ks = list(range(1, m + 1)) if levels is None else sorted({int(k) for k in levels})
-    bad = [k for k in ks if not 1 <= k <= m]
+    ks = list(range(1, m + 1)) if levels is None else list(levels)
+    bad = [k for k in ks if not (_whole(k, 1) and k <= m)]
     if bad:
         raise ValueError(f"attainment level(s) {bad} outside [1, {m}] for {m} run(s)")
+    ks = sorted(set(map(int, ks)))
 
     times = np.concatenate([t for t, _ in columns])
     order = np.argsort(times, kind="stable")
@@ -258,11 +262,9 @@ class LevelSelector:
     """
 
     def __init__(self, indices: Iterable[int]):
-        self.indices = sorted({int(j) for j in indices})
+        self.indices = sorted({_as_whole("level index", j, 0) for j in indices})
         if not self.indices:
             raise ValueError("no level indices given")
-        if self.indices[0] < 0:
-            raise ValueError("level indices are zero-based and non-negative")
 
     def __call__(self, logger: TrajectoryLogger) -> dict:
         return {cell: self.select(logger.trajectories(cell), f"cell {cell}")

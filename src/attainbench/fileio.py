@@ -35,7 +35,10 @@ line endings, reject a CR that no LF follows and name the first line that
 fault in an earlier block is named before a lone CR in a later one. Their
 cells and every ``bench`` integer and number flag take one grammar: integers
 in ASCII digits with an optional ``-``, below 2**63, and numbers as ``float``
-reads them from ASCII with no ``_`` or padding.
+reads them from ASCII with no ``_`` or padding. An integer read from text
+then meets the rule every count, index and id given as an object meets,
+:func:`~attainbench.properties._whole`: at least its column's least value
+and below 2**63, compared exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import contextlib
 import io
 import json
 import math
-import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -58,7 +60,7 @@ from .attainment import LevelSet, Trajectory, _improving, _minimizing, _runs, _s
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
-from .properties import Property, _check_distinct
+from .properties import Property, _as_whole, _check_distinct, _whole
 
 #: Token standing in for an absent reading in delimited files.
 NA = "NA"
@@ -205,8 +207,8 @@ def _read_bytes(path: Path, what: str) -> bytes:
 def _check_crs(path: Path, data: bytes, first: int) -> None:
     """Reject a CR in ``data`` that no LF follows, naming its line as counted by LF
     alone, from ``first`` for the line ``data`` starts."""
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        line = data.count(b"\n", 0, re.search(b"\r(?!\n)", data).start()) + first
+    if b"\r" in data and (lone := re.search(rb"\r(?!\n)", data)):
+        line = data.count(b"\n", 0, lone.start()) + first
         raise ValueError(f"{path}:{line}: carriage return without a line feed after it")
 
 
@@ -215,17 +217,16 @@ def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
     :func:`~attainbench.attainment.eaf_levels` checks them, and their run ids as the
     reader reads them, once each, so each trajectory reads back as written."""
     trajs, _, columns = _runs(trajectories, "write_trajectories")
+    runs = [_as_whole("write_trajectories: run", traj.run, 0) for traj in trajs]
     seen = set()
-    for run in (traj.run for traj in trajs):
-        if isinstance(run, bool) or not isinstance(run, numbers.Integral) or not 0 <= run < 2**63:
-            raise ValueError(f"write_trajectories: run {run!r} is not an integer in [0, 2**63)")
+    for run in runs:
         if run in seen:
             raise ValueError(f"write_trajectories: run {run} appears more than once")
         seen.add(run)
     with _atomic_writer(Path(path), "trajectory file") as fh:
         fh.write("run,evaluations,quality\n")
-        for traj, (times, qualities) in zip(trajs, columns):
-            fh.writelines(f"{traj.run},{time},{quality!r}\n" for time, quality
+        for run, traj, (times, qualities) in zip(runs, trajs, columns):
+            fh.writelines(f"{run},{time},{quality!r}\n" for time, quality
                           in zip(times.tolist(), traj._leave(qualities).tolist()))
 
 
@@ -248,7 +249,7 @@ def _integer(least: int):
     """Reader of an integer cell in [least, 2**63); a reader's ``ValueError`` names its rule."""
     def read(text: str) -> int:
         match = _INTEGER.fullmatch(text)
-        if match and least <= (value := int(match[1] + match[2])) < 2**63:
+        if match and _whole(value := int(match[1] + match[2]), least):
             return value
         raise ValueError(f"an integer in [{least}, 2**63)")
     return read
@@ -417,10 +418,12 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
 
     The bytes are those of ``json.dump(document, fh, indent=2)`` plus a final
     newline; the levels are formatted directly, one at a time. Level sets are
-    checked as :func:`~attainbench.attainment.surface` checks them, but may be empty.
+    checked as :func:`~attainbench.attainment.surface` checks them, but may be empty,
+    and each level by :func:`~attainbench.properties._whole` from 1.
     """
     sets = list(level_sets)
     columns = [ls._checked() for ls in sets]
+    levels = [_as_whole("level", ls.level, 1) for ls in sets]
     qualities = np.concatenate([ls._leave(q) for ls, (_, q) in zip(sets, columns)] or [[]])
     rendered = iter(_reprs(qualities).tolist())
     head = json.dumps({
@@ -430,8 +433,8 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     }, indent=2)
     with _atomic_writer(Path(path), "level sets") as fh:
         fh.write(head[:-2] + ',\n  "levels": [')
-        for n, (ls, (times, _)) in enumerate(zip(sets, columns)):
-            fh.write(f'{"," if n else ""}\n    {{\n      "level": {ls.level},\n'
+        for n, (level, (times, _)) in enumerate(zip(levels, columns)):
+            fh.write(f'{"," if n else ""}\n    {{\n      "level": {level},\n'
                      f'      "points": {_json_points(times, rendered)}\n    }}')
         fh.write("\n  ]\n}\n" if sets else "]\n}\n")
 

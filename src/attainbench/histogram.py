@@ -23,6 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .attainment import Trajectory, _bounds, _minimizing, _runs
+from .properties import _as_whole
 
 SCALES = ("linear", "log")
 
@@ -31,13 +32,11 @@ class Axis:
     """One histogram axis: bucket count, origin, extent and scale."""
 
     def __init__(self, buckets: int, origin: float, extent: float, scale: str = "linear"):
-        if buckets < 1:
-            raise ValueError(f"buckets must be >= 1, got {buckets}")
+        self.buckets = _as_whole("buckets", buckets, 1)
         if not (math.isfinite(origin) and 0 < extent < math.inf):
             raise ValueError(f"need a finite origin and finite extent > 0, got {origin}, {extent}")
         if scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-        self.buckets = int(buckets)
         self.origin = float(origin)
         self.extent = float(extent)
         self.scale = scale

@@ -93,7 +93,6 @@ class Logger:
     """
 
     def __init__(self):
-        self._meta = None
         self._cell: Optional[CellKey] = None
         self._metas: dict[CellKey, object] = {}
         self._run_index: dict[CellKey, int] = {}
@@ -105,18 +104,18 @@ class Logger:
     def attach(self, meta) -> None:
         self._cell = cell_key(meta)
         self._run_index.setdefault(self._cell, 0)
-        self._meta = self._metas[self._cell] = meta
+        self._metas[self._cell] = meta
         self._on_attach(meta)
 
     def call(self, batch: Batch) -> None:
-        if self._meta is None:
+        if self._cell is None:
             raise RuntimeError(
                 f"{type(self).__name__}.call() before attach(); attach the logger to a problem first"
             )
         self._on_call(batch)
 
     def reset(self) -> None:
-        if self._meta is not None:
+        if self._cell is not None:
             self._run_index[self._cell] += 1
         self._on_reset()
 
@@ -182,7 +181,7 @@ class Watcher(Logger):
         self.trigger.reset()
 
     def _on_call(self, batch: Batch) -> None:
-        fired = self.trigger(batch, self._meta)
+        fired = self.trigger(batch, self._metas[self._cell])
         if True in fired:
             readings = [prop(batch) for prop in self.properties]
             for prop, reading in zip(self.properties, readings):

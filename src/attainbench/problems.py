@@ -28,6 +28,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .loggers import Batch, Combine, LogInfo
+from .properties import _as_whole
 
 log = logging.getLogger(__name__)
 
@@ -73,12 +74,8 @@ class MetaData:
         if not name or any(c and c in name for c in (os.sep, os.altsep, "\0")):
             raise ValueError(f"suite_name must be non-empty with no path separator or NUL, "
                              f"got {name!r}")
-        if self.problem_id < 1:
-            raise ValueError(f"problem_id must be >= 1, got {self.problem_id}")
-        if self.instance < 1:
-            raise ValueError(f"instance must be >= 1, got {self.instance}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        for axis in ("problem_id", "instance", "dimension"):
+            object.__setattr__(self, axis, _as_whole(axis, getattr(self, axis), 1))
 
 
 class Problem:
@@ -293,12 +290,10 @@ class Suite:
 
     @staticmethod
     def _ordered(label: str, values: Sequence[int]) -> tuple:
-        out = sorted({int(v) for v in values})
+        out = tuple(sorted({_as_whole(label, v, 1) for v in values}))
         if not out:
             raise ValueError(f"suite needs at least one {label}")
-        if out[0] < 1:
-            raise ValueError(f"{label}s must be >= 1, got {out[0]}")
-        return tuple(out)
+        return out
 
     def attach_logger(self, logger) -> None:
         if any(lg is logger for lg in self._loggers):

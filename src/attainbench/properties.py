@@ -11,7 +11,25 @@ is a reserved name, because every logged event carries that count already.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Optional, Sequence
+
+
+def _whole(value, least: int) -> bool:
+    """Whether ``value`` is an integer in [least, 2**63): an ``int``, a numpy integer or
+    an integral real, never a ``bool`` or a ``str``, compared exactly, not as float64."""
+    real = type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return real and int(value) == value and least <= int(value) < 2**63
+    except (OverflowError, ValueError):  # inf, NaN
+        return False
+
+
+def _as_whole(what: str, value, least: int) -> int:
+    """``value`` as an ``int`` if :func:`_whole` holds, else a ``ValueError`` naming it."""
+    if _whole(value, least):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not an integer in [{least}, 2**63)")
 
 
 def _check_distinct(names: Sequence[str]) -> None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Optional, Sequence
 
+from .properties import _as_whole
+
 
 class Trigger:
     """Boolean predicate over the rows of a batch, given the problem metadata."""
@@ -64,9 +66,7 @@ class At(Trigger):
     """Fires at an explicit set of evaluation indices."""
 
     def __init__(self, indices: Iterable[int]):
-        self.indices = frozenset(int(i) for i in indices)
-        if any(i < 1 for i in self.indices):
-            raise ValueError("evaluation indices are 1-based positive integers")
+        self.indices = frozenset(_as_whole("evaluation index", i, 1) for i in indices)
 
     def __call__(self, batch, meta) -> list:
         return [e in self.indices for e in batch.evaluations]
@@ -76,12 +76,8 @@ class Each(Trigger):
     """Fires every ``interval`` evaluations, counted from ``start``."""
 
     def __init__(self, interval: int, start: int = 0):
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        self.interval = int(interval)
-        self.start = int(start)
+        self.interval = _as_whole("interval", interval, 1)
+        self.start = _as_whole("start", start, 0)
 
     def __call__(self, batch, meta) -> list:
         start, interval = self.start, self.interval
@@ -94,9 +90,7 @@ class During(Trigger):
     def __init__(self, intervals: Iterable[Sequence[int]]):
         spans = []
         for span in intervals:
-            lo, hi = (int(v) for v in span)
-            if lo < 1:
-                raise ValueError("evaluation indices are 1-based positive integers")
+            lo, hi = (_as_whole("evaluation index", v, 1) for v in span)
             if hi < lo:
                 raise ValueError(f"empty range [{lo}, {hi}]")
             spans.append((lo, hi))

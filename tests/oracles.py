@@ -243,7 +243,7 @@ class StoreFrozen(Store):
         self._events = {}
 
     def _on_call(self, batch):
-        fired = self.trigger(batch, self._meta)
+        fired = self.trigger(batch, self._metas[self._cell])
         if True in fired:
             runs = self._events.setdefault(self._cell, {})
             runs.setdefault(self._run_index[self._cell], []).extend(compress(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -140,6 +141,14 @@ class TestLevelSets:
     def test_non_finite_qualities_are_rejected(self, quality):
         bad = as_trajectories([[(1, 5.0), (2, quality)]], MIN)
         with pytest.raises(ValueError, match="finite qualities"):
+            eaf_levels(bad)
+
+    @pytest.mark.parametrize("quality", ["2.0", "not a number", b"2.0"])
+    def test_text_qualities_are_rejected_naming_the_point(self, quality):
+        bad = [Trajectory(MetaData("fake", 1, 1, 4, MIN), 3,
+                          [AttainmentPoint(1, 5.0), AttainmentPoint(2, quality)])]
+        point = re.escape(repr((2, quality)))
+        with pytest.raises(ValueError, match=f"^run 3 is not a strict staircase .* {point}$"):
             eaf_levels(bad)
 
     def test_mixed_directions_are_rejected(self):

@@ -401,8 +401,8 @@ class TestSuites:
             ContinuousSuite([1], [], [2])
 
     @pytest.mark.parametrize("instances, dimensions, problem", [
-        ([0, 1], [2], "instances must be >= 1, got 0"),
-        ([1], [2, -3], "dimensions must be >= 1, got -3"),
+        ([0, 1], [2], r"instance 0 is not an integer in \[1, 2\*\*63\)"),
+        ([1], [2, -3], r"dimension -3 is not an integer in \[1, 2\*\*63\)"),
     ])
     def test_axis_values_below_1_are_rejected(self, instances, dimensions, problem):
         with pytest.raises(ValueError, match=problem):
