@@ -18,6 +18,7 @@ negating qualities where points enter, and un-negate only on output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -291,6 +292,16 @@ def default_nadir(trajectories: Sequence[Trajectory]) -> AttainmentPoint:
     _, direction, columns = _runs(trajectories, "default_nadir")
     _, t_hi, _, worst = _bounds(columns)
     return AttainmentPoint(t_hi.item(), _minimizing(worst, direction).item())
+
+
+def _nadir_pair(nadir) -> list:
+    """``nadir`` as a list of two Python numbers, a numpy scalar as the number it equals.
+    Both coordinates must be finite reals, not ``bool``; else a ``ValueError`` names it."""
+    point = tuple(nadir)
+    if len(point) != 2 or not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
+                                  and -math.inf < c < math.inf for c in point):
+        raise ValueError(f"nadir {nadir!r} is not two finite real numbers")
+    return [int(c) if isinstance(c, numbers.Integral) else float(c) for c in point]
 
 
 def surface(level_set: LevelSet, nadir) -> float:

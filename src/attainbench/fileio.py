@@ -56,7 +56,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attainment import LevelSet, Trajectory, _improving, _minimizing, _runs, _staircases
+from .attainment import (LevelSet, Trajectory, _improving, _minimizing, _nadir_pair, _runs,
+                         _staircases)
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
@@ -419,7 +420,8 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     The bytes are those of ``json.dump(document, fh, indent=2)`` plus a final
     newline; the levels are formatted directly, one at a time. Level sets are
     checked as :func:`~attainbench.attainment.surface` checks them, but may be empty,
-    and each level by :func:`~attainbench.properties._whole` from 1.
+    each level by :func:`~attainbench.properties._whole` from 1, and the nadir by
+    :func:`~attainbench.attainment._nadir_pair`, all before the file is opened.
     """
     sets = list(level_sets)
     columns = [ls._checked() for ls in sets]
@@ -429,7 +431,7 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     head = json.dumps({
         "group": dict(group or {}),
         "direction": sets[0].direction.value if sets else None,
-        "nadir": [nadir[0], nadir[1]],
+        "nadir": _nadir_pair(nadir),
     }, indent=2)
     with _atomic_writer(Path(path), "level sets") as fh:
         fh.write(head[:-2] + ',\n  "levels": [')

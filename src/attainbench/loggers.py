@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .properties import Property, _check_distinct
+from .properties import Property, _as_whole, _check_distinct
 from .triggers import Any
 
 
@@ -73,7 +73,9 @@ def cell_key(meta) -> CellKey:
 
 @dataclass(frozen=True)
 class Cursor:
-    """Address of one logged event inside a :class:`Store`."""
+    """Address of one logged event inside a :class:`Store`. The ids and the dimension
+    are integers from 1, the run and the event index from 0, as
+    :func:`~attainbench.properties._as_whole` takes them."""
 
     suite_name: str
     problem_id: int
@@ -81,6 +83,11 @@ class Cursor:
     instance: int
     run: int = 0
     event_index: int = 0
+
+    def __post_init__(self):
+        for field, least in (("problem_id", 1), ("dimension", 1), ("instance", 1),
+                             ("run", 0), ("event_index", 0)):
+            object.__setattr__(self, field, _as_whole(field, getattr(self, field), least))
 
 
 class Logger:
@@ -218,8 +225,8 @@ class Watcher(Logger):
 class Store(Watcher):
     """Watcher whose recorded events are addressable by cursor.
 
-    :meth:`at` resolves a cursor to a single reading; anything the cursor
-    fails to address comes back absent rather than raising.
+    :meth:`at` resolves a cursor to a single reading; an event or property the
+    cursor fails to address comes back absent rather than raising.
     """
 
     def at(self, cursor: Cursor, prop) -> Optional[float]:
@@ -232,7 +239,7 @@ class Store(Watcher):
         name = prop.name if isinstance(prop, Property) else str(prop)
         cell = CellKey(cursor.suite_name, cursor.problem_id, cursor.dimension, cursor.instance)
         columns = self._cells.get(cell, {}).get(cursor.run)
-        if columns is None or not 0 <= cursor.event_index < len(columns[0]):
+        if columns is None or cursor.event_index >= len(columns[0]):
             return None
         if name == "evaluations":
             return float(columns[0][cursor.event_index])

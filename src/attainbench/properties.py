@@ -103,9 +103,11 @@ class External(Property):
     """Watches a value owned by the host program.
 
     The value is pulled through ``getter`` (a zero-argument callable) each
-    time the property is read, which is once per batch: every row of one
-    batch reads the host variable as it was when the batch was logged, not
-    at attach time. A single evaluation is a batch of one. :meth:`detach`
+    time the property is read, which is once per logged batch: every row of
+    one batch reads the host variable as it was when the batch was logged, not
+    at attach time. A single evaluation is a batch of one, and a 20-row
+    :meth:`~attainbench.problems.Problem.evaluate` logs two batches, so it
+    reads the getter twice, at the same moment. :meth:`detach`
     disables the binding, after which reads are ``None``; :meth:`rebind`
     points the property at a different host value mid-run, and subsequent
     reads track the new target.

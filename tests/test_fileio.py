@@ -854,6 +854,30 @@ class TestLevelSetExport:
             write_level_sets(path, [level_set], (9, 10.0))
         assert path.read_text(encoding="utf-8") == "earlier\n"
 
+    @pytest.mark.parametrize("nadir", [(math.nan, 4.0), (3, math.inf), (3, -math.inf),
+                                       (True, 4.0), (3, "4.0"), (3,), (3, 4.0, 5.0),
+                                       (np.bool_(True), 4.0), (3, np.float64(math.nan))],
+                             ids=repr)
+    def test_a_nadir_that_is_not_two_finite_reals_is_rejected_naming_it(self, tmp_path, nadir):
+        path = tmp_path / "levels.json"
+        path.write_text("earlier\n", encoding="utf-8")
+        sets = [LevelSet(1, [AttainmentPoint(2, 3.0)], MIN)]
+        with pytest.raises(ValueError, match=f"^nadir {re.escape(repr(nadir))} is not two finite"):
+            write_level_sets(path, sets, nadir)
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+
+    @pytest.mark.parametrize("nadir, written", [
+        ((np.int64(3), 4.0), "[\n    3,\n    4.0\n  ]"),
+        ((3, np.float64(4.0)), "[\n    3,\n    4.0\n  ]"),
+        ((np.int64(3), np.float32(0.5)), "[\n    3,\n    0.5\n  ]"),
+        ((4, 10.0), "[\n    4,\n    10.0\n  ]"),
+    ])
+    def test_a_numpy_nadir_is_written_as_the_python_numbers_it_equals(
+            self, tmp_path, nadir, written):
+        path = tmp_path / "levels.json"
+        write_level_sets(path, [LevelSet(1, [AttainmentPoint(2, 3.0)], MIN)], nadir)
+        assert f'"nadir": {written},' in path.read_text(encoding="utf-8")
+
     def test_times_are_written_as_integers(self, tmp_path):
         path = tmp_path / "levels.json"
         write_level_sets(path, [LevelSet(1, [AttainmentPoint(2.0, 3.0)], MIN)], (9, 10.0))

@@ -12,6 +12,7 @@ from attainbench.attainment import (AttainmentPoint, LevelSelector, LevelSet, Tr
                                     default_nadir, eaf_levels)
 from attainbench.fileio import cell_stem, read_trajectories, write_level_sets, write_trajectories
 from attainbench.histogram import Axis
+from attainbench.loggers import Cursor
 from attainbench.problems import ContinuousSuite, Direction, MetaData, Sphere
 from attainbench.triggers import At, During, Each
 
@@ -63,6 +64,11 @@ SITES = {
     "write_trajectories run": written_run,
     "staircase time": staircase_time,
     "write_level_sets level": written_level,
+    "Cursor problem_id": lambda v, _: Cursor("s", v, 1, 1).problem_id,
+    "Cursor dimension": lambda v, _: Cursor("s", 1, v, 1).dimension,
+    "Cursor instance": lambda v, _: Cursor("s", 1, 1, v).instance,
+    "Cursor run": lambda v, _: Cursor("s", 1, 1, 1, run=v).run,
+    "Cursor event_index": lambda v, _: Cursor("s", 1, 1, 1, event_index=v).event_index,
 }
 
 

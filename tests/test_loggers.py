@@ -1,5 +1,7 @@
 """Logger lifecycle, watcher gating, fan-out, and the in-memory store."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,20 @@ class TestStoreCursor:
     def test_unwatched_property_is_absent(self):
         assert self.store.at(self.cursor(), "raw_y") is None
 
+    @pytest.mark.parametrize("field, value", [
+        ("event_index", -1), ("event_index", 0.5), ("event_index", True), ("run", -1),
+        ("problem_id", 0), ("dimension", 2.5), ("instance", "1")])
+    def test_a_cursor_field_off_the_integer_rule_is_rejected_naming_it(self, field, value):
+        address = dict(suite_name="fake", problem_id=1, dimension=5, instance=1)
+        message = f"^{field} {re.escape(repr(value))} is not an integer"
+        with pytest.raises(ValueError, match=message):
+            Cursor(**{**address, field: value})
+
+    def test_an_integral_cursor_field_reads_as_an_int(self):
+        cursor = Cursor("fake", np.int64(1), 5.0, 1, run=0, event_index=np.int64(1))
+        assert type(cursor.event_index) is int and type(cursor.dimension) is int
+        assert self.store.at(cursor, "transformed_y") == 3.0
+
 
 def test_cell_key_fields():
     assert cell_key(META) == CellKey(suite_name="fake", problem_id=1, dimension=5, instance=1)
@@ -297,7 +313,7 @@ def test_events_readings_and_trajectories_are_those_the_per_event_store_keeps():
         assert store.runs(cell) == reference.runs(cell)
         for run in range(4):
             assert store.events(cell, run) == reference.events(cell, run)
-            for index in range(-1, 6):
+            for index in range(6):  # a negative index is no cursor: Cursor rejects it
                 cursor = Cursor(*cell, run=run, event_index=index)
                 for name in ("evaluations", "transformed_y", "x", "raw_y"):
                     assert store.at(cursor, name) == reference.at(cursor, name)

@@ -21,7 +21,7 @@ from attainbench.problems import (
     Rastrigin,
     Sphere,
 )
-from attainbench.properties import RawY, TransformedY, TransformedYBest
+from attainbench.properties import External, RawY, RawYBest, TransformedY, TransformedYBest
 from attainbench.triggers import Always
 
 
@@ -266,6 +266,71 @@ class TestUntil:
         with pytest.raises(ValueError, match="0/1"):
             pb.evaluate([[1, 1], [0.5, 1]], until=0.0)
         assert self.seen(pb, store, trajectories) == before
+
+
+class TestTwentyRows:
+    """A 20-row batch reaches the loggers as rows 1-19, then row 20: never as 20-item tuples."""
+
+    @staticmethod
+    def watched(problem):
+        """The problem after one evaluation, with a recorder and a store of every field."""
+        rec = Recorder()
+        store = Store([Always()], [RawY(), RawYBest(), TransformedY(), TransformedYBest()])
+        problem.attach_logger(rec)
+        problem.attach_logger(store)
+        problem(np.ones(problem.meta.dimension))
+        return rec, store
+
+    @staticmethod
+    def rows(problem):
+        """24 rows of which row 20 is the first strictly better than ``until``."""
+        rng, d = np.random.default_rng(6), problem.meta.dimension
+        if problem.domain == "boolean":
+            X = rng.integers(0, 2, (24, d))
+            X[:19, 0], X[19] = 0, 1
+            return X, d - 1.0
+        X = rng.uniform(problem.lower, problem.upper, (24, d))
+        values = type(problem)(1, problem.meta.instance, d).evaluate(X[:20])
+        best = int(np.argmin(values))
+        X[[best, 19]] = X[[19, best]]
+        return X, min(values[:best] + values[best + 1:])
+
+    @pytest.mark.parametrize("problem, instance", [(Sphere, 2), (OneMax, 1)])
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "until"])
+    def test_a_20_row_batch_logs_what_20_single_calls_log(self, problem, instance, cut):
+        batched, looped = problem(1, instance, 3), problem(1, instance, 3)
+        (rec, store), (_, reference) = self.watched(batched), self.watched(looped)
+        X, until = self.rows(batched)
+        values = batched.evaluate(X if cut else X[:20], until=until if cut else None)
+        assert values == [looped(x) for x in X[:20]]
+        assert [batch.evaluations for batch in rec.batches[1:]] == [tuple(range(2, 21)), (21,)]
+        cell = cell_key(batched.meta)
+        assert batched.state == looped.state
+        assert store.events(cell, 0) == reference.events(cell, 0)
+        assert store.columns(cell, 0) == reference.columns(cell, 0)
+        assert len(store.events(cell, 0)) == 21
+        if instance != 1:
+            assert store.columns(cell, 0)[1] != store.columns(cell, 0)[3]
+
+    @pytest.mark.parametrize("rows, reads", [(19, 1), (20, 2), (21, 1)])
+    def test_an_external_getter_is_read_once_per_logged_batch(self, rows, reads):
+        calls = []
+        pb = Sphere(1, 1, 2)
+        pb.attach_logger(Store([Always()], [External("x", lambda: calls.append(1) or 7.0)]))
+        pb.evaluate(np.zeros((rows, 2)))
+        assert len(calls) == reads
+
+    def test_a_callers_20_row_batches_leave_no_tuple_on_the_20_item_free_list(
+            self, new_free_20_tuples):
+        setup = ("import numpy as np\n"
+                 "from attainbench.attainment import TrajectoryLogger\n"
+                 "from attainbench.problems import Sphere\n"
+                 "pb = Sphere(1, 2, 3)\n"
+                 "pb.attach_logger(TrajectoryLogger())\n"
+                 "X = np.random.default_rng(0).uniform(-5.0, 5.0, (20, 3))")
+        evaluate = ("for _ in range(500):\n"
+                    "    pb.evaluate(X)")
+        assert new_free_20_tuples(setup, evaluate) <= 0
 
 
 class TestLoggerWiring:

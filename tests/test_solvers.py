@@ -8,7 +8,7 @@ import pytest
 from attainbench import cli, solvers
 from attainbench.loggers import Store, cell_key
 from attainbench.problems import LeadingOnes, OneMax, Rastrigin, Sphere
-from attainbench.properties import TransformedY, TransformedYBest
+from attainbench.properties import RawY, TransformedY, TransformedYBest
 from attainbench.solvers import SOLVERS, hill_climber, random_search
 from attainbench.triggers import Always, OnImprovement
 
@@ -91,6 +91,19 @@ def test_hill_climber_takes_the_steps_per_step_draws_would_give(problem, budget)
     assert len(blocked[1]) == budget
 
 
+@pytest.mark.parametrize("problem", [OneMax, Sphere])
+def test_hill_climber_logs_the_same_whatever_the_window(monkeypatch, problem):
+    def logged(window):
+        monkeypatch.setattr(solvers, "WINDOW", window)
+        pb = problem(1, 2, 7)
+        store = Store([Always()], [RawY(), TransformedY(), TransformedYBest()])
+        pb.attach_logger(store)
+        hill_climber(pb, solvers.BLOCK + 90, np.random.default_rng(2))
+        return pb.state, store.events(cell_key(pb.meta), 0)
+
+    assert logged(1) == logged(19) == logged(20) == logged(21) == logged(32)
+
+
 def written_by_both_hill_climbers(tmp_path, monkeypatch, suite, dimension):
     """The files a hill climb of two runs per cell of the suite writes with all three
     loggers, by the solver and by the per-step oracle."""
@@ -150,3 +163,22 @@ def test_hill_climber_windows_leave_no_tuple_on_the_20_item_free_list(new_free_2
              "    hill_climber(pb, 3000, rng)\n"
              "    pb.reset()")
     assert new_free_20_tuples(setup, climb) <= 0
+
+
+def test_random_search_leaves_no_tuple_on_the_20_item_free_list(new_free_20_tuples):
+    # A budget of 276 ends every run with a 20-row batch.
+    setup = ("import numpy as np\n"
+             "from attainbench.attainment import TrajectoryLogger\n"
+             "from attainbench.loggers import Store\n"
+             "from attainbench.problems import Sphere\n"
+             "from attainbench.properties import TransformedY\n"
+             "from attainbench.solvers import random_search\n"
+             "from attainbench.triggers import Always\n"
+             "pb = Sphere(1, 1, 3)\n"
+             "pb.attach_logger(Store([Always()], [TransformedY()]))\n"
+             "pb.attach_logger(TrajectoryLogger())\n"
+             "rng = np.random.default_rng(0)")
+    search = ("for _ in range(200):\n"
+              "    random_search(pb, 276, rng)\n"
+              "    pb.reset()")
+    assert new_free_20_tuples(setup, search) <= 0
