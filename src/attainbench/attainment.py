@@ -170,7 +170,7 @@ class TrajectoryLogger(Watcher):
         if cell is None:
             return [t for c in self.cells() for t in self.trajectories(c)]
         meta = self._metas[cell]
-        return [Trajectory(meta, run, list(map(AttainmentPoint._make, self.events(cell, run))))
+        return [Trajectory(meta, run, list(map(AttainmentPoint, *self.recorded(cell, run))))
                 for run in self.runs(cell)]
 
 

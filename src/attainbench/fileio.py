@@ -146,7 +146,7 @@ def write_flat_files(store: Store, directory) -> list:
         with _atomic_writer(path, "flat file") as fh:
             fh.write(header + "\n")
             for run in store.runs(cell):
-                counts, *readings = store.columns(cell, run)
+                counts, *readings = store.recorded(cell, run)
                 line = f"{run},%d,%d" + ",%s" * len(readings) + "\n"
                 for start in range(0, len(counts), _FLAT_BLOCK):
                     stop = min(start + _FLAT_BLOCK, len(counts))

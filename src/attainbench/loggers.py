@@ -210,15 +210,19 @@ class Watcher(Logger):
     def runs(self, cell: CellKey) -> list:
         return sorted(self._cells.get(cell, ()))
 
+    def recorded(self, cell: CellKey, run: int) -> list:
+        """One run's counts, then its readings per property, each the list this watcher
+        records into, in event order; not a copy, so a caller must not change them."""
+        return self._cells.get(cell, {}).get(run) or [[] for _ in range(1 + len(self.properties))]
+
     def columns(self, cell: CellKey, run: int) -> tuple:
-        """One run's counts, then its readings per property, each a tuple in event order."""
-        columns = self._cells.get(cell, {}).get(run)
-        if columns is None:
-            return ((),) * (1 + len(self.properties))
-        return tuple(map(tuple, columns))
+        """:meth:`recorded` as tuples. A run of 20 events makes 20-item tuples here, which
+        CPython 3.11 keeps on a free list that it never takes back from once freed."""
+        return tuple(map(tuple, self.recorded(cell, run)))
 
     def events(self, cell: CellKey, run: int) -> list:
-        """One run's events in order, each the tuple ``(evaluations, *readings)``."""
+        """One run's events in order, each the tuple ``(evaluations, *readings)``. This
+        goes through :meth:`columns`, so a 20-event run makes 20-item tuples here too."""
         return list(zip(*self.columns(cell, run)))
 
 

@@ -2,10 +2,12 @@
 
 Two small families are provided: continuous minimization over real vectors
 (Sphere, Rastrigin) and pseudo-Boolean maximization over bit vectors
-(OneMax, LeadingOnes). Problems count evaluations from 1, track raw and
-transformed bests, and notify attached loggers once per batch of
-evaluations (twice for 20 rows, see ``Problem.evaluate``); a single call is a
-batch of one.
+(OneMax, LeadingOnes). A bit vector may hold ``bool``, integer or float 0/1
+values; the reference solvers hand pseudo-Boolean problems numpy ``bool``
+arrays, and a ``bool`` batch needs no 0/1 check, so it is evaluated uncopied.
+Problems count evaluations from 1, track raw and transformed bests, and notify
+attached loggers once per batch of evaluations (twice for 20 rows, see
+``Problem.evaluate``); a single call is a batch of one.
 
 Instances are deterministic variants of the base function. For continuous
 problems, instance ``i > 1`` shifts the optimum and adds a constant offset,
@@ -148,10 +150,10 @@ class Problem:
         if self.domain == "continuous":
             # Row sums and dot products take their bits from the memory layout.
             return np.ascontiguousarray(X, dtype=float)
-        # A bit is a value that a round trip through bool keeps; compared in X's own dtype,
-        # because casting X would truncate 0.5 or parse "1". The kernels take any of these
-        # dtypes, so X is not cast.
-        if X.dtype.kind not in "biuf" or np.count_nonzero(X != X.astype(bool).astype(X.dtype)):
+        # A bool is a bit already. Other dtypes are compared in their own dtype, because
+        # casting X would truncate 0.5 or parse "1", and the comparisons allocate only bool
+        # temporaries. The kernels take any of these dtypes, so X is not cast.
+        if X.dtype != bool and (X.dtype.kind not in "iuf" or np.count_nonzero((X != 0) & (X != 1))):
             raise ValueError(f"{type(self).__name__} expects a 0/1 vector")
         return X
 
@@ -265,8 +267,9 @@ class OneMax(Problem):
     direction = Direction.MAXIMIZATION
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
-        # Summed in X's own dtype: a float dtype in the reduction would cast through
-        # numpy's iterator buffers, which raised peak RSS by about 0.1-0.2 MB.
+        # Summed in numpy's integer dtype for bits (X's own dtype if it is not bool): a float
+        # dtype in the reduction would cast through numpy's iterator buffers, which raised
+        # peak RSS by about 0.1-0.2 MB.
         return _floats(np.add.reduce(X, 1))
 
 
@@ -277,7 +280,9 @@ class LeadingOnes(Problem):
     direction = Direction.MAXIMIZATION
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
-        return _floats(np.add.reduce(np.minimum.accumulate(X, 1), 1))
+        # The first 0 of each row, found by argmin in any dtype, or d where the row's least
+        # bit is 1. X.all(1) would do for that test, but its loop pages in 64 KB more of numpy.
+        return _floats(np.where(np.minimum.reduce(X, 1), X.shape[1], X.argmin(1)))
 
 
 class Suite:

@@ -6,7 +6,8 @@ caller-provided generator, so a seeded generator reproduces the run bit for
 bit. Both evaluate in batches, and neither batch size changes a number drawn
 or a value logged: random search evaluates blocks of independent samples, and
 the hill climber windows of neighbours of its current best, each ending at the
-first strict improvement.
+first strict improvement. Bit vectors are numpy ``bool`` arrays, drawn as the
+integers 0 and 1 and cast, so a pseudo-Boolean problem takes them unchecked.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ def _sample(problem: Problem, rng: np.random.Generator, *n: int) -> np.ndarray:
     are the same draws, in order, as ``n`` single samples."""
     size = (*n, problem.meta.dimension)
     if problem.domain == "boolean":
-        return rng.integers(0, 2, size=size)
+        # Cast, not drawn as bool: ``integers(..., dtype=bool)`` draws another stream.
+        return rng.integers(0, 2, size=size).astype(bool)
     return rng.uniform(problem.lower, problem.upper, size=size)
 
 
@@ -59,6 +61,9 @@ def hill_climber(problem: Problem, budget: int, rng: np.random.Generator) -> Non
     best_y = problem(best_x)
     d = problem.meta.dimension
     boolean = problem.domain == "boolean"
+    # Bit windows are written into one buffer: a fresh 2 KB window per call read about
+    # 0.1 MB more peak RSS in 20 s benchmark runs of 64-bit climbs.
+    buffer = np.empty((WINDOW, d), dtype=bool) if boolean else None
     for done in range(1, budget, BLOCK):
         n = min(BLOCK, budget - done)
         steps = rng.integers(0, d, size=n) if boolean else rng.normal(0.0, 0.3, size=(n, d))
@@ -66,17 +71,19 @@ def hill_climber(problem: Problem, budget: int, rng: np.random.Generator) -> Non
         while taken < n:
             step = steps[taken:taken + WINDOW]
             if boolean:
-                window = np.repeat(best_x[None], len(step), 0)
+                window = buffer[:len(step)]
+                window[...] = best_x
                 # A flat index on a 1-d view: ``window[rows, step] ^= 1`` paged in
                 # about 40-60 KB more of numpy's code.
                 flat, at = window.reshape(-1), step + np.arange(0, window.size, d)
-                flat[at] = 1 - flat[at]
+                flat[at] = ~flat[at]
             else:
                 window = np.clip(best_x + step, problem.lower, problem.upper)
             values = problem.evaluate(window, until=best_y)
             taken += len(values)
             if better(values[-1], best_y):
-                # A copy, so that the parent does not hold its whole window alive.
+                # A copy: the next bit window overwrites the buffer, and a row of a real
+                # window would keep the whole window alive.
                 best_x, best_y = window[len(values) - 1].copy(), values[-1]
 
 

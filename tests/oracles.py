@@ -40,6 +40,21 @@ def improvement_count(values, direction):
     return count
 
 
+def one_max_bruteforce(row):
+    """Number of positions of a 0/1 row that hold 1, counted one at a time."""
+    return float(sum(1 for bit in row if bit == 1))
+
+
+def leading_ones_bruteforce(row):
+    """Number of positions of a 0/1 row before its first 0, scanned one at a time."""
+    count = 0
+    for bit in row:
+        if bit != 1:
+            break
+        count += 1
+    return float(count)
+
+
 def attain_count(runs_points, t, q, direction):
     """How many runs have a point reached no later than t with quality no worse than q."""
     count = 0

@@ -82,6 +82,20 @@ class TestTrajectoryLogger:
         assert [t.run for t in trajs] == [0, 1]
         assert trajs[1].points == [AttainmentPoint(1, 6.0)]
 
+    def test_listing_a_20_point_staircase_leaves_no_tuple_on_the_20_item_free_list(
+            self, new_free_20_tuples):
+        setup = ("from attainbench.attainment import TrajectoryLogger\n"
+                 "from attainbench.problems import Sphere\n"
+                 "pb = Sphere(1, 1, 1)\n"
+                 "logger = TrajectoryLogger()\n"
+                 "pb.attach_logger(logger)\n"
+                 "for x in range(20, 0, -1):\n"
+                 "    pb((float(x),))\n"
+                 "assert len(logger.trajectories()[0].points) == 20")
+        listing = ("for _ in range(100):\n"
+                   "    logger.trajectories()")
+        assert new_free_20_tuples(setup, listing) <= 0
+
     def test_all_cells_listing_is_cell_major(self):
         logger = TrajectoryLogger()
         for pid in (2, 1):

@@ -151,6 +151,23 @@ class TestFlatFiles:
         with pytest.raises(ValueError, match="property name 'evaluations' is reserved"):
             Store([Always()], [External("evaluations"), TransformedY()])
 
+    def test_writing_leaves_no_tuple_on_the_20_item_free_list(self, tmp_path, new_free_20_tuples):
+        setup = ("from attainbench.loggers import Store\n"
+                 "from attainbench.fileio import write_flat_files\n"
+                 "from attainbench.problems import Sphere\n"
+                 "from attainbench.properties import TransformedY\n"
+                 "from attainbench.triggers import Always\n"
+                 "pb = Sphere(1, 1, 2)\n"
+                 "store = Store([Always()], [TransformedY()])\n"
+                 "pb.attach_logger(store)\n"
+                 "for x in range(20):\n"
+                 "    pb((float(x), 0.0))")
+        write = ("for _ in range(100):\n"
+                 f"    write_flat_files(store, {str(tmp_path)!r})")
+        assert new_free_20_tuples(setup, write) <= 0
+        (path,) = tmp_path.iterdir()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 20
+
     def test_roundtrip_matches_the_store(self, tmp_path):
         store = Store([Always()], [TransformedY(), TransformedYBest()])
         feed(store, [4.0, 3.5, 3.7], runs=2)

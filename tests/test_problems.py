@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attainbench.attainment import TrajectoryLogger
 from attainbench.loggers import Logger, Store, cell_key
@@ -23,6 +25,8 @@ from attainbench.problems import (
 )
 from attainbench.properties import External, RawY, RawYBest, TransformedY, TransformedYBest
 from attainbench.triggers import Always
+
+from oracles import leading_ones_bruteforce, one_max_bruteforce
 
 
 class Recorder(Logger):
@@ -75,7 +79,8 @@ class TestObjectives:
             OneMax(1, 1, 3)((0, 2, 1))
 
     @pytest.mark.parametrize("solution", [(0.5, 1, 1), (1.9, 0, 0), (2, 0, 1), ("1", "0", "1"),
-                                          ("0", "1", "2"), (np.nan, 1, 1)])
+                                          ("0", "1", "2"), (np.nan, 1, 1), (-1, 1, 1),
+                                          (1.0, -1.0, 0.0)])
     @pytest.mark.parametrize("problem", [OneMax, LeadingOnes])
     def test_non_bits_are_rejected_before_any_cast(self, problem, solution):
         with pytest.raises(ValueError, match="0/1"):
@@ -86,6 +91,43 @@ class TestObjectives:
         expected = problem(1, 1, 4)((1, 1, 0, 1))
         assert problem(1, 1, 4)(np.array([True, True, False, True])) == expected
         assert problem(1, 1, 4)((1.0, 1.0, 0.0, 1.0)) == expected
+        assert problem(1, 1, 4)((True, 1.0, -0.0, 1)) == expected
+        assert problem(1, 1, 4)((True, 1, False, 1)) == expected
+        assert problem(1, 1, 4)(np.array([1, 1, 0, 1], dtype=np.uint8)) == expected
+
+    def test_a_bool_batch_is_evaluated_uncopied(self):
+        X = np.ones((5, 4), dtype=bool)
+        assert OneMax(1, 1, 4)._coerce(X) is X
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_checking_bits_allocates_no_copy_of_the_batch(self, dtype, traced_peak):
+        pb = OneMax(1, 1, 64)
+        X = np.random.default_rng(0).integers(0, 2, (32, 64)).astype(dtype)  # 16 KB
+        assert np.shares_memory(pb._coerce(X), X)
+        assert traced_peak(pb._coerce, X) < X.nbytes / 2
+
+
+@st.composite
+def bit_batches(draw):
+    """An (n, d) batch of bool, int64 or float64 0/1 rows, some all ones or all zeros."""
+    d = draw(st.integers(1, 70))
+    bits = st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=d, max_size=d)
+    rows = draw(st.lists(st.one_of(st.just([1.0] * d), st.just([0.0] * d), bits), max_size=8))
+    dtype = draw(st.sampled_from([bool, np.int64, np.float64]))
+    return np.array(rows, dtype=float).reshape(len(rows), d).astype(dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(X=bit_batches())
+@example(X=np.zeros((0, 1), dtype=bool))
+@example(X=np.zeros((0, 3), dtype=np.float64))
+@example(X=np.array([[1], [0]], dtype=bool))
+@example(X=np.array([[1], [0]], dtype=np.int64))
+@example(X=np.array([[1.0], [-0.0]]))
+def test_the_bit_kernels_agree_with_a_bruteforce_count(X):
+    d = X.shape[1]
+    assert OneMax(1, 1, d).evaluate(X) == [one_max_bruteforce(x) for x in X.tolist()]
+    assert LeadingOnes(2, 1, d).evaluate(X) == [leading_ones_bruteforce(x) for x in X.tolist()]
 
 
 class TestStateTracking:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from attainbench import cli, solvers
+from attainbench.attainment import TrajectoryLogger
 from attainbench.loggers import Store, cell_key
 from attainbench.problems import LeadingOnes, OneMax, Rastrigin, Sphere
 from attainbench.properties import RawY, TransformedY, TransformedYBest
@@ -147,6 +148,22 @@ def test_hill_climber_improves_on_sphere():
     rng = np.random.default_rng(3)
     first_sample = rng.uniform(first.lower, first.upper, 4)
     assert pb.state.transformed_y_best <= first(first_sample)
+
+
+@pytest.mark.parametrize("n", [(), (5,)])
+def test_a_bit_sample_is_bool_with_the_bits_of_an_integer_draw(n):
+    sample = solvers._sample(OneMax(1, 1, 9), np.random.default_rng(4), *n)
+    assert sample.dtype == bool and sample.shape == (*n, 9)
+    assert np.array_equal(sample, np.random.default_rng(4).integers(0, 2, size=(*n, 9)))
+
+
+@pytest.mark.parametrize("problem", [OneMax, LeadingOnes])
+def test_a_64_bit_climb_of_3000_evaluations_peaks_at_50_kb(problem, traced_peak):
+    pb = problem(1, 1, 64)
+    pb.attach_logger(TrajectoryLogger())
+    hill_climber(pb, 3000, np.random.default_rng(0))
+    pb.reset()
+    assert traced_peak(hill_climber, pb, 3000, np.random.default_rng(1)) <= 50 * 1024
 
 
 def test_hill_climber_windows_leave_no_tuple_on_the_20_item_free_list(new_free_20_tuples):
