@@ -110,19 +110,32 @@ def _minimizing(qualities, direction: Direction) -> np.ndarray:
     return qualities if direction is Direction.MINIMIZATION else -qualities
 
 
+def _pair(point) -> tuple:
+    """The (time, quality) of a point, the time as an ``int``; a time that :func:`_whole`
+    rejects from 1 on reads 0, a text quality NaN, and a point that is not a pair
+    ``(0, nan)``, so that :func:`_check` flags each of them."""
+    try:
+        time, quality = point
+    except (TypeError, ValueError):
+        return 0, math.nan
+    return (int(time) if _whole(time, 1) else 0,
+            math.nan if isinstance(quality, (str, bytes)) else quality)
+
+
 def _check(points: Sequence, direction: Direction, label: str) -> tuple:
-    """``points`` as int64 times and minimized qualities, checked to form a strict
-    staircase of finite qualities at times that :func:`_whole` takes from 1 on."""
-    times, qualities = zip(*points) if len(points) else ((), ())
-    # A time the rule rejects reads 0 and a text quality NaN, so both are flagged below.
-    t = np.array([int(x) if _whole(x, 1) else 0 for x in times], dtype=np.int64)
-    qualities = _minimizing([math.nan if isinstance(x, (str, bytes)) else x
-                             for x in qualities], direction)
+    """``points``, each a (time, quality) pair, as int64 times and minimized qualities,
+    checked to form a strict staircase of finite qualities at times that :func:`_whole`
+    takes from 1 on."""
+    pairs = list(map(_pair, points))
+    t = np.array([time for time, _ in pairs], dtype=np.int64)
+    qualities = _minimizing([quality for _, quality in pairs], direction)
     broken = (t < 1) | ~np.isfinite(qualities)
     broken[1:] |= ~((t[1:] > t[:-1]) & (qualities[1:] < qualities[:-1]))
     if broken.any():
+        point = points[int(np.argmax(broken))]
         raise ValueError(f"{label} is not a strict staircase of finite qualities at integral "
-                         f"times in [1, 2**63), at point {tuple(points[int(np.argmax(broken))])}")
+                         f"times in [1, 2**63), at point "
+                         f"{tuple(point) if np.iterable(point) else point}")
     return t, qualities
 
 

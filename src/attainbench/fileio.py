@@ -18,15 +18,20 @@ Trajectory files
     the same strict-improvement filter trajectory capture uses. Runs are
     integers >= 0, counts integers >= 1 and qualities finite numbers. The
     reader holds one block of lines and the rows that can still improve,
-    not the whole file.
+    not the whole file, and cuts again only the kept runs within the range of a
+    block's run ids.
 
 Level-set export
     A JSON object with group metadata, the nadir in use, and ``levels``,
-    an array of ``{level, points: [[time, quality], ...]}``.
+    an array of ``{level, points: [[time, quality], ...]}``. Each distinct
+    time and quality is rendered once, and a level's points are joined into
+    its text at once.
 
 Histogram export
     CSV body ``t_bucket,q_bucket,count`` preceded by ``#`` comment lines
-    recording buckets, origin, extent and scale per axis.
+    recording buckets, origin, extent and scale per axis. Each bucket index
+    is rendered once, each distinct count once per block of grid rows, and a
+    block's lines are assembled in numpy and written at once.
 
 Every writer replaces its target atomically, so a failure mid-write leaves
 the earlier file in place. Both CSV readers count lines by LF, accept CRLF
@@ -94,22 +99,37 @@ def cell_stem(cell) -> str:
 _FLAT_BLOCK = 256
 
 
-def _reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float64 of ``values``, the shortest decimal text that reads back
-    to the same bits, as an object array of their shape. Each distinct bit pattern is
-    rendered once, so ``-0.0`` and ``0.0`` stay apart."""
-    # return_index makes np.unique sort stably. Its default int64 sort pages in a kernel
-    # that no other step of ``bench run`` uses, which raised peak RSS by about 0.25 MB.
-    bits, _, index = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts[index].reshape(values.shape)
+def _table(keys: np.ndarray, render, dtype=object) -> tuple:
+    """The distinct values of ``keys`` in order, and the texts ``render`` makes of them
+    as an array of ``dtype``: each distinct value is rendered once."""
+    # np.unique would also hold a flat copy of keys. The sort is a stable argsort, whose
+    # kernel eaf_levels pages in already: the default int64 sort raised peak RSS by about
+    # 0.25 MB, and np.sort(kind="stable") paged in 64 KB of code that nothing else runs.
+    ordered = np.take(keys, np.argsort(keys, axis=None, kind="stable"))
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    del ordered  # so that it does not add to the peak of rendering
+    return distinct, np.array(render(distinct), dtype=dtype)
+
+
+def _texts(table: tuple, keys: np.ndarray) -> np.ndarray:
+    """The texts of a :func:`_table` that holds every value of ``keys``, each value read
+    as the table's dtype, in ``keys``' shape."""
+    distinct, texts = table
+    return texts[np.searchsorted(distinct, keys.view(distinct.dtype))]
+
+
+def _float_reprs(bits: np.ndarray) -> list:
+    """``repr`` of each float64 whose bits ``bits`` holds as int64, the shortest decimal
+    text that reads back to the same bits."""
+    return list(map(repr, bits.view(np.float64).tolist()))
 
 
 def _rendered(columns: Sequence[Sequence[Optional[float]]]) -> list:
-    """The readings of equal-length columns rendered by :func:`_reprs`, ``None`` as
+    """The readings of equal-length columns rendered by :func:`_float_reprs`, each
+    distinct bit pattern once, so ``-0.0`` and ``0.0`` stay apart, ``None`` as
     :data:`NA`, one list per column."""
     values = np.array(columns, dtype=float)  # None reads as NaN
-    texts = _reprs(values)
+    texts = _texts(_table(values.view(np.int64), _float_reprs), values)
     for column, row in np.argwhere(np.isnan(values)).tolist():
         if columns[column][row] is None:
             texts[column, row] = NA
@@ -336,8 +356,8 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     improvement filter reduces each group to its attainment staircase. The
     file is read in blocks of whole lines (see :data:`_READ_BLOCK`), and every
     block takes one path: :func:`~attainbench.attainment._improving` cuts it to
-    its strictly improving rows, and from the second block on cuts again the
-    union of those rows with the rows kept so far, these first. A row beaten in
+    its strictly improving rows, and from the second block on :func:`_union`
+    cuts again the union of those rows with the rows kept so far. A row beaten in
     its block is beaten in the file and the first row to reach each running best
     is kept, so after the last block the kept rows are the file's filter, and
     memory holds one block and the rows that can still improve. Blocks are
@@ -365,10 +385,20 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
         first += lines
         del block  # so that its bytes do not add to the peak of the cut
         cut = _improving(rows["run"], rows["evaluations"], _minimizing(rows["quality"], direction))
-        kept = cut if kept is None else _improving(*map(np.concatenate, zip(kept, cut)))
+        kept = cut if kept is None else _union(kept, cut)
     if kept is None:
         raise ValueError(f"{path}: no trajectory rows")
     return _staircases(MetaData("file", 1, 1, 1, direction), *kept)
+
+
+def _union(kept: tuple, cut: tuple) -> tuple:
+    """The rows kept so far with a block's cut, as :func:`_improving` would cut their
+    union, these first. Only the kept runs whose ids lie in the range of the cut's are
+    cut again: any other run is strict already, and its rows sort before or after."""
+    a = np.searchsorted(kept[0], cut[0][0])
+    b = np.searchsorted(kept[0], cut[0][-1], "right")
+    recut = _improving(*(np.concatenate((k[a:b], c)) for k, c in zip(kept, cut)))
+    return tuple(np.concatenate((k[:a], r, k[b:])) for k, r in zip(kept, recut))
 
 
 def _block_rows(path: Path, body: bytes, first: int, lines: int) -> np.ndarray:
@@ -402,15 +432,16 @@ def _block_rows(path: Path, body: bytes, first: int, lines: int) -> np.ndarray:
     return rows
 
 
-def _json_points(times: np.ndarray, qualities) -> str:
-    """A level's points, given its time column and an iterator that yields its rendered
-    qualities, as ``json.dump(..., indent=2)`` renders them in the document."""
-    if not len(times):
+def _json_points(times: list, qualities: list) -> str:
+    """A level's points, given as their time and quality texts, as ``json.dump(...,
+    indent=2)`` renders them in the document."""
+    if not times:
         return "[]"
-    point = "[\n          %d,\n          %s\n        ]"
-    # zip asks times first, so it takes no quality past the level's last time.
-    cells = chain.from_iterable(zip(times.tolist(), qualities))
-    return "[\n        " + ",\n        ".join([point] * len(times)) % tuple(cells) + "\n      ]"
+    # One join of a list of known size: joining a text per point was twice as slow and,
+    # in one measured loop of analyze-raw operations, left the C heap 1.5 MB larger.
+    cells = [None, ",\n          ", None, "\n        ],\n        [\n          "] * len(times)
+    cells[0::4], cells[2::4], cells[-1] = times, qualities, "\n        ]\n      ]"
+    return "[\n        [\n          " + "".join(cells)
 
 
 def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
@@ -418,7 +449,8 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     """Write level sets as JSON with group metadata and the nadir used.
 
     The bytes are those of ``json.dump(document, fh, indent=2)`` plus a final
-    newline; the levels are formatted directly, one at a time. Level sets are
+    newline; the levels are formatted directly, one at a time, from the texts of
+    every distinct time and quality, each rendered once. Level sets are
     checked as :func:`~attainbench.attainment.surface` checks them, but may be empty,
     each level by :func:`~attainbench.properties._whole` from 1, and the nadir by
     :func:`~attainbench.attainment._nadir_pair`, all before the file is opened.
@@ -426,8 +458,10 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     sets = list(level_sets)
     columns = [ls._checked() for ls in sets]
     levels = [_as_whole("level", ls.level, 1) for ls in sets]
-    qualities = np.concatenate([ls._leave(q) for ls, (_, q) in zip(sets, columns)] or [[]])
-    rendered = iter(_reprs(qualities).tolist())
+    times = _table(np.concatenate([t for t, _ in columns] or [np.empty(0, np.int64)]),
+                   lambda distinct: list(map(str, distinct.tolist())))
+    qualities = _table(np.concatenate([ls._leave(q) for ls, (_, q) in zip(sets, columns)]
+                                      or [[]]).view(np.int64), _float_reprs)
     head = json.dumps({
         "group": dict(group or {}),
         "direction": sets[0].direction.value if sets else None,
@@ -435,26 +469,37 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     }, indent=2)
     with _atomic_writer(Path(path), "level sets") as fh:
         fh.write(head[:-2] + ',\n  "levels": [')
-        for n, (level, (times, _)) in enumerate(zip(levels, columns)):
+        for n, (ls, level, (t, q)) in enumerate(zip(sets, levels, columns)):
+            points = _json_points(_texts(times, t).tolist(),
+                                  _texts(qualities, ls._leave(q)).tolist())
             fh.write(f'{"," if n else ""}\n    {{\n      "level": {level},\n'
-                     f'      "points": {_json_points(times, rendered)}\n    }}')
+                     f'      "points": {points}\n    }}')
         fh.write("\n  ]\n}\n" if sets else "]\n}\n")
 
 
+#: Rows of the grid that :func:`write_histogram` assembles and writes at a time. It
+#: bounds the writer's transient arrays to a block, not the grid.
+_HIST_ROWS = 32
+
+
 def write_histogram(path, histogram: Histogram) -> None:
-    """Write a histogram as CSV with a ``#`` header block describing the axes."""
+    """Write a histogram as CSV with a ``#`` header block describing the axes. The body
+    is assembled :data:`_HIST_ROWS` grid rows at a time from tables of bucket and
+    count texts, each distinct one rendered once."""
     disc = histogram.discretization
+    counts = histogram.counts
+    ts, qs = (np.array([b"%d," % i for i in range(n)], dtype=bytes) for n in counts.shape)
     with _atomic_writer(Path(path), "histogram") as fh:
         fh.write("# axis,buckets,origin,extent,scale\n")
         for label, axis in (("time", disc.time), ("quality", disc.quality)):
             fh.write(f"# {label},{axis.buckets},{axis.origin!r},{axis.extent!r},{axis.scale}\n")
         fh.write(f"# runs,{histogram.runs}\n")
         fh.write("t_bucket,q_bucket,count\n")
-        # One format per row keeps the body's transient to one row's worth. A row's tuple
-        # has 3 items per bucket, never the 20 whose free list CPython 3.11 never reuses.
-        q = histogram.counts.shape[1]
-        line, cells = "%d,%d,%d\n" * q, [0] * (3 * q)
-        cells[1::3] = range(q)
-        for i, row in enumerate(histogram.counts.astype(np.int64, copy=False)):
-            cells[0::3], cells[2::3] = [i] * q, row.tolist()
-            fh.write(line % tuple(cells))
+        for start in range(0, len(counts), _HIST_ROWS):
+            block = counts[start:start + _HIST_ROWS].astype(np.int64, copy=False)
+            cs = _texts(_table(block, lambda d: [b"%d\n" % c for c in d.tolist()], bytes), block)
+            # Bucket and count texts side by side in fixed-width fields, row after row.
+            slots = np.empty(block.shape, [("t", ts.dtype), ("q", qs.dtype), ("c", cs.dtype)])
+            slots["t"], slots["q"], slots["c"] = ts[start:start + len(block), None], qs, cs
+            # No text holds a NUL, so dropping the padding of the fixed-width fields is exact.
+            fh.write(slots.tobytes().translate(None, b"\0").decode("ascii"))

@@ -9,16 +9,18 @@ identity.
 
 from __future__ import annotations
 
+import json
 import math
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
 
-from attainbench.attainment import AttainmentPoint, Trajectory
+from attainbench.attainment import AttainmentPoint, Trajectory, _nadir_pair
 from attainbench.fileio import NA, cell_stem
 from attainbench.loggers import Batch, CellKey, Store
 from attainbench.problems import Direction, MetaData
+from attainbench.properties import _as_whole
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
@@ -329,3 +331,50 @@ def write_flat_files_per_row(store, directory):
                     fh.write(",".join(cells) + "\n")
         paths.append(path)
     return paths
+
+
+def write_level_sets_templated(path, level_sets, nadir, group=None):
+    """The level-set writer that fills one ``%`` template of every point of a level,
+    frozen from the writer before it rendered each distinct time and quality once."""
+    sets = list(level_sets)
+    columns = [ls._checked() for ls in sets]
+    levels = [_as_whole("level", ls.level, 1) for ls in sets]
+    qualities = np.concatenate([ls._leave(q) for ls, (_, q) in zip(sets, columns)] or [[]])
+    rendered = iter([repr(q) for q in qualities.tolist()])
+
+    def json_points(times):
+        if not len(times):
+            return "[]"
+        point = "[\n          %d,\n          %s\n        ]"
+        cells = chain.from_iterable(zip(times.tolist(), rendered))
+        return "[\n        " + ",\n        ".join([point] * len(times)) % tuple(cells) + "\n      ]"
+
+    head = json.dumps({
+        "group": dict(group or {}),
+        "direction": sets[0].direction.value if sets else None,
+        "nadir": _nadir_pair(nadir),
+    }, indent=2)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head[:-2] + ',\n  "levels": [')
+        for n, (level, (times, _)) in enumerate(zip(levels, columns)):
+            fh.write(f'{"," if n else ""}\n    {{\n      "level": {level},\n'
+                     f'      "points": {json_points(times)}\n    }}')
+        fh.write("\n  ]\n}\n" if sets else "]\n}\n")
+
+
+def write_histogram_templated(path, histogram):
+    """The histogram writer that fills one ``%`` template per grid row, frozen from the
+    writer before it assembled blocks of rows from tables of distinct values."""
+    disc = histogram.discretization
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# axis,buckets,origin,extent,scale\n")
+        for label, axis in (("time", disc.time), ("quality", disc.quality)):
+            fh.write(f"# {label},{axis.buckets},{axis.origin!r},{axis.extent!r},{axis.scale}\n")
+        fh.write(f"# runs,{histogram.runs}\n")
+        fh.write("t_bucket,q_bucket,count\n")
+        q = histogram.counts.shape[1]
+        line, cells = "%d,%d,%d\n" * q, [0] * (3 * q)
+        cells[1::3] = range(q)
+        for i, row in enumerate(histogram.counts.astype(np.int64, copy=False)):
+            cells[0::3], cells[2::3] = [i] * q, row.tolist()
+            fh.write(line % tuple(cells))

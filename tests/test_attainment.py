@@ -151,6 +151,41 @@ class TestLevelSets:
             with pytest.raises(ValueError, match=f"^run 3 is not a strict staircase .* {point}$"):
                 eaf_levels(bad)
 
+    @pytest.mark.parametrize("points, shown", [
+        ([(1, 2.0, 9), (2, 1.0)], "(1, 2.0, 9)"),
+        ([(1, 2.0, 9), (2, 1.0, 8)], "(1, 2.0, 9)"),
+        ([(1, 5.0), (2,)], "(2,)"),
+        ([(1, 5.0), 7], "7"),
+    ], ids=["one triple", "all triples", "a single", "a number"])
+    def test_a_point_that_is_not_a_pair_is_rejected_naming_it(self, points, shown):
+        bad = [Trajectory(MetaData("fake", 1, 1, 4, MIN), 3, points)]
+        with pytest.raises(ValueError,
+                           match=f"^run 3 is not a strict staircase .* {re.escape(shown)}$"):
+            eaf_levels(bad)
+
+    def test_checking_a_20_point_list_leaves_no_tuple_on_the_20_item_free_list(
+            self, new_free_20_tuples):
+        setup = ("from attainbench.attainment import _check\n"
+                 "from attainbench.problems import Direction\n"
+                 "points = [(t, 100.0 - t) for t in range(1, 21)]")
+        check = ("for _ in range(100):\n"
+                 "    _check(points, Direction.MINIMIZATION, 'run 0')")
+        assert new_free_20_tuples(setup, check) <= 0
+
+    def test_a_20_point_trajectory_leaves_no_tuple_on_the_20_item_free_list(
+            self, new_free_20_tuples):
+        setup = ("from attainbench.attainment import TrajectoryLogger, eaf_levels\n"
+                 "from attainbench.problems import Sphere\n"
+                 "pb = Sphere(1, 1, 1)\n"
+                 "logger = TrajectoryLogger()\n"
+                 "pb.attach_logger(logger)\n"
+                 "for x in range(20, 0, -1):\n"
+                 "    pb((float(x),))\n"
+                 "assert len(logger.trajectories()[0].points) == 20")
+        levels = ("for _ in range(100):\n"
+                  "    eaf_levels(logger.trajectories(), [1])")
+        assert new_free_20_tuples(setup, levels) <= 0
+
     @pytest.mark.parametrize("quality", [-math.inf, math.nan])
     def test_non_finite_qualities_are_rejected(self, quality):
         bad = as_trajectories([[(1, 5.0), (2, quality)]], MIN)

@@ -1,6 +1,6 @@
-"""The array kernels and the trajectory logger against brute force and frozen
-copies of the code they replaced, and batched evaluation against a loop of
-scalar calls.
+"""The array kernels, the trajectory logger and the histogram and level-set writers
+against brute force and frozen copies of the code they replaced, and batched
+evaluation against a loop of scalar calls.
 
 Groups are drawn from small coordinate ranges so that times are shared
 across runs and qualities tie across runs; raw trajectory rows repeat
@@ -19,14 +19,15 @@ from attainbench import fileio
 from attainbench import triggers as tg
 from attainbench.attainment import (LevelSet, TrajectoryLogger, default_nadir, eaf_levels,
                                     surface, volume)
-from attainbench.fileio import read_trajectories
-from attainbench.histogram import fit_discretization
+from attainbench.fileio import read_trajectories, write_histogram, write_level_sets
+from attainbench.histogram import Axis, Discretization, Histogram, fit_discretization
 from attainbench.loggers import LogInfo, Store
 from attainbench.problems import Direction, LeadingOnes, MetaData, OneMax, Rastrigin, Sphere
 from attainbench.properties import External, RawY, RawYBest, TransformedY, TransformedYBest
 
 from oracles import (TrajectoryLoggerFrozen, as_trajectories, batch_of,
-                     eaf_levels_bruteforce, improvement_staircase_rowwise, surface_sequential)
+                     eaf_levels_bruteforce, improvement_staircase_rowwise, surface_sequential,
+                     write_histogram_templated, write_level_sets_templated)
 
 MIN = Direction.MINIMIZATION
 MAX = Direction.MAXIMIZATION
@@ -262,3 +263,78 @@ def test_a_batch_equals_a_loop_of_scalar_calls(problem, instance, specs, runs):
         for run in store_s.runs(cell):
             assert repr(store_b.events(cell, run)) == repr(store_s.events(cell, run))
     assert traj_b.trajectories() == traj_s.trajectories()
+
+
+def _same_bytes(tmp_path_factory, write, frozen, *args) -> None:
+    """``write`` and its ``frozen`` copy write the same bytes for ``args``."""
+    directory = tmp_path_factory.mktemp("written")
+    write(directory / "new", *args)
+    frozen(directory / "frozen", *args)
+    assert (directory / "new").read_bytes() == (directory / "frozen").read_bytes()
+
+
+#: Each count dtype with the counts it can hold, drawn as Python integers.
+count_dtypes = st.sampled_from([(bool, 1), (np.uint8, 255), (np.int32, 2**31 - 1),
+                                (np.intp, 2**63 - 1), (np.int64, 2**63 - 1),
+                                (np.float64, 2**53)])
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=count_dtypes, rows=st.integers(1, 2 * fileio._HIST_ROWS + 3),
+       cols=st.integers(1, 12), origins=st.tuples(finite, finite),
+       extents=st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
+       runs=st.integers(0, 2**63 - 1), data=st.data())
+def test_write_histogram_equals_the_templated_writer(tmp_path_factory, dtype, rows, cols,
+                                                    origins, extents, runs, data):
+    kind, top = dtype
+    # Few distinct values keep repeats likely, as in a real grid.
+    values = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    cells = data.draw(st.lists(st.sampled_from(values), min_size=rows * cols,
+                               max_size=rows * cols))
+    counts = np.array(cells, dtype=object).astype(kind).reshape(rows, cols)
+    grid = Discretization(Axis(rows, origins[0], extents[0], "linear"),
+                          Axis(cols, origins[1], extents[1], "log"))
+    _same_bytes(tmp_path_factory, write_histogram, write_histogram_templated,
+                Histogram(grid, counts, runs))
+
+
+#: Qualities at the edges of their rendering: subnormals, the neighbours of 1e16 and
+#: 1e-4, where repr switches between positional and exponent form, and zeros.
+edge_qualities = st.sampled_from([
+    5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    9.999999999999999e-05, 1e-4, 1.0000000000000002e-04,
+    9999999999999998.0, 1e16, 1.0000000000000002e16, 0.0, -0.0, 1.0, 0.1,
+]).flatmap(lambda q: st.sampled_from([q, -q])) | finite
+#: Times over the whole range a level may hold, with small ones shared across levels.
+edge_times = st.integers(1, 12) | st.integers(1, 2**63 - 1)
+
+
+@st.composite
+def level_set_lists(draw):
+    """(level sets, nadir): up to 4 levels of one direction, each a strict staircase
+    with up to 12 points, possibly none."""
+    direction = draw(directions)
+    sets = []
+    for level in sorted(draw(st.sets(st.integers(1, 2**63 - 1), max_size=4))):
+        times = sorted(draw(st.sets(edge_times, max_size=12)))
+        quals = sorted(draw(st.sets(edge_qualities, min_size=len(times), max_size=len(times))),
+                       reverse=direction is MIN)
+        sets.append(LevelSet(level, list(zip(times, quals)), direction))
+    return sets, (draw(edge_times), draw(finite))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_and_nadir=level_set_lists(), group=st.none() | st.just({"runs": 3}))
+def test_write_level_sets_equals_the_templated_writer(tmp_path_factory, sets_and_nadir, group):
+    sets, nadir = sets_and_nadir
+    _same_bytes(tmp_path_factory, write_level_sets, write_level_sets_templated, sets, nadir,
+                group)
+
+
+@pytest.mark.parametrize("direction", [MIN, MAX])
+def test_a_zero_quality_is_written_as_in_the_templated_writer(tmp_path_factory, direction):
+    sets = [LevelSet(1, [], direction), LevelSet(2, [(1, -0.0)], direction),
+            LevelSet(3, [(2**63 - 1, 0.0)], direction)]
+    _same_bytes(tmp_path_factory, write_level_sets, write_level_sets_templated, sets,
+                (2**63 - 1, 1.0))

@@ -167,8 +167,9 @@ def test_a_64_bit_climb_of_3000_evaluations_peaks_at_50_kb(problem, traced_peak)
 
 
 def test_hill_climber_windows_leave_no_tuple_on_the_20_item_free_list(new_free_20_tuples):
-    # A window of 20 rows would hand loggers 20-item column tuples, which CPython 3.11
-    # keeps on a free list that it never takes back from: WINDOW stays off 20 for this.
+    # A 20-row batch would hand loggers 20-item column tuples, which CPython 3.11 keeps
+    # on a free list that it never takes back from: Problem.evaluate logs one as two
+    # batches, 19 rows and 1 (its _SPLIT_20), so any WINDOW may hit 20.
     setup = ("import numpy as np\n"
              "from attainbench.attainment import TrajectoryLogger\n"
              "from attainbench.problems import OneMax\n"
