@@ -11,6 +11,8 @@ Flat run logs
     renders as ``NA`` and reads back as ``None``; numbers, a present NaN
     included, use the shortest decimal form that round-trips. Property names
     are distinct and each one a :class:`~attainbench.properties.Property` may have.
+    The writer walks each column once, checking each reading's type and rendering
+    it with ``float.__repr__``, once per run of one reading object.
 
 Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
@@ -94,8 +96,9 @@ def cell_stem(cell) -> str:
     return f"{cell.suite_name}_f{cell.problem_id}_d{cell.dimension}_i{cell.instance}"
 
 
-#: Rows of one run that :func:`write_flat_files` renders at a time. It bounds the
-#: writer's transient strings and tuples, which add to the peak memory of a run.
+#: Rows of one run that :func:`write_flat_files` checks, renders and writes at a time.
+#: It bounds the writer's transient strings and tuples, which add to the peak memory of
+#: a run.
 _FLAT_BLOCK = 256
 
 
@@ -124,38 +127,38 @@ def _float_reprs(bits: np.ndarray) -> list:
     return list(map(repr, bits.view(np.float64).tolist()))
 
 
-def _rendered(columns: Sequence[Sequence[Optional[float]]]) -> list:
-    """The readings of equal-length columns rendered by :func:`_float_reprs`, each
-    distinct bit pattern once, so ``-0.0`` and ``0.0`` stay apart, ``None`` as
-    :data:`NA`, one list per column."""
-    values = np.array(columns, dtype=float)  # None reads as NaN
-    texts = _texts(_table(values.view(np.int64), _float_reprs), values)
-    for column, row in np.argwhere(np.isnan(values)).tolist():
-        if columns[column][row] is None:
-            texts[column, row] = NA
-    return texts.tolist()
-
-
-#: The types a reading may have; a subclass of ``float`` is checked one reading at a time.
-_READING_TYPES = frozenset({float, type(None)})
-
-
-def _check_readings(path: Path, run: int, start: int, names: Sequence[str],
-                    block: Sequence[Sequence]) -> None:
-    """Reject a reading that is not a ``float`` or ``None`` in ``block``, the columns of
-    ``run`` from event ``start`` on, naming the file, run, event and property."""
+def _rendered(path: Path, run: int, start: int, names: Sequence[str],
+              block: Sequence[Sequence]) -> list:
+    """The texts of ``block``, the columns of ``run`` from event ``start`` on, one list
+    per column: ``None`` as :data:`NA` and a ``float`` as ``float.__repr__`` gives it,
+    the shortest text that reads back to its bits. A reading that is the object before
+    it takes that object's text, so a run of one object is checked and rendered once.
+    Any other reading is rejected, the first in property then event order, naming the
+    file, run, event and property."""
+    texts = []
     for name, column in zip(names, block):
-        if not _READING_TYPES.issuperset(map(type, column)):
-            for event, reading in enumerate(column, start):
+        rendered, previous, text = [], None, NA
+        for reading in column:
+            if reading is not previous:
                 if reading is not None and not isinstance(reading, float):
+                    # The first occurrence of an object is the one checked; list.index
+                    # would find an equal reading before it, as 1.0 for 1 or True.
+                    event = start + next(i for i, r in enumerate(column) if r is reading)
                     raise ValueError(f"{path}: run {run}, event {event}: property {name!r} "
                                      f"reading {reading!r} is not a float or None")
+                # float.__repr__, not repr: a float subclass or np.float64 has its own.
+                previous, text = reading, NA if reading is None else float.__repr__(reading)
+            rendered.append(text)
+        texts.append(rendered)
+    return texts
 
 
 def write_flat_files(store: Store, directory) -> list:
     """Write one CSV per benchmark cell recorded in the store; returns the written paths.
-    Each run is written from its columns, :data:`_FLAT_BLOCK` rows at a time. A reading
-    that is not a ``float`` or ``None`` is rejected, and its cell's file not written."""
+    Each run is written from its columns, :data:`_FLAT_BLOCK` rows at a time, by
+    :func:`_rendered`: one pass per column checks each reading's type and renders it
+    with ``float.__repr__``, once per run of one object. A reading that is not a
+    ``float`` or ``None`` is rejected, and its cell's file not written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = store.property_names
@@ -170,9 +173,8 @@ def write_flat_files(store: Store, directory) -> list:
                 line = f"{run},%d,%d" + ",%s" * len(readings) + "\n"
                 for start in range(0, len(counts), _FLAT_BLOCK):
                     stop = min(start + _FLAT_BLOCK, len(counts))
-                    block = [column[start:stop] for column in readings]
-                    _check_readings(path, run, start, names, block)
-                    texts = _rendered(block) if block else ()
+                    # The slices are freed before the block's text is formatted.
+                    texts = _rendered(path, run, start, names, [c[start:stop] for c in readings])
                     rows = zip(range(start, stop), counts[start:stop], *texts)
                     fh.write(line * (stop - start) % tuple(chain.from_iterable(rows)))
         paths.append(path)
@@ -477,15 +479,16 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
         fh.write("\n  ]\n}\n" if sets else "]\n}\n")
 
 
-#: Rows of the grid that :func:`write_histogram` assembles and writes at a time. It
-#: bounds the writer's transient arrays to a block, not the grid.
-_HIST_ROWS = 32
+#: Cells of the grid that :func:`write_histogram` assembles and writes at a time, in
+#: whole grid rows and at least one. It bounds the writer's transient arrays to a block,
+#: not the grid, whatever the number of quality buckets.
+_HIST_CELLS = 6400
 
 
 def write_histogram(path, histogram: Histogram) -> None:
     """Write a histogram as CSV with a ``#`` header block describing the axes. The body
-    is assembled :data:`_HIST_ROWS` grid rows at a time from tables of bucket and
-    count texts, each distinct one rendered once."""
+    is assembled in blocks of whole grid rows, at most :data:`_HIST_CELLS` cells or one
+    row each, from tables of bucket and count texts, each distinct one rendered once."""
     disc = histogram.discretization
     counts = histogram.counts
     ts, qs = (np.array([b"%d," % i for i in range(n)], dtype=bytes) for n in counts.shape)
@@ -495,8 +498,9 @@ def write_histogram(path, histogram: Histogram) -> None:
             fh.write(f"# {label},{axis.buckets},{axis.origin!r},{axis.extent!r},{axis.scale}\n")
         fh.write(f"# runs,{histogram.runs}\n")
         fh.write("t_bucket,q_bucket,count\n")
-        for start in range(0, len(counts), _HIST_ROWS):
-            block = counts[start:start + _HIST_ROWS].astype(np.int64, copy=False)
+        rows = max(1, _HIST_CELLS // (len(qs) or 1))  # counts may have no column
+        for start in range(0, len(counts), rows):
+            block = counts[start:start + rows].astype(np.int64, copy=False)
             cs = _texts(_table(block, lambda d: [b"%d\n" % c for c in d.tolist()], bytes), block)
             # Bucket and count texts side by side in fixed-width fields, row after row.
             slots = np.empty(block.shape, [("t", ts.dtype), ("q", qs.dtype), ("c", cs.dtype)])

@@ -281,11 +281,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(dtype=count_dtypes, rows=st.integers(1, 2 * fileio._HIST_ROWS + 3),
-       cols=st.integers(1, 12), origins=st.tuples(finite, finite),
+@given(dtype=count_dtypes, rows=st.integers(1, 40), cols=st.integers(1, 12),
+       block=st.integers(1, 40) | st.just(fileio._HIST_CELLS),
+       origins=st.tuples(finite, finite),
        extents=st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
        runs=st.integers(0, 2**63 - 1), data=st.data())
-def test_write_histogram_equals_the_templated_writer(tmp_path_factory, dtype, rows, cols,
+def test_write_histogram_equals_the_templated_writer(tmp_path_factory, dtype, rows, cols, block,
                                                     origins, extents, runs, data):
     kind, top = dtype
     # Few distinct values keep repeats likely, as in a real grid.
@@ -295,8 +296,10 @@ def test_write_histogram_equals_the_templated_writer(tmp_path_factory, dtype, ro
     counts = np.array(cells, dtype=object).astype(kind).reshape(rows, cols)
     grid = Discretization(Axis(rows, origins[0], extents[0], "linear"),
                           Axis(cols, origins[1], extents[1], "log"))
-    _same_bytes(tmp_path_factory, write_histogram, write_histogram_templated,
-                Histogram(grid, counts, runs))
+    # Blocks of a few cells split the grid into one-row, many-row and partial blocks.
+    with mock.patch.object(fileio, "_HIST_CELLS", block):
+        _same_bytes(tmp_path_factory, write_histogram, write_histogram_templated,
+                    Histogram(grid, counts, runs))
 
 
 #: Qualities at the edges of their rendering: subnormals, the neighbours of 1e16 and

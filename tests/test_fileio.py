@@ -394,6 +394,103 @@ def test_columns_render_as_the_per_row_writer_renders_each_row(tmp_path_factory,
     assert_the_per_row_bytes(store, tmp_path_factory.mktemp("flat"), block)
 
 
+class Junk(float):
+    """A float whose ``repr`` is not its value's text."""
+
+    def __repr__(self):
+        return "junk"
+
+
+def float_of_bits(bits: int) -> float:
+    return np.array(bits, dtype=np.uint64).view(np.float64).item()
+
+
+#: Pairs of reading objects that sit side by side: equal floats that are distinct objects,
+#: readings a writer keyed by value would merge, and floats whose ``repr`` is not the
+#: text of their value.
+object_pairs = [
+    (2.5, float("2.5")), (float("2.5"), float("2.5")), (0.0, -0.0), (math.nan, None),
+    (Junk(1.5), 1.5), (Junk(1.5), Junk(1.5)), (np.float64(4.0), 4.0),
+    (np.float64(-0.0), np.float64(-0.0)),
+]
+#: Other edges of float rendering: NaNs of other payloads and signs, subnormals, infinities
+#: and the neighbours of 1e16 and 1e-4, where repr switches between its two forms.
+edge_objects = [
+    float_of_bits(0x7FF8000000000001), float_of_bits(0xFFF8000000000000),
+    float_of_bits(0x7FF0000000000001), 5e-324, -5e-324, 2.2250738585072009e-308,
+    math.inf, -math.inf, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+    9.999999999999999e-05, 1e-4, 1.0000000000000002e-04, None,
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_every_reading_object_renders_as_the_per_row_writer_renders_it(tmp_path, block):
+    a, b = object_pairs[1]
+    assert a == b and a is not b
+    # Each object beside its pair, then again in a run of its own, then apart.
+    objects = [reading for pair in object_pairs for reading in pair] + edge_objects
+    column = objects + [reading for reading in objects for _ in range(3)] + objects[::-1]
+    rows = [(True, reading, other) for reading, other in zip(column, column[::-1])]
+    store = scripted_store(["y", "z"], [[[rows[:5], rows[5:]], [rows]]])
+    assert_the_per_row_bytes(store, tmp_path, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(property_names, min_size=1, max_size=3, unique=True),
+       block=st.sampled_from([1, 2, 4096]), data=st.data())
+def test_runs_of_one_object_render_as_the_per_row_writer_renders_each_row(
+        tmp_path_factory, names, block, data):
+    # Readings drawn from a pool of one pair and one or two other objects recur, in runs
+    # and apart, and the pair's two objects sit side by side.
+    extra = st.sampled_from(edge_objects + [reading for pair in object_pairs for reading in pair])
+    pool = data.draw(st.sampled_from(object_pairs))
+    pool += tuple(data.draw(st.lists(extra, min_size=1, max_size=2)))
+    rows = st.tuples(st.booleans(), *[st.sampled_from(pool)] * len(names))
+    runs = st.lists(st.lists(st.lists(rows, min_size=1, max_size=8), max_size=4), max_size=3)
+    store = scripted_store(names, data.draw(st.lists(runs, min_size=1, max_size=2)))
+    assert_the_per_row_bytes(store, tmp_path_factory.mktemp("flat"), block)
+
+
+def assert_named_and_not_written(store, directory, run, event, name, reading):
+    path = directory / f"{cell_stem(META)}.csv"
+    message = (f"{path}: run {run}, event {event}: property {name!r} reading {reading!r} "
+               "is not a float or None")
+    with mock.patch.object(fileio, "_FLAT_BLOCK", 4096):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_flat_files(store, directory)
+    assert list(directory.iterdir()) == []
+
+
+@pytest.mark.parametrize("reading", [1, True], ids=["int", "bool"])
+def test_a_reading_equal_to_the_float_before_it_is_named_at_its_own_event(tmp_path, reading):
+    store = scripted_store(["y"], [[[[(True, 1.0), (True, reading), (True, 1.0)]]]])
+    assert_named_and_not_written(store, tmp_path, 0, 1, "y", reading)
+
+
+def test_a_bad_reading_of_a_later_property_is_named_when_the_earlier_ones_are_clean(
+        tmp_path):
+    rows = [(True, 2.0, 2.0), (True, 2.0, 2.0), (True, None, "2.0"), (True, 3.0, 3.0)]
+    store = scripted_store(["y", "z"], [[[rows]]])
+    assert_named_and_not_written(store, tmp_path, 0, 2, "z", "2.0")
+
+
+def test_the_first_bad_reading_in_property_order_is_named_before_an_earlier_event(tmp_path):
+    rows = [(True, 2.0, 7), (True, 2.0, 2.0), (True, 8, 2.0)]
+    store = scripted_store(["y", "z"], [[[rows]]])
+    assert_named_and_not_written(store, tmp_path, 0, 2, "y", 8)
+
+
+def test_writing_a_run_random_continuous_sized_store_peaks_under_70_kb(tmp_path, traced_peak):
+    # The table-based renderer peaked at 72 KB on this store, the one-pass renderer at 65 KB.
+    store = Store([Always()], [TransformedY(), TransformedYBest()])
+    for run in range(2):
+        feed(store, np.random.default_rng(run).random(1000).tolist())
+    write_flat_files(store, tmp_path)  # so that first-call set-up is not counted
+    assert traced_peak(write_flat_files, store, tmp_path) < 70_000
+    (path,) = tmp_path.iterdir()
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 2 * 1000
+
+
 class TestTrajectoryFiles:
     def test_write_then_read_roundtrip(self, tmp_path):
         trajs = as_trajectories([[(1, 9.0), (4, 3.0)], [(2, 7.0)]], MIN)
@@ -941,6 +1038,16 @@ class TestHistogramExport:
         assert traced_peak(write_histogram, path, Histogram(grid, counts, 7)) < 1_000_000
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[5:7] == ["0,0,0", "0,1,1"] and lines[-1] == f"999,199,{199_999 % 7}"
+        assert len(lines) == 5 + 200_000
+
+    def test_writing_1000_quality_buckets_needs_memory_for_a_block_of_cells(self, tmp_path,
+                                                                             traced_peak):
+        grid = Discretization(Axis(200, 1.0, 199.0), Axis(1000, 0.0, 1.0))
+        counts = np.arange(200_000, dtype=np.intp).reshape(200, 1000) % 7  # 1.6 MB
+        path = tmp_path / "h.csv"
+        assert traced_peak(write_histogram, path, Histogram(grid, counts, 7)) < 400_000
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[5:7] == ["0,0,0", "0,1,1"] and lines[-1] == f"199,999,{199_999 % 7}"
         assert len(lines) == 5 + 200_000
 
     def test_writing_leaves_no_tuple_on_the_20_item_free_list(self, tmp_path, new_free_20_tuples):
