@@ -26,7 +26,7 @@ import numpy as np
 
 from .loggers import CellKey, Watcher
 from .problems import Direction, MetaData
-from .properties import TransformedYBest, _as_whole, _whole
+from .properties import TransformedYBest, _as_whole, _real, _whole
 from .triggers import OnImprovement
 
 #: Distinct event times per block of the :func:`eaf_levels` sweep.
@@ -88,7 +88,8 @@ class Trajectory(_Staircase):
 
 @dataclass
 class LevelSet(_Staircase):
-    """Minimal points of the region attained by at least ``level`` runs."""
+    """Minimal points of the region attained by at least ``level`` runs. The direction
+    is stored as :class:`~attainbench.problems.Direction` reads it."""
 
     level: int
     points: list = field()
@@ -97,6 +98,9 @@ class LevelSet(_Staircase):
 
     _direction = property(lambda self: self.direction)
     _label = "level set"
+
+    def __post_init__(self):
+        self.direction = Direction(self.direction)
 
     def _leave(self, qualities: np.ndarray) -> np.ndarray:
         # 0.0 and -0.0 tie, so which one the sweep keeps is arbitrary: a level set has 0.0.
@@ -112,14 +116,13 @@ def _minimizing(qualities, direction: Direction) -> np.ndarray:
 
 def _pair(point) -> tuple:
     """The (time, quality) of a point, the time as an ``int``; a time that :func:`_whole`
-    rejects from 1 on reads 0, a text quality NaN, and a point that is not a pair
-    ``(0, nan)``, so that :func:`_check` flags each of them."""
+    rejects from 1 on reads 0, a quality that :func:`_real` rejects NaN, and a point that
+    is not a pair ``(0, nan)``, so that :func:`_check` flags each of them."""
     try:
         time, quality = point
     except (TypeError, ValueError):
         return 0, math.nan
-    return (int(time) if _whole(time, 1) else 0,
-            math.nan if isinstance(quality, (str, bytes)) else quality)
+    return int(time) if _whole(time, 1) else 0, quality if _real(quality) else math.nan
 
 
 def _check(points: Sequence, direction: Direction, label: str) -> tuple:
@@ -308,11 +311,11 @@ def default_nadir(trajectories: Sequence[Trajectory]) -> AttainmentPoint:
 
 
 def _nadir_pair(nadir) -> list:
-    """``nadir`` as a list of two Python numbers, a numpy scalar as the number it equals.
-    Both coordinates must be finite reals, not ``bool``; else a ``ValueError`` names it."""
+    """``nadir`` as a list of two Python numbers, an integer as an ``int`` and any other
+    real as a ``float``. Both coordinates must be finite reals that :func:`_real` takes;
+    else a ``ValueError`` names the nadir."""
     point = tuple(nadir)
-    if len(point) != 2 or not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
-                                  and -math.inf < c < math.inf for c in point):
+    if len(point) != 2 or not all(map(_real, point)):
         raise ValueError(f"nadir {nadir!r} is not two finite real numbers")
     return [int(c) if isinstance(c, numbers.Integral) else float(c) for c in point]
 
@@ -325,12 +328,13 @@ def surface(level_set: LevelSet, nadir) -> float:
     ``nadir``; for a staircase p_1 .. p_n sorted by time this is the sum of
     the rectangles (q_nadir - q_i) * (t_{i+1} - t_i) with t_{n+1} taken as
     the nadir time, added up from left to right. The level set must be such
-    a staircase, and the nadir must be weakly dominated by every point.
+    a staircase, and the nadir two finite reals (:func:`_nadir_pair`) weakly
+    dominated by every point.
     """
     times, qualities = level_set._checked()
     if not len(times):
         raise ValueError("surface of an empty level set")
-    tn, qn = nadir
+    tn, qn = _nadir_pair(nadir)
     q_nadir = _minimizing(qn, level_set.direction)
     outside = ~((times <= tn) & (qualities <= q_nadir))
     if outside.any():
@@ -347,6 +351,7 @@ def volume(level_sets: Sequence[LevelSet], nadir, normalized: bool = False) -> f
     the box between the ideal corner and the nadir), so a single level
     filling the whole box scores 1. The ideal corner is the componentwise
     best over all points of the given level sets, which must share one direction.
+    The level sets and the nadir are checked as :func:`surface` checks them.
     """
     sets = list(level_sets)
     return _volume(sets, (surface(ls, nadir) for ls in sets), nadir, normalized)
@@ -362,7 +367,7 @@ def _volume(sets: list, surfaces: Iterable[float], nadir, normalized: bool) -> f
     if not normalized:
         return total
     ideal_t, _, ideal_q, _ = _bounds([ls._checked() for ls in sets])
-    tn, qn = nadir
+    tn, qn = _nadir_pair(nadir)
     box = (tn - ideal_t) * (_minimizing(qn, direction) - ideal_q)
     if box <= 0:
         raise ValueError("normalization box is degenerate (nadir equals the ideal corner)")

@@ -11,7 +11,6 @@ Exit status: 0 on success, 1 on I/O failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -24,7 +23,7 @@ from .fileio import (_finite, _integer, cell_stem, read_trajectories, write_flat
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
 from .loggers import Store
 from .problems import Direction, SUITES
-from .properties import TransformedY, TransformedYBest
+from .properties import TransformedY, TransformedYBest, _real
 from .solvers import SOLVERS
 from .triggers import Always
 
@@ -150,7 +149,7 @@ def _scales(text: str) -> tuple:
 
 def _range(text: str) -> tuple:
     lo, hi = _flag(_pair(_finite, ":"), "finite lo:hi")(text)
-    if not 0 < hi - lo < math.inf:
+    if not (_real(hi - lo) and hi - lo > 0):
         raise argparse.ArgumentTypeError(
             f"upper bound must exceed lower bound by a finite span, got {text!r}")
     return lo, hi

@@ -45,7 +45,9 @@ in ASCII digits with an optional ``-``, below 2**63, and numbers as ``float``
 reads them from ASCII with no ``_`` or padding. An integer read from text
 then meets the rule every count, index and id given as an object meets,
 :func:`~attainbench.properties._whole`: at least its column's least value
-and below 2**63, compared exactly.
+and below 2**63, compared exactly. A finite number read from text meets the
+rule every quality, nadir coordinate and axis bound given as an object meets,
+:func:`~attainbench.properties._real`, and so does the span of a ``lo:hi`` flag.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -63,12 +64,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attainment import (LevelSet, Trajectory, _improving, _minimizing, _nadir_pair, _runs,
-                         _staircases)
+from .attainment import (LevelSet, Trajectory, _common_direction, _improving, _minimizing,
+                         _nadir_pair, _runs, _staircases)
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
-from .properties import Property, _as_whole, _check_distinct, _whole
+from .properties import Property, _as_whole, _check_distinct, _real, _whole
 
 #: Token standing in for an absent reading in delimited files.
 NA = "NA"
@@ -279,8 +280,9 @@ def _integer(least: int):
 
 
 def _finite(text: str) -> float:
-    """Reader of a finite number cell."""
-    if _NUMBER.fullmatch(text) and math.isfinite(value := float(text)):
+    """Reader of a finite number cell: text that :data:`_NUMBER` matches, read by ``float``
+    into a value that :func:`~attainbench.properties._real` takes."""
+    if _NUMBER.fullmatch(text) and _real(value := float(text)):
         return value
     raise ValueError("a finite number")
 
@@ -367,9 +369,10 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     are rejected as ``path:line``, and a body numpy cannot read for any other
     reason as ``path``, so of several faults in different blocks the first
     block's is named. The trajectories carry placeholder metadata with the
-    given direction.
+    given direction, read as :class:`~attainbench.problems.Direction` reads it, so
+    ``"min"`` is minimization and ``"up"`` a ``ValueError``.
     """
-    path = Path(path)
+    path, direction = Path(path), Direction(direction)
     kept, first = None, 1
     for block in _blocks(path):
         _check_crs(path, block, first)
@@ -454,19 +457,22 @@ def write_level_sets(path, level_sets: Sequence[LevelSet], nadir,
     newline; the levels are formatted directly, one at a time, from the texts of
     every distinct time and quality, each rendered once. Level sets are
     checked as :func:`~attainbench.attainment.surface` checks them, but may be empty,
-    each level by :func:`~attainbench.properties._whole` from 1, and the nadir by
-    :func:`~attainbench.attainment._nadir_pair`, all before the file is opened.
+    each level by :func:`~attainbench.properties._whole` from 1, their directions to be
+    one, and the nadir by :func:`~attainbench.attainment._nadir_pair`, all before the file
+    is opened. No level set at all writes a ``null`` direction.
     """
     sets = list(level_sets)
     columns = [ls._checked() for ls in sets]
     levels = [_as_whole("level", ls.level, 1) for ls in sets]
+    direction = (_common_direction((ls.direction for ls in sets), "level sets").value
+                 if sets else None)
     times = _table(np.concatenate([t for t, _ in columns] or [np.empty(0, np.int64)]),
                    lambda distinct: list(map(str, distinct.tolist())))
     qualities = _table(np.concatenate([ls._leave(q) for ls, (_, q) in zip(sets, columns)]
                                       or [[]]).view(np.int64), _float_reprs)
     head = json.dumps({
         "group": dict(group or {}),
-        "direction": sets[0].direction.value if sets else None,
+        "direction": direction,
         "nadir": _nadir_pair(nadir),
     }, indent=2)
     with _atomic_writer(Path(path), "level sets") as fh:
@@ -488,17 +494,31 @@ _HIST_CELLS = 6400
 def write_histogram(path, histogram: Histogram) -> None:
     """Write a histogram as CSV with a ``#`` header block describing the axes. The body
     is assembled in blocks of whole grid rows, at most :data:`_HIST_CELLS` cells or one
-    row each, from tables of bucket and count texts, each distinct one rendered once."""
+    row each, from tables of bucket and count texts, each distinct one rendered once.
+
+    Before the file is opened the histogram is checked: ``runs`` by
+    :func:`~attainbench.properties._whole` from 0, and ``counts`` to be an integer
+    array of shape (time buckets, quality buckets) whose every count is in [0, runs].
+    A ``ValueError`` names the shape, the dtype, ``runs`` or the first bad cell."""
     disc = histogram.discretization
-    counts = histogram.counts
-    ts, qs = (np.array([b"%d," % i for i in range(n)], dtype=bytes) for n in counts.shape)
+    counts, runs = np.asarray(histogram.counts), _as_whole("histogram runs", histogram.runs, 0)
+    shape = (disc.time.buckets, disc.quality.buckets)
+    if counts.shape != shape or counts.dtype.kind not in "iu":
+        raise ValueError(f"histogram counts are {counts.dtype} of shape {counts.shape}, "
+                         f"not integers of shape {shape}")
+    # Two reductions allocate nothing, where a mask of the grid would add to the peak.
+    if counts.min() < 0 or counts.max() > runs:
+        t, q = divmod(int(((counts < 0) | (counts > runs)).argmax()), shape[1])
+        raise ValueError(f"histogram count {counts[t, q]} at (t_bucket, q_bucket) = ({t}, {q}) "
+                         f"is not in [0, {runs}]")
+    ts, qs = (np.array([b"%d," % i for i in range(n)], dtype=bytes) for n in shape)
     with _atomic_writer(Path(path), "histogram") as fh:
         fh.write("# axis,buckets,origin,extent,scale\n")
         for label, axis in (("time", disc.time), ("quality", disc.quality)):
             fh.write(f"# {label},{axis.buckets},{axis.origin!r},{axis.extent!r},{axis.scale}\n")
-        fh.write(f"# runs,{histogram.runs}\n")
+        fh.write(f"# runs,{runs}\n")
         fh.write("t_bucket,q_bucket,count\n")
-        rows = max(1, _HIST_CELLS // (len(qs) or 1))  # counts may have no column
+        rows = max(1, _HIST_CELLS // len(qs))
         for start in range(0, len(counts), rows):
             block = counts[start:start + rows].astype(np.int64, copy=False)
             cs = _texts(_table(block, lambda d: [b"%d\n" % c for c in d.tolist()], bytes), block)

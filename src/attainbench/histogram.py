@@ -23,18 +23,23 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .attainment import Trajectory, _bounds, _minimizing, _runs
-from .properties import _as_whole
+from .properties import _as_whole, _real
 
 SCALES = ("linear", "log")
 
 
 class Axis:
-    """One histogram axis: bucket count, origin, extent and scale."""
+    """One histogram axis: bucket count, origin, extent and scale.
+
+    The bucket count meets :func:`~attainbench.properties._whole` from 1 on. The origin
+    and the extent are finite reals that :func:`~attainbench.properties._real` takes,
+    the extent above 0, and are stored as ``float``; else a ``ValueError`` names them.
+    """
 
     def __init__(self, buckets: int, origin: float, extent: float, scale: str = "linear"):
         self.buckets = _as_whole("buckets", buckets, 1)
-        if not (math.isfinite(origin) and 0 < extent < math.inf):
-            raise ValueError(f"need a finite origin and finite extent > 0, got {origin}, {extent}")
+        if not (_real(origin) and _real(extent) and extent > 0):
+            raise ValueError(f"need a finite origin and extent > 0, got {origin!r}, {extent!r}")
         if scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
         self.origin = float(origin)

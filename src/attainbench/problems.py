@@ -79,7 +79,8 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class MetaData:
-    """Identity of a benchmark context, carried on every attach notification."""
+    """Identity of a benchmark context, carried on every attach notification. The
+    direction is stored as :class:`Direction` reads it, so ``"min"`` is minimization."""
 
     suite_name: str
     problem_id: int
@@ -95,6 +96,7 @@ class MetaData:
                              f"got {name!r}")
         for axis in ("problem_id", "instance", "dimension"):
             object.__setattr__(self, axis, _as_whole(axis, getattr(self, axis), 1))
+        object.__setattr__(self, "direction", Direction(self.direction))
 
 
 class Problem:

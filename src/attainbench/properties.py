@@ -11,18 +11,26 @@ is a reserved name, because every logged event carries that count already.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Callable, Optional, Sequence
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a finite real number: a ``numbers.Real`` such as an ``int``, a
+    ``float``, a numpy integer or float or a ``Fraction``, never a ``bool``, and finite as
+    float64 reads it, so an ``int`` beyond float64 is not."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int or Fraction beyond float64
+        return False
+
+
 def _whole(value, least: int) -> bool:
     """Whether ``value`` is an integer in [least, 2**63): an ``int``, a numpy integer or
-    an integral real, never a ``bool`` or a ``str``, compared exactly, not as float64."""
-    real = type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        return real and int(value) == value and least <= int(value) < 2**63
-    except (OverflowError, ValueError):  # inf, NaN
-        return False
+    an integral real that :func:`_real` takes, compared exactly, not as float64."""
+    return _real(value) and int(value) == value and least <= int(value) < 2**63
 
 
 def _as_whole(what: str, value, least: int) -> int:

@@ -466,3 +466,26 @@ class TestEditsAfterAKernel:
         ls.points[0] = AttainmentPoint(1, -100.0)
         with pytest.raises(ValueError, match="^level set is not a strict staircase"):
             surface(ls, (6, 12.0))
+
+
+class TestDirectionReadAtTheBoundary:
+    """A direction given as its text is read as its member where it enters: by
+    MetaData, LevelSet and read_trajectories. Text that names no direction is rejected."""
+
+    @pytest.mark.parametrize("make", [lambda d: MetaData("s", 1, 1, 1, d).direction,
+                                      lambda d: LevelSet(1, [], d).direction],
+                             ids=["MetaData", "LevelSet"])
+    def test_text_reads_as_its_member(self, make):
+        assert make("min") is MIN and make("max") is MAX and make(MAX) is MAX
+        with pytest.raises(ValueError, match="'up'"):
+            make("up")
+
+    @pytest.mark.parametrize("direction, kept", [("min", [(1, 5.0), (2, 3.0)]),
+                                                 ("max", [(1, 5.0)])])
+    def test_read_trajectories_filters_by_the_direction_named(self, tmp_path, direction, kept):
+        path = tmp_path / "t.csv"
+        path.write_text("run,evaluations,quality\n0,1,5.0\n0,2,3.0\n0,3,4.0\n", encoding="utf-8")
+        (traj,) = read_trajectories(path, direction)
+        assert traj.points == kept and traj.meta.direction is Direction(direction)
+        with pytest.raises(ValueError, match="'up'"):
+            read_trajectories(path, "up")

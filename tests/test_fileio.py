@@ -992,6 +992,14 @@ class TestLevelSetExport:
         write_level_sets(path, [LevelSet(1, [AttainmentPoint(2, 3.0)], MIN)], nadir)
         assert f'"nadir": {written},' in path.read_text(encoding="utf-8")
 
+    def test_level_sets_of_mixed_directions_are_not_written(self, tmp_path):
+        sets = [LevelSet(1, [AttainmentPoint(2, 3.0)], MIN),
+                LevelSet(2, [AttainmentPoint(2, 3.0)], Direction.MAXIMIZATION)]
+        message = "level sets mix optimization directions: ['max', 'min']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_level_sets(tmp_path / "levels.json", sets, (9, 10.0))
+        assert list(tmp_path.iterdir()) == []
+
     def test_times_are_written_as_integers(self, tmp_path):
         path = tmp_path / "levels.json"
         write_level_sets(path, [LevelSet(1, [AttainmentPoint(2.0, 3.0)], MIN)], (9, 10.0))
@@ -1017,7 +1025,34 @@ class TestLevelSetExport:
         assert sum(len(level["points"]) for level in levels) == 26_723
 
 
+#: Two axes of two buckets each, for histograms built by hand.
+GRID_2X2 = Discretization(Axis(2, 1.0, 1.0), Axis(2, 0.0, 1.0))
+
+
 class TestHistogramExport:
+    @pytest.mark.parametrize("counts, runs, message", [
+        ([[0, 0.7], [1, 1]], 2, "histogram counts are float64 of shape (2, 2), not integers"),
+        ([[True, False], [True, True]], 2, "histogram counts are bool of shape (2, 2)"),
+        (np.zeros((3, 3), np.int64), 2, "of shape (3, 3), not integers of shape (2, 2)"),
+        ([[0, 1], [-3, 1]], 2, "histogram count -3 at (t_bucket, q_bucket) = (1, 0) is not in"),
+        ([[0, 9], [-3, 1]], 2, "histogram count 9 at (t_bucket, q_bucket) = (0, 1) is not in"),
+        (np.ones((2, 2), np.uint8), 0, "histogram count 1 at (t_bucket, q_bucket) = (0, 0)"),
+        (np.ones((2, 2), np.int64), True, "histogram runs True is not an integer in [0, 2**63)"),
+        (np.ones((2, 2), np.int64), 2.5, "histogram runs 2.5 is not an integer"),
+        (np.zeros((2, 2), np.int64), -1, "histogram runs -1 is not an integer"),
+    ])
+    def test_a_histogram_built_wrong_is_not_written(self, tmp_path, counts, runs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_histogram(tmp_path / "h.csv", Histogram(GRID_2X2, np.array(counts), runs))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("runs", [2, 2.0, np.int64(2), np.uint8(2)], ids=repr)
+    def test_runs_are_written_as_the_integer_they_equal(self, tmp_path, runs):
+        counts = np.array([[0, 1], [2, 2]], np.uint8)
+        write_histogram(tmp_path / "h.csv", Histogram(GRID_2X2, counts, runs))
+        lines = (tmp_path / "h.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[3] == "# runs,2" and lines[5:] == ["0,0,0", "0,1,1", "1,0,2", "1,1,2"]
+
     def test_header_block_then_counts(self, tmp_path):
         trajs = as_trajectories([[(1, 10.0), (3, 5.0)], [(2, 8.0), (4, 2.0)]], MIN)
         hist = eah(trajs, fit_discretization(trajs, buckets=(2, 2), scales=("log", "log")))

@@ -74,3 +74,20 @@ def test_lines_that_hold_code_leave_out_docstrings_comments_and_blank_lines():
               'that is not a docstring"""\n'
               '    return a + b\n')
     assert code_lines.code_lines(source) == 5
+
+
+def test_only_properties_reads_the_finite_real_rule():
+    """``properties._real`` is the one finite-real test: no other module reads
+    ``numbers.Real`` or ``math.isfinite``, as an attribute or by import."""
+    rule = {"numbers.Real", "math.isfinite"}
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {f"{node.value.id}.{node.attr}"}
+            elif isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            readers |= {(name, path.name) for name in names & rule}
+    assert readers == {(name, "properties.py") for name in rule}
