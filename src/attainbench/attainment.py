@@ -313,8 +313,8 @@ def default_nadir(trajectories: Sequence[Trajectory]) -> AttainmentPoint:
 def _nadir_pair(nadir) -> list:
     """``nadir`` as a list of two Python numbers, an integer as an ``int`` and any other
     real as a ``float``. Both coordinates must be finite reals that :func:`_real` takes;
-    else a ``ValueError`` names the nadir."""
-    point = tuple(nadir)
+    else a ``ValueError`` names the nadir, one that is not iterable included."""
+    point = tuple(nadir) if np.iterable(nadir) else ()
     if len(point) != 2 or not all(map(_real, point)):
         raise ValueError(f"nadir {nadir!r} is not two finite real numbers")
     return [int(c) if isinstance(c, numbers.Integral) else float(c) for c in point]

@@ -9,10 +9,11 @@ every reset, tracked per context so one logger can serve a whole suite.
 
 A :class:`Watcher` records the rows its triggers fire on by column, per run:
 the evaluation counts, then one column of readings per property, where a
-reading is a ``float`` or ``None`` when absent. Only :meth:`Watcher.events`
-turns the columns into one tuple per event, ``(evaluations, *readings)``;
-:class:`Store` looks one reading up by cursor. The count column is the one
-copy of the evaluation count, so ``evaluations`` names no property.
+reading is a ``float`` or ``None`` when absent. Every reader goes through
+:meth:`Watcher.recorded`: :meth:`Watcher.events` turns its columns into one tuple per
+event, ``(evaluations, *readings)``, and :class:`Store` looks one reading up in them by
+cursor. The count column is the one copy of the evaluation count, so ``evaluations``
+names no property.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ class Watcher(Logger):
     context attaches; nest an ``All`` for all-of behaviour. Properties, whose
     names must be distinct, are read once per batch that fires. A trigger or
     property that does not answer once per row of a batch is rejected before
-    anything of that batch is recorded.
+    anything of that batch is recorded. Only a ``call`` adds to the record, and
+    :meth:`recorded` is the one way to read it.
     """
 
     def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
@@ -215,22 +217,17 @@ class Watcher(Logger):
         records into, in event order; not a copy, so a caller must not change them."""
         return self._cells.get(cell, {}).get(run) or [[] for _ in range(1 + len(self.properties))]
 
-    def columns(self, cell: CellKey, run: int) -> tuple:
-        """:meth:`recorded` as tuples. A run of 20 events makes 20-item tuples here, which
-        CPython 3.11 keeps on a free list that it never takes back from once freed."""
-        return tuple(map(tuple, self.recorded(cell, run)))
-
     def events(self, cell: CellKey, run: int) -> list:
-        """One run's events in order, each the tuple ``(evaluations, *readings)``. This
-        goes through :meth:`columns`, so a 20-event run makes 20-item tuples here too."""
-        return list(zip(*self.columns(cell, run)))
+        """One run's events in order, each the tuple ``(evaluations, *readings)``, built
+        from :meth:`recorded`."""
+        return list(zip(*self.recorded(cell, run)))
 
 
 class Store(Watcher):
     """Watcher whose recorded events are addressable by cursor.
 
-    :meth:`at` resolves a cursor to a single reading; an event or property the
-    cursor fails to address comes back absent rather than raising.
+    :meth:`at` resolves a cursor to a single reading of :meth:`recorded`; an event or
+    property the cursor fails to address comes back absent rather than raising.
     """
 
     def at(self, cursor: Cursor, prop) -> Optional[float]:
@@ -242,8 +239,8 @@ class Store(Watcher):
         """
         name = prop.name if isinstance(prop, Property) else str(prop)
         cell = CellKey(cursor.suite_name, cursor.problem_id, cursor.dimension, cursor.instance)
-        columns = self._cells.get(cell, {}).get(cursor.run)
-        if columns is None or cursor.event_index >= len(columns[0]):
+        columns = self.recorded(cell, cursor.run)
+        if cursor.event_index >= len(columns[0]):
             return None
         if name == "evaluations":
             return float(columns[0][cursor.event_index])

@@ -24,8 +24,8 @@ from attainbench.attainment import (
 )
 from attainbench.fileio import read_trajectories, write_level_sets, write_trajectories
 from attainbench.histogram import eah, fit_discretization
-from attainbench.loggers import CellKey, LogInfo
-from attainbench.problems import Direction, MetaData
+from attainbench.loggers import Batch, CellKey, LogInfo
+from attainbench.problems import Direction, MetaData, Problem
 
 import oracles
 from oracles import as_trajectories, batch_of, eaf_levels_bruteforce, random_staircases, weakly_dominates
@@ -95,6 +95,31 @@ class TestTrajectoryLogger:
         listing = ("for _ in range(100):\n"
                    "    logger.trajectories()")
         assert new_free_20_tuples(setup, listing) <= 0
+
+    @pytest.mark.parametrize("record, point", [
+        ("-inf best", "(1, -inf)"),
+        (Batch((3, 2), (5.0, 4.0), (5.0, 4.0), (5.0, 4.0), (5.0, 4.0)), "(2, 4.0)"),
+        (Batch((True,), (5.0,), (5.0,), (5.0,), (5.0,)), "(True, 5.0)"),
+        (Batch((1,), (4.0,), (4.0,), (4.0,), ("4.0",)), "(1, '4.0')"),
+    ], ids=["-inf best", "counts (3, 2)", "True count", "'4.0' best"])
+    def test_what_the_logger_recorded_is_checked_naming_the_point(self, record, point):
+        # The kernels check the recorded points themselves. Handed over as unchecked
+        # numpy columns, True would read as 1 and "4.0" as 4.0.
+        logger = TrajectoryLogger()
+        if isinstance(record, Batch):
+            logger.attach(self.META)
+            logger.call(record)
+        else:
+            class Pit(Problem):
+                def _raw(self, X):
+                    return np.full(len(X), -np.inf)
+
+            pit = Pit(1, 1, 2)
+            pit.attach_logger(logger)
+            pit(np.zeros(2))
+        with pytest.raises(ValueError,
+                           match=f"^run 0 is not a strict staircase .* at point {re.escape(point)}$"):
+            eaf_levels(logger.trajectories())
 
     def test_all_cells_listing_is_cell_major(self):
         logger = TrajectoryLogger()

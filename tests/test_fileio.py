@@ -828,6 +828,30 @@ def test_a_fault_in_an_earlier_block_is_named_before_a_lone_cr_in_a_later_one(
         read_trajectories(path)
 
 
+def test_a_block_cuts_again_only_the_kept_runs_its_rows_reach(tmp_path, monkeypatch):
+    # 40 improvement-only runs of 50 rows, written run by run, in blocks of about 30 rows:
+    # a block reaches at most the one kept run that an earlier block began. Cutting every
+    # kept row again would hand the last blocks' cuts nearly all 2,000 rows.
+    runs, per_run = 40, 50
+    lines = [f"{run},{count},{1000 - count}\n"
+             for run in range(runs) for count in range(1, per_run + 1)]
+    path = tmp_path / "staircases.csv"
+    path.write_text("run,evaluations,quality\n" + "".join(lines), encoding="utf-8")
+    monkeypatch.setattr(fileio, "_READ_BLOCK", 256)
+    sizes, improving = [], fileio._improving
+
+    def counted(runs, times, minimized):
+        sizes.append(len(runs))
+        return improving(runs, times, minimized)
+
+    monkeypatch.setattr(fileio, "_improving", counted)
+    trajectories = read_trajectories(path)
+    assert sum(len(traj.points) for traj in trajectories) == runs * per_run
+    block_rows = fileio._READ_BLOCK // min(map(len, lines)) + 1
+    assert len(sizes) > runs
+    assert max(sizes) <= per_run + block_rows
+
+
 def test_reading_a_raw_log_needs_memory_for_a_block_and_the_kept_rows(tmp_path, traced_peak):
     # 51 runs of 2,000 evaluations, about 2.7 MB: 11 blocks, of whose rows under 1% are kept.
     qualities = np.random.default_rng(11).normal(size=(51, 2000)).tolist()

@@ -125,11 +125,11 @@ def test_a_batch_answered_short_is_rejected_and_records_nothing(triggers, proper
     store = Store(triggers, properties)
     store.attach(META)
     drive(store, [5.0, 4.0, 3.0])
-    before = store.columns(cell_key(META), 0)
+    before = tuple(map(tuple, store.recorded(cell_key(META), 0)))
     rows = [LogInfo(evaluations=e, transformed_y=2.0, transformed_y_best=2.0) for e in (4, 5, 6)]
     with pytest.raises(ValueError, match=match):
         store.call(batch_of(*rows))
-    assert store.columns(cell_key(META), 0) == before
+    assert tuple(map(tuple, store.recorded(cell_key(META), 0))) == before
 
 
 def test_trigger_state_clears_at_run_boundaries():
@@ -348,5 +348,22 @@ def test_changing_what_the_store_handed_out_or_was_handed_changes_nothing_it_hol
     events.reverse()
     events.append((0, 0.0, 0.0))
     assert store.events(cell, 0) == before
-    assert store.columns(cell, 0) == tuple(zip(*before))
+    assert tuple(map(tuple, store.recorded(cell, 0))) == tuple(zip(*before))
     assert [store.at(Cursor(*cell, event_index=i), "kept") for i in range(4)] == values[::-1]
+
+
+def test_listing_a_20_event_run_leaves_no_tuple_on_the_20_item_free_list(new_free_20_tuples):
+    setup = ("from attainbench.loggers import Store, cell_key\n"
+             "from attainbench.problems import Sphere\n"
+             "from attainbench.properties import TransformedY, TransformedYBest\n"
+             "from attainbench.triggers import Always\n"
+             "pb = Sphere(1, 1, 1)\n"
+             "store = Store([Always()], [TransformedY(), TransformedYBest()])\n"
+             "pb.attach_logger(store)\n"
+             "for x in range(20, 0, -1):\n"
+             "    pb((float(x),))\n"
+             "cell = cell_key(pb.meta)\n"
+             "assert len(store.events(cell, 0)) == 20")
+    listing = ("for _ in range(100):\n"
+               "    store.events(cell, 0)")
+    assert new_free_20_tuples(setup, listing) <= 0

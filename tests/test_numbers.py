@@ -73,6 +73,17 @@ def test_every_site_rejects_a_value_that_is_not_a_finite_real_naming_it(site, va
         SITES[site][0](value, tmp_path)
 
 
+@pytest.mark.parametrize("nadir", [5, None], ids=repr)
+@pytest.mark.parametrize("site", ["surface", "volume", "write_level_sets"])
+def test_a_nadir_that_is_not_iterable_is_rejected_naming_it(site, nadir, tmp_path):
+    calls = {"surface": lambda: surface(STAIRS, nadir),
+             "volume": lambda: volume([STAIRS], nadir),
+             "write_level_sets": lambda: write_level_sets(tmp_path / "l.json", [STAIRS], nadir)}
+    with pytest.raises(ValueError, match=f"^nadir {nadir!r} is not two finite real numbers$"):
+        calls[site]()
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", TWELVES, ids=repr)
 @pytest.mark.parametrize("site", SITES)
 def test_every_site_takes_each_kind_of_real_alike(site, value, tmp_path):

@@ -91,3 +91,25 @@ def test_only_properties_reads_the_finite_real_rule():
                 continue
             readers |= {(name, path.name) for name in names & rule}
     assert readers == {(name, "properties.py") for name in rule}
+
+
+def test_only_the_watchers_writer_and_its_three_views_read_its_record():
+    """A watcher's record, ``Watcher._cells``, is read by ``_on_call``, which writes it,
+    and by ``cells``, ``runs`` and ``recorded``; every other reader goes through
+    ``recorded``, and no other module reads ``_cells`` at all."""
+    readers = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{where}.{child.name}" if where else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "_cells"
+                    and isinstance(child.ctx, ast.Load)):
+                readers.add((module, where))
+            visit(child, module, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    assert readers == {("loggers.py", f"Watcher.{name}")
+                       for name in ("_on_call", "cells", "runs", "recorded")}

@@ -349,10 +349,11 @@ class TestTwentyRows:
         cell = cell_key(batched.meta)
         assert batched.state == looped.state
         assert store.events(cell, 0) == reference.events(cell, 0)
-        assert store.columns(cell, 0) == reference.columns(cell, 0)
+        assert (tuple(map(tuple, store.recorded(cell, 0)))
+                == tuple(map(tuple, reference.recorded(cell, 0))))
         assert len(store.events(cell, 0)) == 21
         if instance != 1:
-            assert store.columns(cell, 0)[1] != store.columns(cell, 0)[3]
+            assert tuple(store.recorded(cell, 0)[1]) != tuple(store.recorded(cell, 0)[3])
 
     @pytest.mark.parametrize("rows, reads", [(19, 1), (20, 2), (21, 1)])
     def test_an_external_getter_is_read_once_per_logged_batch(self, rows, reads):
