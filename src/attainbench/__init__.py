@@ -14,6 +14,7 @@ The ``bench`` console script exposes the run/ingest/analyze pipeline.
 
 from .attainment import (AttainmentPoint, LevelSelector, LevelSet, Trajectory,
                          TrajectoryLogger, default_nadir, eaf_levels, surface, volume)
+from .fileio import FlatFile
 from .histogram import Axis, Discretization, Histogram, eah, fit_discretization
 from .loggers import Batch, CellKey, Combine, Cursor, Logger, LogInfo, Store, Watcher
 from .problems import (SUITES, ContinuousSuite, Direction, LeadingOnes,
@@ -27,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttainmentPoint", "Axis", "Batch", "CellKey", "Combine", "ContinuousSuite",
-    "Cursor", "Direction", "Discretization", "External",
+    "Cursor", "Direction", "Discretization", "External", "FlatFile",
     "Histogram", "LeadingOnes", "LevelSelector", "LevelSet", "LogInfo",
     "Logger", "MetaData", "OneMax", "Problem", "Property",
     "PseudoBooleanSuite", "Rastrigin", "RawY", "RawYBest", "SOLVERS",

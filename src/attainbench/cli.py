@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .attainment import LevelSelector, TrajectoryLogger, _volume, default_nadir, surface
-from .fileio import (_finite, _integer, cell_stem, read_trajectories, write_flat_files,
+from .fileio import (FlatFile, _finite, _integer, cell_stem, read_trajectories,
                      write_histogram, write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
-from .loggers import Store
 from .problems import Direction, SUITES
 from .properties import TransformedY, TransformedYBest, _real
 from .solvers import SOLVERS
@@ -53,28 +52,36 @@ def run_benchmark(config: RunConfig) -> dict:
 
     Each (problem, dimension, instance, run) cell draws its own generator
     seeded from (seed, problem, dimension, instance, run), so results do not
-    depend on iteration order and repeated runs are byte-identical.
+    depend on iteration order and repeated runs are byte-identical. Flat run logs
+    are written by a :class:`~attainbench.fileio.FlatFile` as the suite runs, each
+    cell's file once its cell is done; if the suite raises, the open cell's file is
+    removed and the finished cells' files stay.
     """
     suite = SUITES[config.suite](config.problems, config.instances, config.dimensions)
     solver = SOLVERS[config.solver]
     wants = set(config.loggers)
 
+    out = Path(config.out_dir)
     trajectory_logger = TrajectoryLogger()
-    store = Store([Always()], [TransformedY(), TransformedYBest()])
-    for logger, kinds in ((trajectory_logger, {"eaf", "eah"}), (store, {"flatfile"})):
+    flat = FlatFile(out, [Always()], [TransformedY(), TransformedYBest()])
+    for logger, kinds in ((trajectory_logger, {"eaf", "eah"}), (flat, {"flatfile"})):
         if wants & kinds:
             suite.attach_logger(logger)
 
-    for problem in suite:
-        meta = problem.meta
-        for run in range(config.runs):
-            seed = np.random.SeedSequence(
-                [config.seed, meta.problem_id, meta.dimension, meta.instance, run])
-            solver(problem, config.budget, np.random.default_rng(seed))
-            problem.reset()
+    try:
+        for problem in suite:
+            meta = problem.meta
+            for run in range(config.runs):
+                seed = np.random.SeedSequence(
+                    [config.seed, meta.problem_id, meta.dimension, meta.instance, run])
+                solver(problem, config.budget, np.random.default_rng(seed))
+                problem.reset()
+    except BaseException:
+        flat.abort()
+        raise
+    flat.close()
 
     # A logger that was not attached recorded no cell, so it writes nothing.
-    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for cell in trajectory_logger.cells():
@@ -89,7 +96,7 @@ def run_benchmark(config: RunConfig) -> dict:
             path = out / f"{stem}_eah.csv"
             write_histogram(path, eah(trajectories, disc))
             files.append(path)
-    files.extend(write_flat_files(store, out))
+    files.extend(flat.paths)
 
     cells = len(suite)
     return {"cells": cells, "runs": cells * config.runs,

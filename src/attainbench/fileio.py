@@ -11,8 +11,11 @@ Flat run logs
     renders as ``NA`` and reads back as ``None``; numbers, a present NaN
     included, use the shortest decimal form that round-trips. Property names
     are distinct and each one a :class:`~attainbench.properties.Property` may have.
-    The writer walks each column once, checking each reading's type and rendering
-    it with ``float.__repr__``, once per run of one reading object.
+    :class:`FlatFile` writes each cell's file as its rows fire, keeping no record of
+    them, and :func:`write_flat_files` writes the cells a :class:`Store` recorded; both
+    write a run through :func:`_write_run`, the same bytes either way. It walks each
+    column of a piece of at most :data:`_FLAT_BLOCK` rows once, checking each reading's
+    type and rendering it with ``float.__repr__``, once per run of one reading object.
 
 Trajectory files
     CSV with header ``run,evaluations,quality``, one row per recorded
@@ -35,12 +38,13 @@ Histogram export
     is rendered once, each distinct count once per block of grid rows, and a
     block's lines are assembled in numpy and written at once.
 
-Every writer replaces its target atomically, so a failure mid-write leaves
-the earlier file in place. Both CSV readers count lines by LF, accept CRLF
-line endings, reject a CR that no LF follows and name the first line that
-:func:`_fields` flags; the trajectory reader does so block by block, so a
-fault in an earlier block is named before a lone CR in a later one. Their
-cells and every ``bench`` integer and number flag take one grammar: integers
+Every writer replaces its target atomically, from a temporary file of its own
+created beside it, so a failure mid-write leaves the earlier file in place.
+Both CSV readers count lines by LF, accept CRLF line endings, reject a CR that
+no LF follows and name the first line that :func:`_fields` flags; the
+trajectory reader does so block by block, so a fault in an earlier block is
+named before a lone CR in a later one. Their cells and every ``bench``
+integer and number flag take one grammar: integers
 in ASCII digits with an optional ``-``, below 2**63, and numbers as ``float``
 reads them from ASCII with no ``_`` or padding. An integer read from text
 then meets the rule every count, index and id given as an object meets,
@@ -58,7 +62,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -75,18 +79,28 @@ from .properties import Property, _as_whole, _check_distinct, _real, _whole
 NA = "NA"
 
 
+#: Numbers this process's temporary files, so that no two open writers share one.
+_TMP_IDS = count()
+
+
 @contextlib.contextmanager
 def _atomic_writer(path: Path, what: str):
-    """Text handle on a temporary file beside ``path`` that replaces ``path``
-    only once fully written; on any error it is removed instead."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    """Text handle on a temporary file of its own beside ``path``, created exclusively,
+    that replaces ``path`` only once fully written; on any error it is removed instead."""
     try:
+        while True:
+            # A str, not a Path: pathlib interns every name it parses, and each is new.
+            tmp = os.path.join(path.parent, f".{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
+            with contextlib.suppress(FileExistsError):
+                fh = open(tmp, "x", encoding="utf-8", newline="")
+                break
         try:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            with fh:
                 yield fh
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
     except OSError as exc:
         raise OSError(f"cannot write {what} {path}: {exc}") from exc
@@ -97,9 +111,8 @@ def cell_stem(cell) -> str:
     return f"{cell.suite_name}_f{cell.problem_id}_d{cell.dimension}_i{cell.instance}"
 
 
-#: Rows of one run that :func:`write_flat_files` checks, renders and writes at a time.
-#: It bounds the writer's transient strings and tuples, which add to the peak memory of
-#: a run.
+#: Rows of one run that :func:`_write_run` checks, renders and writes at a time. It
+#: bounds the writer's transient strings and tuples, which add to the peak memory of a run.
 _FLAT_BLOCK = 256
 
 
@@ -154,30 +167,37 @@ def _rendered(path: Path, run: int, start: int, names: Sequence[str],
     return texts
 
 
+def _write_run(fh, path: Path, run: int, start: int, names: Sequence[str],
+               columns: Sequence[Sequence]) -> None:
+    """Write ``columns``, the counts and then the readings per property of ``run`` from
+    event ``start`` on, as lines of the flat file at ``path``, :data:`_FLAT_BLOCK` rows
+    at a time, each piece rendered by :func:`_rendered` before any of it is written."""
+    counts, *readings = columns
+    line = f"{run},%d,%d" + ",%s" * len(readings) + "\n"
+    for first in range(0, len(counts), _FLAT_BLOCK):
+        last = min(first + _FLAT_BLOCK, len(counts))
+        # The slices are freed before the piece's text is formatted.
+        texts = _rendered(path, run, start + first, names, [c[first:last] for c in readings])
+        rows = zip(range(start + first, start + last), counts[first:last], *texts)
+        fh.write(line * (last - first) % tuple(chain.from_iterable(rows)))
+
+
 def write_flat_files(store: Store, directory) -> list:
     """Write one CSV per benchmark cell recorded in the store; returns the written paths.
-    Each run is written from its columns, :data:`_FLAT_BLOCK` rows at a time, by
-    :func:`_rendered`: one pass per column checks each reading's type and renders it
-    with ``float.__repr__``, once per run of one object. A reading that is not a
-    ``float`` or ``None`` is rejected, and its cell's file not written."""
+    Each run is written from its columns by :func:`_write_run`, the writer
+    :class:`FlatFile` writes through: one pass per column checks each reading's type and
+    renders it with ``float.__repr__``, once per run of one object. A reading that is not
+    a ``float`` or ``None`` is rejected, and its cell's file not written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = store.property_names
-    header = ",".join(["run", "event", "evaluations", *names])
     paths = []
     for cell in store.cells():
         path = directory / f"{cell_stem(cell)}.csv"
         with _atomic_writer(path, "flat file") as fh:
-            fh.write(header + "\n")
+            fh.write(",".join(["run", "event", "evaluations", *names]) + "\n")
             for run in store.runs(cell):
-                counts, *readings = store.recorded(cell, run)
-                line = f"{run},%d,%d" + ",%s" * len(readings) + "\n"
-                for start in range(0, len(counts), _FLAT_BLOCK):
-                    stop = min(start + _FLAT_BLOCK, len(counts))
-                    # The slices are freed before the block's text is formatted.
-                    texts = _rendered(path, run, start, names, [c[start:stop] for c in readings])
-                    rows = zip(range(start, stop), counts[start:stop], *texts)
-                    fh.write(line * (stop - start) % tuple(chain.from_iterable(rows)))
+                _write_run(fh, path, run, 0, names, store.recorded(cell, run))
         paths.append(path)
     return paths
 
@@ -266,7 +286,7 @@ _INTEGER = re.compile(r"(-?)0*([0-9]{1,19})")
 #: What ``float`` reads from ASCII text with no ``_`` and no padding, nan and inf included.
 #: No two parts can match the same digits, so a long cell fails in linear time.
 _NUMBER = re.compile(r"[-+]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
-                     r"|(?i:nan|inf|infinity))")
+                     r"|(?i:nan|inf|infinity))", re.ASCII)
 
 
 def _integer(least: int):
@@ -527,3 +547,7 @@ def write_histogram(path, histogram: Histogram) -> None:
             slots["t"], slots["q"], slots["c"] = ts[start:start + len(block), None], qs, cs
             # No text holds a NUL, so dropping the padding of the fixed-width fields is exact.
             fh.write(slots.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+# Last, since flatfile builds on this module's writer: ``fileio.FlatFile`` is the logger.
+from .flatfile import FlatFile  # noqa: E402

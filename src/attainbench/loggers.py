@@ -7,7 +7,10 @@ batch holds its evaluations in order, one tuple per column; a single
 evaluation is a batch of one. Run indices are zero-based and advance on
 every reset, tracked per context so one logger can serve a whole suite.
 
-A :class:`Watcher` records the rows its triggers fire on by column, per run:
+A :class:`Gated` logger passes each batch through one gate: its triggers answer
+each row, and its properties are read on a batch that fires.
+:class:`~attainbench.fileio.FlatFile` writes the rows that fire as they come. A
+:class:`Watcher` records them by column, per run:
 the evaluation counts, then one column of readings per property, where a
 reading is a ``float`` or ``None`` when absent. Every reader goes through
 :meth:`Watcher.recorded`: :meth:`Watcher.events` turns its columns into one tuple per
@@ -160,16 +163,15 @@ class Combine:
             lg.reset()
 
 
-class Watcher(Logger):
-    """Logger gated by triggers, recording a fixed set of properties.
+class Gated(Logger):
+    """Logger gated by triggers, reading a fixed set of properties.
 
     The triggers are joined into one :class:`~attainbench.triggers.Any`,
     :attr:`trigger`, whose state is cleared at run boundaries and when a new
     context attaches; nest an ``All`` for all-of behaviour. Properties, whose
-    names must be distinct, are read once per batch that fires. A trigger or
-    property that does not answer once per row of a batch is rejected before
-    anything of that batch is recorded. Only a ``call`` adds to the record, and
-    :meth:`recorded` is the one way to read it.
+    names must be distinct, are read once per batch that fires. :meth:`_gate` is
+    the one gate of a batch for :class:`Watcher` and
+    :class:`~attainbench.fileio.FlatFile`.
     """
 
     def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
@@ -177,7 +179,6 @@ class Watcher(Logger):
         self.trigger = Any(triggers)
         self.properties = list(properties)
         _check_distinct(self.property_names)
-        self._cells: dict[CellKey, dict[int, list[list]]] = {}
 
     @property
     def property_names(self) -> list:
@@ -189,14 +190,37 @@ class Watcher(Logger):
     def _on_reset(self) -> None:
         self.trigger.reset()
 
-    def _on_call(self, batch: Batch) -> None:
+    def _gate(self, batch: Batch) -> Optional[tuple]:
+        """``(fired, readings)`` of a batch that fires: the trigger's answer per row and
+        each property's readings, or ``None`` when no row fires. A property that does not
+        answer once per row is rejected before anything of the batch is kept."""
         fired = self.trigger(batch, self._metas[self._cell])
-        if True in fired:
-            readings = [prop(batch) for prop in self.properties]
-            for prop, reading in zip(self.properties, readings):
-                if len(reading) != len(fired):
-                    raise ValueError(f"property {prop.name!r} gave {len(reading)} reading(s) for "
-                                     f"{len(fired)} row(s) from evaluation {batch.evaluations[0]}")
+        if True not in fired:
+            return None
+        readings = [prop(batch) for prop in self.properties]
+        for prop, reading in zip(self.properties, readings):
+            if len(reading) != len(fired):
+                raise ValueError(f"property {prop.name!r} gave {len(reading)} reading(s) for "
+                                 f"{len(fired)} row(s) from evaluation {batch.evaluations[0]}")
+        return fired, readings
+
+
+class Watcher(Gated):
+    """:class:`Gated` logger that records the rows its triggers fire on.
+
+    A trigger or property that does not answer once per row of a batch is
+    rejected before anything of that batch is recorded. Only a ``call`` adds to
+    the record, and :meth:`recorded` is the one way to read it.
+    """
+
+    def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
+        super().__init__(triggers, properties)
+        self._cells: dict[CellKey, dict[int, list[list]]] = {}
+
+    def _on_call(self, batch: Batch) -> None:
+        gated = self._gate(batch)
+        if gated:
+            fired, readings = gated
             runs = self._cells.setdefault(self._cell, {})
             run = self._run_index[self._cell]
             columns = runs.get(run) or runs.setdefault(

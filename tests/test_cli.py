@@ -18,6 +18,7 @@ from attainbench.fileio import (_TRAJECTORY, _fields, read_flat_file, read_traje
                                 write_histogram)
 from attainbench.histogram import eah, fit_discretization
 from attainbench.problems import Direction
+from attainbench.solvers import random_search
 
 from oracles import as_trajectories
 
@@ -81,6 +82,27 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             cli.main(args + ["--log", "store"])
         assert exc.value.code == 2
+
+    def test_a_solver_that_raises_in_the_third_cell_leaves_the_first_two_flat_files_whole(
+            self, tmp_path, monkeypatch):
+        config = dict(problems=(1, 2), instances=(1, 2), dimensions=(4,), runs=2, budget=300,
+                      loggers=("eaf", "flatfile"))
+        full = cli.run_benchmark(cli.RunConfig(**config, out_dir=tmp_path / "full"))
+
+        def failing(problem, budget, rng):
+            random_search(problem, budget, rng)
+            if (problem.meta.problem_id, problem.meta.instance) == (2, 1):
+                raise RuntimeError("the solver failed")
+
+        monkeypatch.setitem(cli.SOLVERS, "random", failing)
+        with pytest.raises(RuntimeError, match="the solver failed"):
+            cli.run_benchmark(cli.RunConfig(**config, out_dir=tmp_path / "crash"))
+        written = ["continuous_f1_d4_i1.csv", "continuous_f1_d4_i2.csv"]
+        assert run_files(tmp_path / "crash") == written
+        for name in written:
+            assert ((tmp_path / "crash" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
+        assert len(full["files"]) == 8
 
     def test_trajectories_cover_each_run(self, tmp_path):
         out = tmp_path / "out"
@@ -483,6 +505,26 @@ def test_a_histogram_at_the_time_bucket_cap_needs_memory_for_its_grid_not_its_ru
     reps_t, reps_q = (np.array(axis.representatives) for axis in (disc.time, disc.quality))
     attained = ((times <= reps_t[:, None])[:, :, None] & (qualities[:, None] <= reps_q))
     assert (counts == attained.sum(axis=1)).all()
+
+
+def test_a_flat_file_run_needs_memory_for_a_block_not_its_evaluations(tmp_path):
+    # With every evaluation kept until the suite ended, this run peaked at 957 KB, and at
+    # 9,557 KB with ten times the budget.
+    def peak(budget):
+        config = cli.RunConfig(problems=(1, 2), instances=(1, 2, 3), dimensions=(10,), runs=2,
+                               budget=budget, loggers=("eaf", "eah", "flatfile"),
+                               out_dir=tmp_path)
+        tracemalloc.start()
+        try:
+            cli.run_benchmark(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # so that first-call set-up is not counted
+    at_budget = peak(1000)
+    assert at_budget < 300_000
+    assert peak(10_000) < 1.2 * at_budget
 
 
 # Pieces of cells next to the edges of the cell grammar: a sign, leading zeros, padding, an

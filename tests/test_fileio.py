@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import stat
 import time
 from unittest import mock
 
@@ -15,6 +16,7 @@ from attainbench import fileio
 from attainbench.attainment import AttainmentPoint, LevelSet, default_nadir, eaf_levels
 from attainbench.fileio import (
     NA,
+    FlatFile,
     _TRAJECTORY,
     _fields,
     cell_stem,
@@ -26,10 +28,10 @@ from attainbench.fileio import (
     write_trajectories,
 )
 from attainbench.histogram import Axis, Discretization, Histogram, eah, fit_discretization
-from attainbench.loggers import CellKey, Cursor, LogInfo, Store, cell_key
-from attainbench.problems import Direction, MetaData
+from attainbench.loggers import CellKey, Combine, Cursor, LogInfo, Store, cell_key
+from attainbench.problems import Direction, MetaData, Sphere
 from attainbench.properties import External, Property, TransformedY, TransformedYBest
-from attainbench.triggers import Always, Trigger
+from attainbench.triggers import Always, Each, Trigger
 
 from oracles import (as_trajectories, batch_of, improvement_staircase_rowwise,
                      write_flat_files_per_row)
@@ -214,6 +216,10 @@ class TestFlatFiles:
         ('0,0,1,"2.5\n0,1,2,3.0', "y reading '\"2.5' is not a number or NA"),
         ("\u0661,0,1,2.5", "run '\u0661' is not an integer in \\[0, 2\\*\\*63\\)"),
         ("0,0,1,\u0661", "y reading '\u0661' is not a number or NA"),
+        ("0,0,1,\u0131nf", "y reading '\u0131nf' is not a number or NA"),
+        ("0,0,1,-\u0130nf", "y reading '-\u0130nf' is not a number or NA"),
+        ("0,0,1,\u0131nf\u0131n\u0131ty",
+         "y reading '\u0131nf\u0131n\u0131ty' is not a number or NA"),
         (f"0,0,{2**63},2.5", rf"evaluation count '{2**63}' is not an integer in \[1, 2\*\*63\)"),
         pytest.param("0,0," + "1" * 5000 + ",2.5",
                      rf"evaluation count '{'1' * 5000}' is not an integer in \[1, 2\*\*63\)$",
@@ -328,13 +334,17 @@ class ScriptedTrigger(Trigger):
         return self.fired
 
 
-def scripted_store(names, cells):
-    """A store fed, per cell, runs of batches of ``(fired, *readings)`` rows, one
-    reading per name; a reset ends each run."""
+def scripted_loggers(names, cells, directory=None) -> list:
+    """A store, and with ``directory`` a :class:`FlatFile` writing there, fed through one
+    :class:`Combine`, per cell, runs of batches of ``(fired, *readings)`` rows, one reading
+    per name; a reset ends each run and the flat-file logger is closed at the end."""
     trigger, properties = ScriptedTrigger(), [Scripted(name) for name in names]
-    store = Store([trigger], properties)
+    loggers = [Store([trigger], properties)]
+    if directory is not None:
+        loggers.append(FlatFile(directory, [trigger], properties))
+    fan = Combine(loggers)
     for meta, runs in zip((META, MetaData("fake", 4, 2, 5, MIN)), cells):
-        store.attach(meta)
+        fan.attach(meta)
         count = 0
         for batches in runs:
             for rows in batches:
@@ -342,19 +352,32 @@ def scripted_store(names, cells):
                 for prop, column in zip(properties, columns):
                     prop.readings = tuple(column)
                 counts = range(count + 1, count + len(rows) + 1)
-                store.call(batch_of(*(LogInfo(evaluations=e) for e in counts)))
+                fan.call(batch_of(*(LogInfo(evaluations=e) for e in counts)))
                 count += len(rows)
-            store.reset()
-    return store
+            fan.reset()
+    for flat in loggers[1:]:
+        flat.close()
+    return loggers
 
 
-def assert_the_per_row_bytes(store, directory, block):
+def scripted_store(names, cells):
+    return scripted_loggers(names, cells)[0]
+
+
+def assert_the_per_row_bytes(names, cells, directory, block):
+    """The flat files of a script, written from its store by :func:`write_flat_files` and
+    by a :class:`FlatFile` as it is fed, each :data:`fileio._FLAT_BLOCK` set to ``block``,
+    are the bytes the per-row writer gives, and the logger leaves no other file."""
     with mock.patch.object(fileio, "_FLAT_BLOCK", block):
+        store, flat = scripted_loggers(names, cells, directory / "streamed")
         paths = write_flat_files(store, directory / "columns")
     expected = write_flat_files_per_row(store, directory / "rows")
-    assert [path.name for path in paths] == [path.name for path in expected]
-    for path, reference in zip(paths, expected):
-        assert path.read_bytes() == reference.read_bytes()
+    for written in (paths, flat.paths):
+        assert [path.name for path in written] == [path.name for path in expected]
+        for path, reference in zip(written, expected):
+            assert path.read_bytes() == reference.read_bytes()
+    streamed = directory / "streamed"
+    assert sorted(streamed.iterdir() if streamed.exists() else ()) == flat.paths
 
 
 @pytest.mark.parametrize("column", [
@@ -368,8 +391,8 @@ def assert_the_per_row_bytes(store, directory, block):
 @pytest.mark.parametrize("block", [1, 2, 4096])
 def test_flat_files_are_the_bytes_the_per_row_writer_gives(tmp_path, column, block):
     rows = [(True, value, 3.0) for value in column]
-    store = scripted_store(["y", "z"], [[[rows[:2], rows[2:]], [[(False, 0.0, 0.0)]], [rows]]])
-    assert_the_per_row_bytes(store, tmp_path, block)
+    cells = [[[rows[:2], rows[2:]], [[(False, 0.0, 0.0)]], [rows]]]
+    assert_the_per_row_bytes(["y", "z"], cells, tmp_path, block)
 
 
 #: Pairs of readings that a writer comparing values, or ignoring presence, would merge,
@@ -390,8 +413,8 @@ def test_columns_render_as_the_per_row_writer_renders_each_row(tmp_path_factory,
     pool = st.sampled_from(data.draw(reading_pairs) + (data.draw(edge_readings),))
     rows = st.tuples(st.booleans(), *[pool] * len(names))
     runs = st.lists(st.lists(st.lists(rows, min_size=1, max_size=5), max_size=4), max_size=3)
-    store = scripted_store(names, data.draw(st.lists(runs, min_size=1, max_size=2)))
-    assert_the_per_row_bytes(store, tmp_path_factory.mktemp("flat"), block)
+    cells = data.draw(st.lists(runs, min_size=1, max_size=2))
+    assert_the_per_row_bytes(names, cells, tmp_path_factory.mktemp("flat"), block)
 
 
 class Junk(float):
@@ -431,8 +454,7 @@ def test_every_reading_object_renders_as_the_per_row_writer_renders_it(tmp_path,
     objects = [reading for pair in object_pairs for reading in pair] + edge_objects
     column = objects + [reading for reading in objects for _ in range(3)] + objects[::-1]
     rows = [(True, reading, other) for reading, other in zip(column, column[::-1])]
-    store = scripted_store(["y", "z"], [[[rows[:5], rows[5:]], [rows]]])
-    assert_the_per_row_bytes(store, tmp_path, block)
+    assert_the_per_row_bytes(["y", "z"], [[[rows[:5], rows[5:]], [rows]]], tmp_path, block)
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,8 +469,8 @@ def test_runs_of_one_object_render_as_the_per_row_writer_renders_each_row(
     pool += tuple(data.draw(st.lists(extra, min_size=1, max_size=2)))
     rows = st.tuples(st.booleans(), *[st.sampled_from(pool)] * len(names))
     runs = st.lists(st.lists(st.lists(rows, min_size=1, max_size=8), max_size=4), max_size=3)
-    store = scripted_store(names, data.draw(st.lists(runs, min_size=1, max_size=2)))
-    assert_the_per_row_bytes(store, tmp_path_factory.mktemp("flat"), block)
+    cells = data.draw(st.lists(runs, min_size=1, max_size=2))
+    assert_the_per_row_bytes(names, cells, tmp_path_factory.mktemp("flat"), block)
 
 
 def assert_named_and_not_written(store, directory, run, event, name, reading):
@@ -489,6 +511,96 @@ def test_writing_a_run_random_continuous_sized_store_peaks_under_70_kb(tmp_path,
     assert traced_peak(write_flat_files, store, tmp_path) < 70_000
     (path,) = tmp_path.iterdir()
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 2 * 1000
+
+
+def test_the_flat_file_logger_writes_what_the_store_writer_writes_of_a_problem(tmp_path):
+    extra = External("extra")
+    properties = [TransformedY(), extra]
+    store = Store([Each(2)], properties)
+    flat = FlatFile(tmp_path / "streamed", [Each(2)], properties)
+    rng = np.random.default_rng(5)
+    for problem_id, instance, runs in ((1, 1, 3), (2, 1, 1), (1, 2, 1)):
+        problem = Sphere(problem_id, instance, 3, suite_name="s")
+        problem.attach_logger(store)
+        problem.attach_logger(flat)
+        for run in range(runs):
+            if (problem_id, run) == (2, 0) or run == 1:
+                problem(rng.random(3))  # evaluation 1 alone: no event in this run or cell
+            else:
+                extra.rebind(lambda: -0.0)
+                problem.evaluate(rng.random((20, 3)))  # logged as rows 1-19, then row 20
+                extra.rebind(lambda: math.nan)
+                problem.evaluate(rng.random((600, 3)))  # past one block of _FLAT_BLOCK rows
+                extra.detach()
+                problem.evaluate(rng.random((2, 3)))
+            problem.reset()
+    flat.close()
+    paths = write_flat_files(store, tmp_path / "stored")
+    expected = write_flat_files_per_row(store, tmp_path / "rows")
+    assert [path.name for path in paths] == ["s_f1_d3_i1.csv", "s_f1_d3_i2.csv"]
+    assert sorted((tmp_path / "streamed").iterdir()) == flat.paths
+    for streamed, stored, reference in zip(flat.paths, paths, expected, strict=True):
+        assert streamed.read_bytes() == stored.read_bytes() == reference.read_bytes()
+    lines = flat.paths[0].read_text(encoding="utf-8").splitlines()
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"-0.0", "nan", "NA"}
+
+
+def test_a_bad_reading_past_the_first_block_is_named_at_its_event_and_no_file_is_left(
+        tmp_path):
+    rows = [(True, 1.0)] * 300 + [(True, 1)] + [(True, 2.0)] * 10
+    directory = tmp_path / "flat"
+    path = directory / f"{cell_stem(META)}.csv"
+    message = f"{path}: run 1, event 300: property 'y' reading 1 is not a float or None"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scripted_loggers(["y"], [[[rows[:3]], [rows[:5], rows[5:]]]], directory)
+    assert list(directory.iterdir()) == []
+
+
+def test_a_cell_whose_flat_file_was_written_is_not_written_again(tmp_path):
+    flat = FlatFile(tmp_path, [Always()], [TransformedY()])
+    other = MetaData("fake", 4, 2, 5, MIN)
+    feed(flat, [4.0, 3.5])
+    feed(flat, [5.0], meta=other)  # its attach commits META's file
+    path = tmp_path / f"{cell_stem(META)}.csv"
+    written = path.read_bytes()
+    flat.attach(META)  # a visit with no event is no write
+    flat.attach(other)
+    message = (f"{path}: the flat file of {cell_key(META)} is closed, and a FlatFile writes "
+               "each cell's file once")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        feed(flat, [1.0], meta=META)
+    flat.close()
+    assert path.read_bytes() == written
+    assert sorted(tmp_path.iterdir()) == sorted(flat.paths) == [
+        path, tmp_path / f"{cell_stem(other)}.csv"]
+
+
+def test_an_aborted_flat_file_leaves_the_earlier_file(tmp_path):
+    path = tmp_path / f"{cell_stem(META)}.csv"
+    path.write_text("earlier\n", encoding="utf-8")
+    flat = FlatFile(tmp_path, [Always()], [TransformedY()])
+    feed(flat, [4.0, 3.5])
+    flat.abort()
+    flat.close()
+    assert flat.paths == []
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text(encoding="utf-8") == "earlier\n"
+
+
+def test_two_writers_open_on_one_path_each_write_a_whole_file_of_their_own(tmp_path):
+    path = tmp_path / "out.csv"
+    with fileio._atomic_writer(path, "file") as first:
+        first.write("first\n" * 1000)
+        with fileio._atomic_writer(path, "file") as second:
+            second.write("second\n")
+        assert path.read_text(encoding="utf-8") == "second\n"
+        first.write("first\n")
+    assert path.read_text(encoding="utf-8") == "first\n" * 1001
+    assert list(tmp_path.iterdir()) == [path]
+    with open(tmp_path / "plain", "w", encoding="utf-8"):
+        pass
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in (path, tmp_path / "plain")}
+    assert len(modes) == 1
 
 
 class TestTrajectoryFiles:
@@ -562,6 +674,10 @@ class TestTrajectoryFiles:
         ("0,5", "expected 3 cells, got 2"),
         ("0,5,1,2", "expected 3 cells, got 4"),
         ("0,5,x", "quality 'x' is not a finite number"),
+        ("0,5,\u0131nf", "quality '\u0131nf' is not a finite number"),
+        ("0,5,+\u0130nf", r"quality '\+\u0130nf' is not a finite number"),
+        ("0,5,\u0131nf\u0131n\u0131ty",
+         "quality '\u0131nf\u0131n\u0131ty' is not a finite number"),
         ("0, 5,1.0", r"evaluation count ' 5' is not an integer in \[1, 2\*\*63\)"),
         ("0,5,1.0\t", r"quality '1\.0\\t' is not a finite number"),
         ("0\u00a0,5,1.0", r"run '0\\xa0' is not an integer in \[0, 2\*\*63\)"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from attainbench.attainment import TrajectoryLogger
+from attainbench.fileio import FlatFile
 from attainbench.loggers import CellKey, Combine, Cursor, LogInfo, Logger, Store, cell_key
 from attainbench.problems import Direction, MetaData, Sphere
 from attainbench.properties import External, Property, TransformedY
@@ -115,12 +116,16 @@ class OneAnswer(Trigger):
         return [True]
 
 
-@pytest.mark.parametrize("triggers, properties, match", [
+#: A faulty property or trigger, and the message that rejects a 3-row batch it answers.
+SHORT_ANSWERS = pytest.mark.parametrize("triggers, properties, match", [
     ([Always()], [TransformedY(), OneReading("y")],
      r"property 'y' gave 1 reading\(s\) for 3 row\(s\) from evaluation 4$"),
     ([Always(), OneAnswer()], [TransformedY()],
      r"trigger OneAnswer gave 1 answer\(s\) for 3 row\(s\) from evaluation 4$"),
 ], ids=["property", "trigger"])
+
+
+@SHORT_ANSWERS
 def test_a_batch_answered_short_is_rejected_and_records_nothing(triggers, properties, match):
     store = Store(triggers, properties)
     store.attach(META)
@@ -130,6 +135,23 @@ def test_a_batch_answered_short_is_rejected_and_records_nothing(triggers, proper
     with pytest.raises(ValueError, match=match):
         store.call(batch_of(*rows))
     assert tuple(map(tuple, store.recorded(cell_key(META), 0))) == before
+
+
+@SHORT_ANSWERS
+def test_a_batch_answered_short_is_rejected_by_the_flat_file_logger_and_writes_nothing(
+        tmp_path, triggers, properties, match):
+    flat = FlatFile(tmp_path, triggers, properties)
+    flat.attach(META)
+    drive(flat, [5.0, 4.0, 3.0])
+    rows = [LogInfo(evaluations=e, transformed_y=2.0, transformed_y_best=2.0) for e in (4, 5, 6)]
+    with pytest.raises(ValueError, match=match):
+        flat.call(batch_of(*rows))
+    flat.close()
+    (path,) = tmp_path.iterdir()
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[:4] for line in lines] == [["0", "0", "1", "5.0"],
+                                                       ["0", "1", "2", "4.0"],
+                                                       ["0", "2", "3", "3.0"]]
 
 
 def test_trigger_state_clears_at_run_boundaries():
