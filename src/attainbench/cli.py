@@ -81,8 +81,8 @@ def run_benchmark(config: RunConfig) -> dict:
         raise
     flat.close()
 
-    # A logger that was not attached recorded no cell, so it writes nothing.
-    out.mkdir(parents=True, exist_ok=True)
+    # FlatFile(out) created the directory. A logger that was not attached recorded no
+    # cell, so it writes nothing.
     files = []
     for cell in trajectory_logger.cells():
         stem = cell_stem(cell)

@@ -12,8 +12,8 @@ Flat run logs
     included, use the shortest decimal form that round-trips. Property names
     are distinct and each one a :class:`~attainbench.properties.Property` may have.
     :class:`FlatFile` writes each cell's file as its rows fire, keeping no record of
-    them, and :func:`write_flat_files` writes the cells a :class:`Store` recorded; both
-    write a run through :func:`_write_run`, the same bytes either way. It walks each
+    them, and :func:`write_flat_files` replays the cells a :class:`Store` recorded
+    through one; it writes a run through :func:`_write_run`, which walks each
     column of a piece of at most :data:`_FLAT_BLOCK` rows once, checking each reading's
     type and rendering it with ``float.__repr__``, once per run of one reading object.
 
@@ -183,23 +183,17 @@ def _write_run(fh, path: Path, run: int, start: int, names: Sequence[str],
 
 
 def write_flat_files(store: Store, directory) -> list:
-    """Write one CSV per benchmark cell recorded in the store; returns the written paths.
-    Each run is written from its columns by :func:`_write_run`, the writer
-    :class:`FlatFile` writes through: one pass per column checks each reading's type and
-    renders it with ``float.__repr__``, once per run of one object. A reading that is not
-    a ``float`` or ``None`` is rejected, and its cell's file not written."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = store.property_names
-    paths = []
+    """Write one CSV per benchmark cell recorded in the store; returns the written paths,
+    in cell order. The store's runs are replayed through a :class:`FlatFile` of its
+    properties, cell by cell, so the bytes are those the logger writes as the rows
+    fire. A reading that is not a ``float`` or ``None`` is rejected, and its cell's file
+    not written; the files of the cells before it stay."""
+    flat = FlatFile(directory, (), store.properties)
     for cell in store.cells():
-        path = directory / f"{cell_stem(cell)}.csv"
-        with _atomic_writer(path, "flat file") as fh:
-            fh.write(",".join(["run", "event", "evaluations", *names]) + "\n")
-            for run in store.runs(cell):
-                _write_run(fh, path, run, 0, names, store.recorded(cell, run))
-        paths.append(path)
-    return paths
+        for run in store.runs(cell):
+            flat._write(cell, run, 0, store.recorded(cell, run))
+        flat.close()
+    return flat.paths
 
 
 @dataclass
@@ -549,5 +543,6 @@ def write_histogram(path, histogram: Histogram) -> None:
             fh.write(slots.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-# Last, since flatfile builds on this module's writer: ``fileio.FlatFile`` is the logger.
+# Last, since flatfile builds on this module's writers: ``fileio.FlatFile`` is the logger
+# that write_flat_files replays a store through.
 from .flatfile import FlatFile  # noqa: E402

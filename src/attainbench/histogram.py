@@ -93,9 +93,15 @@ def fit_discretization(trajectories: Sequence[Trajectory],
 
     Origins are the observed minima and extents the observed spans, so no
     point falls outside the grid; a degenerate span (all values equal) is
-    widened to 1 to keep the extent positive. The input is checked as
-    :func:`~attainbench.attainment.eaf_levels` checks it.
+    widened to 1 to keep the extent positive. ``buckets`` and ``scales`` must each
+    be a pair, a tuple or list of two, time's first; else a ``ValueError`` names the
+    argument. The input is checked as :func:`~attainbench.attainment.eaf_levels`
+    checks it.
     """
+    for name, pair in (("buckets", buckets), ("scales", scales)):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValueError(f"fit_discretization: {name} must be a (time, quality) pair, "
+                             f"got {pair!r}")
     _, direction, columns = _runs(trajectories, "fit_discretization")
     t_lo, t_hi, best, worst = _bounds(columns)
     q_lo, q_hi = np.sort(_minimizing([best, worst], direction))

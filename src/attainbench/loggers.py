@@ -7,10 +7,10 @@ batch holds its evaluations in order, one tuple per column; a single
 evaluation is a batch of one. Run indices are zero-based and advance on
 every reset, tracked per context so one logger can serve a whole suite.
 
-A :class:`Gated` logger passes each batch through one gate: its triggers answer
-each row, and its properties are read on a batch that fires.
-:class:`~attainbench.fileio.FlatFile` writes the rows that fire as they come. A
-:class:`Watcher` records them by column, per run:
+A :class:`Logger` passes each batch through one gate: its triggers answer each
+row, its properties are read on a batch that fires, and the gate hands on the
+columns of the rows that fire. :class:`~attainbench.fileio.FlatFile` writes them
+as they come. A :class:`Watcher` records them by column, per run:
 the evaluation counts, then one column of readings per property, where a
 reading is a ``float`` or ``None`` when absent. Every reader goes through
 :meth:`Watcher.recorded`: :meth:`Watcher.events` turns its columns into one tuple per
@@ -96,26 +96,40 @@ class Cursor:
 
 class Logger:
     """Base logger: tracks the active context, each context's metadata and
-    zero-based run indices.
+    zero-based run indices, and holds the triggers and properties that gate a batch.
+
+    The triggers are joined into one :class:`~attainbench.triggers.Any`,
+    :attr:`trigger`, whose state is cleared at run boundaries and when a context
+    attaches; nest an ``All`` for all-of behaviour. Properties, whose names must be
+    distinct, are read once per batch that fires. :meth:`_gate` is the one gate of a
+    batch for :class:`Watcher` and :class:`~attainbench.fileio.FlatFile`.
 
     Subclasses implement the ``_on_*`` hooks; the base class guarantees that
     ``call`` is rejected before the first ``attach`` and that every ``reset``
     advances the run index of the context it arrived in.
     """
 
-    def __init__(self):
+    def __init__(self, triggers: Sequence = (), properties: Sequence[Property] = ()):
         self._cell: Optional[CellKey] = None
         self._metas: dict[CellKey, object] = {}
         self._run_index: dict[CellKey, int] = {}
+        self.trigger = Any(triggers)
+        self.properties = list(properties)
+        _check_distinct(self.property_names)
 
     @property
     def current_run(self) -> int:
         return self._run_index.get(self._cell, 0)
 
+    @property
+    def property_names(self) -> list:
+        return [p.name for p in self.properties]
+
     def attach(self, meta) -> None:
         self._cell = cell_key(meta)
         self._run_index.setdefault(self._cell, 0)
         self._metas[self._cell] = meta
+        self.trigger.reset()
         self._on_attach(meta)
 
     def call(self, batch: Batch) -> None:
@@ -128,6 +142,7 @@ class Logger:
     def reset(self) -> None:
         if self._cell is not None:
             self._run_index[self._cell] += 1
+        self.trigger.reset()
         self._on_reset()
 
     def _on_attach(self, meta) -> None:
@@ -138,6 +153,20 @@ class Logger:
 
     def _on_reset(self) -> None:
         pass
+
+    def _gate(self, batch: Batch) -> Optional[list]:
+        """The columns of a batch's rows that fire, ``[counts, *readings]`` with one list
+        of readings per property, or ``None`` when no row fires. A property that does not
+        answer once per row is rejected before anything of the batch is kept."""
+        fired = self.trigger(batch, self._metas[self._cell])
+        if True not in fired:
+            return None
+        readings = [prop(batch) for prop in self.properties]
+        for prop, reading in zip(self.properties, readings):
+            if len(reading) != len(fired):
+                raise ValueError(f"property {prop.name!r} gave {len(reading)} reading(s) for "
+                                 f"{len(fired)} row(s) from evaluation {batch.evaluations[0]}")
+        return [list(compress(column, fired)) for column in (batch.evaluations, *readings)]
 
 
 class Combine:
@@ -163,50 +192,8 @@ class Combine:
             lg.reset()
 
 
-class Gated(Logger):
-    """Logger gated by triggers, reading a fixed set of properties.
-
-    The triggers are joined into one :class:`~attainbench.triggers.Any`,
-    :attr:`trigger`, whose state is cleared at run boundaries and when a new
-    context attaches; nest an ``All`` for all-of behaviour. Properties, whose
-    names must be distinct, are read once per batch that fires. :meth:`_gate` is
-    the one gate of a batch for :class:`Watcher` and
-    :class:`~attainbench.fileio.FlatFile`.
-    """
-
-    def __init__(self, triggers: Sequence, properties: Sequence[Property] = ()):
-        super().__init__()
-        self.trigger = Any(triggers)
-        self.properties = list(properties)
-        _check_distinct(self.property_names)
-
-    @property
-    def property_names(self) -> list:
-        return [p.name for p in self.properties]
-
-    def _on_attach(self, meta) -> None:
-        self.trigger.reset()
-
-    def _on_reset(self) -> None:
-        self.trigger.reset()
-
-    def _gate(self, batch: Batch) -> Optional[tuple]:
-        """``(fired, readings)`` of a batch that fires: the trigger's answer per row and
-        each property's readings, or ``None`` when no row fires. A property that does not
-        answer once per row is rejected before anything of the batch is kept."""
-        fired = self.trigger(batch, self._metas[self._cell])
-        if True not in fired:
-            return None
-        readings = [prop(batch) for prop in self.properties]
-        for prop, reading in zip(self.properties, readings):
-            if len(reading) != len(fired):
-                raise ValueError(f"property {prop.name!r} gave {len(reading)} reading(s) for "
-                                 f"{len(fired)} row(s) from evaluation {batch.evaluations[0]}")
-        return fired, readings
-
-
-class Watcher(Gated):
-    """:class:`Gated` logger that records the rows its triggers fire on.
+class Watcher(Logger):
+    """Logger that records the rows its triggers fire on.
 
     A trigger or property that does not answer once per row of a batch is
     rejected before anything of that batch is recorded. Only a ``call`` adds to
@@ -218,16 +205,14 @@ class Watcher(Gated):
         self._cells: dict[CellKey, dict[int, list[list]]] = {}
 
     def _on_call(self, batch: Batch) -> None:
-        gated = self._gate(batch)
-        if gated:
-            fired, readings = gated
+        columns = self._gate(batch)
+        if columns:
             runs = self._cells.setdefault(self._cell, {})
-            run = self._run_index[self._cell]
-            columns = runs.get(run) or runs.setdefault(
-                run, [[] for _ in range(1 + len(self.properties))])
-            columns[0].extend(compress(batch.evaluations, fired))
-            for column, reading in zip(columns[1:], readings):
-                column.extend(compress(reading, fired))
+            # The columns of a run's first batch that fires become its record.
+            recorded = runs.setdefault(self.current_run, columns)
+            if recorded is not columns:
+                for column, fired in zip(recorded, columns):
+                    column.extend(fired)
 
     def cells(self) -> list:
         """Benchmark cells with at least one recorded event, sorted."""

@@ -118,7 +118,9 @@ class External(Property):
     reads the getter twice, at the same moment. :meth:`detach`
     disables the binding, after which reads are ``None``; :meth:`rebind`
     points the property at a different host value mid-run, and subsequent
-    reads track the new target.
+    reads track the new target. A host value must be a real number, which is read as a
+    ``float``; text, a ``bool`` or ``None`` is rejected, and :meth:`detach` is the one
+    way to read ``None``.
     """
 
     def __init__(self, name: str, getter: Optional[Callable[[], float]] = None):
@@ -138,5 +140,18 @@ class External(Property):
         self._getter = getter
 
     def __call__(self, batch) -> tuple:
-        reading = None if self._getter is None else float(self._getter())
+        reading = None if self._getter is None else _reading(self.name, self._getter())
         return (reading,) * len(batch.evaluations)
+
+
+def _reading(name: str, value) -> float:
+    """``value``, a host value read for the property ``name``, as a ``float``: it must be
+    a ``numbers.Real`` that is not a ``bool`` and that float64 holds, NaN and infinities
+    included. Anything else, text and ``None`` too, is a ``ValueError`` naming both."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an int or Fraction beyond float64
+        pass
+    raise ValueError(f"property {name!r} read {value!r}, which is not a real number "
+                     "that float64 holds")

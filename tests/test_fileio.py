@@ -556,6 +556,25 @@ def test_a_bad_reading_past_the_first_block_is_named_at_its_event_and_no_file_is
     assert list(directory.iterdir()) == []
 
 
+def test_an_empty_store_creates_the_directory_and_writes_no_file(tmp_path):
+    directory = tmp_path / "a" / "b"
+    assert write_flat_files(Store([Always()], [TransformedY()]), directory) == []
+    assert list(directory.iterdir()) == []
+
+
+def test_a_bad_reading_in_a_later_cell_leaves_the_earlier_cells_file_as_a_clean_write(
+        tmp_path):
+    clean, bad = [[[(True, 1.0), (True, 2.5)]]], [[[(True, 3.0), (True, "x")]]]
+    (reference,) = write_flat_files(scripted_store(["y"], [clean]), tmp_path / "clean")
+    directory = tmp_path / "flat"
+    path = directory / f"{cell_stem(MetaData('fake', 4, 2, 5, MIN))}.csv"
+    message = f"{path}: run 0, event 1: property 'y' reading 'x' is not a float or None"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_flat_files(scripted_store(["y"], [clean, bad]), directory)
+    assert list(directory.iterdir()) == [directory / reference.name]
+    assert (directory / reference.name).read_bytes() == reference.read_bytes()
+
+
 def test_a_cell_whose_flat_file_was_written_is_not_written_again(tmp_path):
     flat = FlatFile(tmp_path, [Always()], [TransformedY()])
     other = MetaData("fake", 4, 2, 5, MIN)

@@ -1,6 +1,7 @@
 """Attainment histograms: grid counting against the brute-force oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ class TestValidation:
         trajs = as_trajectories([[(1, 10.0), point]], MIN)
         with pytest.raises(ValueError, match="finite qualities"):
             fit_discretization(trajs)
+
+    @pytest.mark.parametrize("arguments, name", [
+        ({"buckets": (20, 20, 20)}, "buckets"), ({"buckets": (20,)}, "buckets"),
+        ({"buckets": 20}, "buckets"), ({"scales": "log"}, "scales"),
+        ({"scales": "lo"}, "scales"), ({"scales": ("log",) * 3}, "scales")])
+    def test_fit_requires_buckets_and_scales_to_be_pairs(self, arguments, name):
+        trajs = as_trajectories(RUNS_AB, MIN)
+        message = (f"fit_discretization: {name} must be a (time, quality) pair, "
+                   f"got {arguments[name]!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_discretization(trajs, **arguments)
 
     def test_empty_inputs_are_rejected(self):
         with pytest.raises(ValueError, match="empty trajectory list"):

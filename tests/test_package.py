@@ -93,6 +93,27 @@ def test_only_properties_reads_the_finite_real_rule():
     assert readers == {(name, "properties.py") for name in rule}
 
 
+def test_only_the_logger_gate_asks_the_trigger_and_selects_the_fired_rows():
+    """``Logger._gate`` is the one gate of a batch: no other code calls ``compress``, as
+    a name or an attribute, or a logger's ``self.trigger``."""
+    callers = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                    ast.unparse(child.func) in ("compress", "self.trigger")
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == "compress"):
+                callers.add((module, where))
+            visit(child, module, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    assert callers == {("loggers.py", "Logger._gate")}
+
+
 def test_only_the_watchers_writer_and_its_three_views_read_its_record():
     """A watcher's record, ``Watcher._cells``, is read by ``_on_call``, which writes it,
     and by ``cells``, ``runs`` and ``recorded``; every other reader goes through

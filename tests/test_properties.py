@@ -1,7 +1,10 @@
 """Logged-property accessors, absence handling, and external bindings."""
 
+import math
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from attainbench.loggers import LogInfo
@@ -84,6 +87,27 @@ class TestExternal:
         prop = External("extra")
         assert prop.detached
         assert prop(INFO) == (None,)
+
+    @pytest.mark.parametrize("value, reading", [
+        (3, 3.0), (np.float32(0.5), 0.5), (np.int64(-2), -2.0), (Fraction(1, 4), 0.25),
+        (math.inf, math.inf), (-math.inf, -math.inf)])
+    def test_a_real_number_is_read_as_a_float(self, value, reading):
+        (read,) = External("extra", lambda: value)(INFO)
+        assert type(read) is float and read == reading
+
+    def test_a_nan_is_a_present_reading(self):
+        (read,) = External("extra", lambda: math.nan)(INFO)
+        assert type(read) is float and math.isnan(read)
+
+    @pytest.mark.parametrize("value", ["3.5", "nan", "abc", b"2", True, np.True_, None,
+                                       [1.0], 10**400],
+                             ids=["numeric text", "nan text", "text", "bytes", "bool",
+                                  "numpy bool", "None", "list", "int beyond float64"])
+    def test_a_value_that_is_not_a_real_number_float64_holds_is_rejected_naming_it(
+            self, value):
+        message = f"property 'extra' read {value!r}, which is not a real number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} that float64 holds$"):
+            External("extra", lambda: value)(INFO)
 
     def test_rebind_rejects_none(self):
         prop = External("extra", lambda: 1.0)
