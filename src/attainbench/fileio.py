@@ -73,7 +73,7 @@ from .attainment import (LevelSet, Trajectory, _common_direction, _improving, _m
 from .histogram import Histogram
 from .loggers import Store
 from .problems import Direction, MetaData
-from .properties import Property, _as_whole, _check_distinct, _real, _whole
+from .properties import Property, _as_whole, _check_distinct, _quoted, _real, _whole
 
 #: Token standing in for an absent reading in delimited files.
 NA = "NA"
@@ -313,7 +313,8 @@ _TRAJECTORY = (("run", _integer(0)), ("evaluation count", _integer(1)), ("qualit
 
 def _fields(line: bytes, columns: Sequence[tuple]) -> list:
     """Values of one CSV line, as ``bytes.splitlines`` gives it, read by its columns'
-    ``(name, reader)`` pairs, or a ``ValueError`` saying what is wrong with the line."""
+    ``(name, reader)`` pairs, or a ``ValueError`` saying what is wrong with the line and
+    quoting a bad cell by :func:`~attainbench.properties._quoted`."""
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError:
@@ -328,7 +329,7 @@ def _fields(line: bytes, columns: Sequence[tuple]) -> list:
         try:
             values.append(read(cell))
         except ValueError as exc:
-            raise ValueError(f"{name} {cell!r} is not {exc}") from None
+            raise ValueError(f"{name} {_quoted(cell)} is not {exc}") from None
     return values
 
 

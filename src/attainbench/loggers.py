@@ -247,8 +247,7 @@ class Store(Watcher):
         is always resolvable on a recorded event.
         """
         name = prop.name if isinstance(prop, Property) else str(prop)
-        cell = CellKey(cursor.suite_name, cursor.problem_id, cursor.dimension, cursor.instance)
-        columns = self.recorded(cell, cursor.run)
+        columns = self.recorded(cell_key(cursor), cursor.run)
         if cursor.event_index >= len(columns[0]):
             return None
         if name == "evaluations":

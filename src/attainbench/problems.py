@@ -16,24 +16,26 @@ both drawn from a PCG64 stream seeded by a fixed mixing of
 raw and transformed values coincide there. Pseudo-Boolean instances are all
 the identity. Everything is pure arithmetic on the inputs, so results are
 reproducible across processes and machines.
+
+The package imports the stdlib ``logging`` module only on a path that emits a
+record. Here that is a logger attached twice to one problem or suite, which
+warns through the ``attainbench.problems`` logger; no other path loads it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .loggers import Batch, Combine, LogInfo
 from .properties import _as_whole
-
-log = logging.getLogger(__name__)
 
 #: Fixed constant mixed with (problem_id, instance) to seed the instance
 #: transformation stream. Published so independent implementations can
@@ -47,6 +49,20 @@ INSTANCE_SEED = 987654321
 #: tuple on a free list that it never takes back from, up to 2,000 of them (about
 #: 0.4 MB), so no column, trigger answer or reading of a logged batch has 20 items.
 _SPLIT_20 = ((0, 19), (19, 20))
+
+
+def _registered(logger, loggers: list, where) -> bool:
+    """Append ``logger`` to ``loggers`` and return True, unless it is there already: then
+    warn that it is attached to ``where`` and return False."""
+    if any(lg is logger for lg in loggers):
+        # Imported here, not at the top: importing logging adds about 0.4 MB and 3-4 ms to
+        # every process, and this warning is the package's one use of it.
+        import logging
+        logging.getLogger(__name__).warning("logger %r already attached to %s; ignoring",
+                                            logger, where)
+        return False
+    loggers.append(logger)
+    return True
 
 
 def _running_best(values: list, best: float, better) -> list:
@@ -219,11 +235,8 @@ class Problem:
 
     def attach_logger(self, logger) -> None:
         """Register a logger; it is notified of this context immediately."""
-        if any(lg is logger for lg in self._loggers.loggers):
-            log.warning("logger %r already attached to %s; ignoring", logger, self.meta)
-            return
-        self._loggers.loggers.append(logger)
-        logger.attach(self.meta)
+        if _registered(logger, self._loggers.loggers, self.meta):
+            logger.attach(self.meta)
 
     def detach_logger(self, logger) -> None:
         """Remove a logger; it receives no further notifications."""
@@ -322,30 +335,20 @@ class Suite:
         return out
 
     def attach_logger(self, logger) -> None:
-        if any(lg is logger for lg in self._loggers):
-            log.warning("logger %r already attached to suite %s; ignoring", logger, self.name)
-            return
-        self._loggers.append(logger)
+        _registered(logger, self._loggers, f"suite {self.name}")
 
     def __len__(self) -> int:
         return len(self.problem_ids) * len(self.dimensions) * len(self.instances)
 
     def __iter__(self) -> Iterator[Problem]:
-        previous = None
-        try:
-            for pid in self.problem_ids:
-                for dim in self.dimensions:
-                    for inst in self.instances:
-                        if previous is not None:
-                            previous.teardown()
-                        problem = self.roster[pid](pid, inst, dim, suite_name=self.name)
-                        for lg in self._loggers:
-                            problem.attach_logger(lg)
-                        previous = problem
-                        yield problem
-        finally:
-            if previous is not None:
-                previous.teardown()
+        for pid, dim, inst in product(self.problem_ids, self.dimensions, self.instances):
+            problem = self.roster[pid](pid, inst, dim, suite_name=self.name)
+            for lg in self._loggers:
+                problem.attach_logger(lg)
+            try:
+                yield problem
+            finally:
+                problem.teardown()
 
 
 class ContinuousSuite(Suite):

@@ -40,6 +40,21 @@ def _as_whole(what: str, value, least: int) -> int:
     raise ValueError(f"{what} {value!r} is not an integer in [{least}, 2**63)")
 
 
+#: The most characters of a value's ``repr`` that :func:`_quoted` gives: a quoted cell
+#: of 5,000 digits (5,002 characters), past Python's own limit for ``int`` text, stays whole.
+_QUOTED = 10_000
+
+
+def _quoted(value) -> str:
+    """``repr(value)`` for a message, never raising: cut to :data:`_QUOTED` characters
+    with its full length stated if longer, and naming the value's type if ``repr`` raises."""
+    try:
+        text = repr(value)
+    except Exception as exc:  # a host value's repr may raise anything, a message must not
+        text = f"<{type(value).__name__} whose repr raised {type(exc).__name__}>"
+    return text if len(text) <= _QUOTED else f"{text[:_QUOTED]}... ({len(text)} characters in all)"
+
+
 def _check_distinct(names: Sequence[str]) -> None:
     """Reject property names that are not distinct: each heads its own flat-file column."""
     duplicates = sorted({name for name in names if names.count(name) > 1})
@@ -147,11 +162,12 @@ class External(Property):
 def _reading(name: str, value) -> float:
     """``value``, a host value read for the property ``name``, as a ``float``: it must be
     a ``numbers.Real`` that is not a ``bool`` and that float64 holds, NaN and infinities
-    included. Anything else, text and ``None`` too, is a ``ValueError`` naming both."""
+    included. Anything else, text and ``None`` too, is a ``ValueError`` naming both, each
+    quoted by :func:`_quoted`."""
     try:
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
             return float(value)
     except OverflowError:  # an int or Fraction beyond float64
         pass
-    raise ValueError(f"property {name!r} read {value!r}, which is not a real number "
-                     "that float64 holds")
+    raise ValueError(f"property {_quoted(name)} read {_quoted(value)}, which is not a real "
+                     "number that float64 holds")

@@ -5,7 +5,9 @@ indent, outside a module, class or function docstring; a token that spans lines,
 such as a string, holds every line it spans. Beside each count go the module's
 plain line count, as ``wc -l`` gives it, and the ``tracemalloc`` peak of compiling
 it in KiB, the least of three compiles: a process that imports the package with no
-bytecode cached pays that peak, which shows in its peak RSS.
+bytecode cached pays that peak, which shows in its peak RSS. Last come the modules
+that importing ``attainbench.cli`` adds to those ``numpy`` loads, as a fresh
+interpreter imports them: each is held by every process that runs the package.
 
 Run from the repository root: ``python3 tests/code_lines.py [PATH ...]``.
 """
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import ast
 import io
+import os
+import subprocess
 import sys
 import tokenize
 import tracemalloc
@@ -57,6 +61,20 @@ def compile_peak(source: str, name: str = "<source>") -> int:
     return min(peaks)
 
 
+#: Prints the modules that importing ``attainbench.cli`` adds to those ``numpy`` loads.
+_ADDED_IMPORTS = ("import sys, numpy; loaded = set(sys.modules); import attainbench.cli; "
+                  "print(*sorted(set(sys.modules) - loaded))")
+
+
+def added_imports(src: Path) -> list:
+    """Modules that a fresh interpreter loads to import ``attainbench.cli`` from ``src``
+    beyond those it loads to import ``numpy``, sorted."""
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _ADDED_IMPORTS], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    return done.stdout.split()
+
+
 def main(paths) -> None:
     total_code = total_lines = 0
     print("  code  lines  compile KiB")
@@ -71,3 +89,5 @@ def main(paths) -> None:
 if __name__ == "__main__":
     package = Path(__file__).resolve().parent.parent / "src" / "attainbench"
     main([Path(p) for p in sys.argv[1:]] or sorted(package.glob("*.py")))
+    added = added_imports(package.parent)
+    print(f"\nimporting attainbench.cli adds {len(added)} modules to numpy's:", *added)

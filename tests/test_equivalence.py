@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attainbench import fileio
@@ -20,7 +20,7 @@ from attainbench import triggers as tg
 from attainbench.attainment import (LevelSet, TrajectoryLogger, default_nadir, eaf_levels,
                                     surface, volume)
 from attainbench.fileio import read_trajectories, write_histogram, write_level_sets
-from attainbench.histogram import Axis, Discretization, Histogram, fit_discretization
+from attainbench.histogram import Axis, Discretization, Histogram, eah, fit_discretization
 from attainbench.loggers import LogInfo, Store
 from attainbench.problems import Direction, LeadingOnes, MetaData, OneMax, Rastrigin, Sphere
 from attainbench.properties import External, RawY, RawYBest, TransformedY, TransformedYBest
@@ -129,6 +129,40 @@ def test_surface_and_volume_keep_the_sequential_bits(group, slack):
     for area in areas:
         total += area
     assert volume(sets, (tn, qn)) == total
+
+
+@settings(max_examples=300, deadline=None)
+@given(group=staircase_groups(max_runs=7, max_points=5),
+       buckets=st.tuples(st.integers(1, 29), st.integers(1, 29)))
+# One run on a coarse time axis, where the summed bounds are close to the integral.
+@example(group=(MIN, [[(1, 0.75), (2, 0.0), (3, -0.25), (6, -0.5)]]), buckets=(2, 6))
+def test_the_eah_brackets_the_eaf_volume(group, buckets):
+    """The surfaces of all levels summed at the worse corner of the fitted box are the
+    integral of the attainment count over the box. Attainment is monotone inside a grid
+    cell, so each cell's integral lies between its area times the count at its hardest
+    corner and at its easiest one. Under minimization the cell's representative is its
+    hardest corner and the next row and column its easiest, which m runs attain past the
+    grid. Under maximization a linear quality edge is the worse edge of its bucket, so
+    the next column is the hardest corner, 0 past the grid, and the next row the easiest,
+    m past the grid. The axes are linear and fitted to the data: log axes have other
+    corners, and a range override clamps points into the boundary buckets."""
+    direction, runs = group
+    m, trajectories = len(runs), as_trajectories(runs, direction)
+    disc = fit_discretization(trajectories, buckets)
+    time, quality = disc.time, disc.quality
+    counts = eah(trajectories, disc).counts
+    nadir = (time.top, quality.top if direction is MIN else quality.origin)
+    total = sum(surface(ls, nadir) for ls in eaf_levels(trajectories))
+    if direction is MIN:
+        hardest, easiest = counts, np.pad(counts, ((0, 1), (0, 1)), constant_values=m)[1:, 1:]
+    else:
+        hardest = np.pad(counts, ((0, 0), (0, 1)), constant_values=0)[:, 1:]
+        easiest = np.pad(counts, ((0, 1), (0, 0)), constant_values=m)[1:]
+    area = time.extent / time.buckets * quality.extent / quality.buckets
+    # Bucket edges are rounded floats, so a point on an edge may sit a rounding error to
+    # either side of it: far less than the slack, which is far less than one cell's area.
+    slack = 1e-9 * m * time.extent * quality.extent
+    assert area * hardest.sum() - slack <= total <= area * easiest.sum() + slack
 
 
 # A NaN value never improves, so a run can have calls but no recorded point.

@@ -987,6 +987,15 @@ def test_a_block_cuts_again_only_the_kept_runs_its_rows_reach(tmp_path, monkeypa
     assert max(sizes) <= per_run + block_rows
 
 
+def test_a_cell_of_five_million_bytes_is_quoted_cut_with_its_length(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"run,evaluations,quality\n0,1,{'x' * 5_000_001}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        read_trajectories(path)
+    quoted = "'" + "x" * 9_999 + "... (5000003 characters in all)"
+    assert str(error.value) == f"{path}:2: quality {quoted} is not a finite number"
+
+
 def test_reading_a_raw_log_needs_memory_for_a_block_and_the_kept_rows(tmp_path, traced_peak):
     # 51 runs of 2,000 evaluations, about 2.7 MB: 11 blocks, of whose rows under 1% are kept.
     qualities = np.random.default_rng(11).normal(size=(51, 2000)).tolist()

@@ -1,10 +1,17 @@
-"""The package's public surface and the README's examples."""
+"""The package's public surface, what running it loads, and the README's examples."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import attainbench
+from attainbench.attainment import TrajectoryLogger
+from attainbench.problems import ContinuousSuite, Sphere
 
 import code_lines
 
@@ -134,3 +141,47 @@ def test_only_the_watchers_writer_and_its_three_views_read_its_record():
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
     assert readers == {("loggers.py", f"Watcher.{name}")
                        for name in ("_on_call", "cells", "runs", "recorded")}
+
+
+#: Imports the package and its front end in a fresh interpreter, runs a small benchmark
+#: with every logger, then ``bench eaf``, ``stats`` and ``eah`` on the trajectory file
+#: it wrote, and prints whether ``logging`` was loaded on the way.
+_RUN_AND_ANALYZE = """
+import sys
+from pathlib import Path
+import attainbench
+from attainbench import cli
+out = Path(sys.argv[1])
+cli.run_benchmark(cli.RunConfig(problems=(1,), dimensions=(2,), runs=3, budget=30,
+                                loggers=("eaf", "eah", "flatfile"), out_dir=out))
+traj = str(out / "continuous_f1_d2_i1_traj.csv")
+for command in (["eaf", "--levels", "0,2", "--out", str(out / "levels.json")],
+                ["stats", "--levels", "0,2"], ["eah", "--out", str(out / "eah.csv")]):
+    assert cli.main([command[0], "--in", traj, *command[1:]]) == 0
+print("logging" in sys.modules)
+"""
+
+
+def test_running_and_analyzing_a_benchmark_never_imports_logging(tmp_path):
+    done = subprocess.run([sys.executable, "-c", _RUN_AND_ANALYZE, str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "continuous_f1_d2_i1.csv", "continuous_f1_d2_i1_eah.csv", "continuous_f1_d2_i1_traj.csv",
+        "eah.csv", "levels.json"]
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("make, where", [
+    (lambda: Sphere(1, 1, 2), "MetaData(suite_name='adhoc', problem_id=1, instance=1, "
+                              "dimension=2, direction=<Direction.MINIMIZATION: 'min'>)"),
+    (lambda: ContinuousSuite([1], [1], [2]), "suite continuous"),
+], ids=["problem", "suite"])
+def test_a_double_attach_emits_one_warning_of_the_problems_logger(caplog, make, where):
+    owner, logger = make(), TrajectoryLogger()
+    owner.attach_logger(logger)
+    with caplog.at_level("WARNING", logger="attainbench.problems"):
+        owner.attach_logger(logger)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("attainbench.problems", "WARNING",
+         f"logger {logger!r} already attached to {where}; ignoring")]

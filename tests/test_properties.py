@@ -109,6 +109,16 @@ class TestExternal:
         with pytest.raises(ValueError, match=f"^{re.escape(message)} that float64 holds$"):
             External("extra", lambda: value)(INFO)
 
+    @pytest.mark.parametrize("value, quoted", [
+        (10**5000, "<int whose repr raised ValueError>"),
+        (type("Opaque", (), {"__repr__": lambda self: 1 / 0})(),
+         "<Opaque whose repr raised ZeroDivisionError>"),
+    ], ids=["int past the digit limit", "repr that raises"])
+    def test_a_value_whose_repr_raises_is_named_by_its_type(self, value, quoted):
+        message = f"property 'extra' read {quoted}, which is not a real number that float64 holds"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            External("extra", lambda: value)(INFO)
+
     def test_rebind_rejects_none(self):
         prop = External("extra", lambda: 1.0)
         with pytest.raises(ValueError, match="detach"):
