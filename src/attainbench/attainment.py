@@ -26,7 +26,7 @@ import numpy as np
 
 from .loggers import CellKey, Watcher
 from .problems import Direction, MetaData
-from .properties import TransformedYBest, _as_whole, _real, _whole
+from .properties import TransformedYBest, _as_whole, _quoted, _real, _whole
 from .triggers import OnImprovement
 
 #: Distinct event times per block of the :func:`eaf_levels` sweep.
@@ -83,7 +83,7 @@ class Trajectory(_Staircase):
     _columns: tuple = field(default=None, kw_only=True, repr=False, compare=False)
 
     _direction = property(lambda self: self.meta.direction)
-    _label = property(lambda self: f"run {self.run}")
+    _label = property(lambda self: f"run {_quoted(self.run)}")
 
 
 @dataclass
@@ -138,7 +138,7 @@ def _check(points: Sequence, direction: Direction, label: str) -> tuple:
         point = points[int(np.argmax(broken))]
         raise ValueError(f"{label} is not a strict staircase of finite qualities at integral "
                          f"times in [1, 2**63), at point "
-                         f"{tuple(point) if np.iterable(point) else point}")
+                         f"{_quoted(tuple(point) if np.iterable(point) else point)}")
     return t, qualities
 
 
@@ -208,7 +208,7 @@ def _runs(trajectories: Iterable[Trajectory], caller: str) -> tuple:
     for traj in trajs:
         columns.append(traj._checked())
         if not len(columns[-1][0]):
-            raise ValueError(f"run {traj.run} has an empty trajectory")
+            raise ValueError(f"{traj._label} has an empty trajectory")
     return trajs, direction, columns
 
 
@@ -239,7 +239,7 @@ def eaf_levels(trajectories: Sequence[Trajectory], levels: Optional[Iterable[int
     ks = list(range(1, m + 1)) if levels is None else list(levels)
     bad = [k for k in ks if not (_whole(k, 1) and k <= m)]
     if bad:
-        raise ValueError(f"attainment level(s) {bad} outside [1, {m}] for {m} run(s)")
+        raise ValueError(f"attainment level(s) {_quoted(bad)} outside [1, {m}] for {m} run(s)")
     ks = sorted(set(map(int, ks)))
 
     times = np.concatenate([t for t, _ in columns])
@@ -293,7 +293,7 @@ class LevelSelector:
         m = len(trajectories)
         bad = [j for j in self.indices if j >= m]
         if bad:
-            raise ValueError(f"level index(es) {bad} out of range: {owner} has {m} run(s)")
+            raise ValueError(f"level index(es) {_quoted(bad)} out of range: {owner} has {m} run(s)")
         return eaf_levels(trajectories, [j + 1 for j in self.indices])
 
 
@@ -316,7 +316,7 @@ def _nadir_pair(nadir) -> list:
     else a ``ValueError`` names the nadir, one that is not iterable included."""
     point = tuple(nadir) if np.iterable(nadir) else ()
     if len(point) != 2 or not all(map(_real, point)):
-        raise ValueError(f"nadir {nadir!r} is not two finite real numbers")
+        raise ValueError(f"nadir {_quoted(nadir)} is not two finite real numbers")
     return [int(c) if isinstance(c, numbers.Integral) else float(c) for c in point]
 
 
@@ -339,7 +339,8 @@ def surface(level_set: LevelSet, nadir) -> float:
     outside = ~((times <= tn) & (qualities <= q_nadir))
     if outside.any():
         p = level_set.points[int(np.argmax(outside))]
-        raise ValueError(f"nadir {(tn, qn)} is not weakly dominated by level-set point {tuple(p)}")
+        raise ValueError(f"nadir {_quoted((tn, qn))} is not weakly dominated by level-set "
+                         f"point {_quoted(tuple(p))}")
     rectangles = (q_nadir - qualities) * np.diff(times, append=tn)
     return float(np.add.accumulate(rectangles)[-1])
 
@@ -368,7 +369,8 @@ def _volume(sets: list, surfaces: Iterable[float], nadir, normalized: bool) -> f
         return total
     ideal_t, _, ideal_q, _ = _bounds([ls._checked() for ls in sets])
     tn, qn = _nadir_pair(nadir)
-    box = (tn - ideal_t) * (_minimizing(qn, direction) - ideal_q)
+    # The time side as an exact int: a nadir time past int64 overflows an int64 difference.
+    box = (tn - int(ideal_t)) * (_minimizing(qn, direction) - ideal_q)
     if box <= 0:
         raise ValueError("normalization box is degenerate (nadir equals the ideal corner)")
     return float(total / (len(sets) * box))

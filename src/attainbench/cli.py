@@ -22,7 +22,7 @@ from .fileio import (FlatFile, _finite, _integer, cell_stem, read_trajectories,
                      write_histogram, write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
 from .problems import Direction, SUITES
-from .properties import TransformedY, TransformedYBest, _real
+from .properties import TransformedY, TransformedYBest, _quoted, _real
 from .solvers import SOLVERS
 from .triggers import Always
 
@@ -110,7 +110,7 @@ def _flag(read, form: str):
         try:
             return read(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expects {form}, got {_quoted(text)}") from None
     return convert
 
 
@@ -150,7 +150,8 @@ _nadir = _flag(_pair(_finite, ","), "finite T,Q")
 def _scales(text: str) -> tuple:
     parts = tuple(text.split(","))
     if len(parts) != 2 or any(p not in SCALES for p in parts):
-        raise argparse.ArgumentTypeError(f"expects time,quality from {SCALES}, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects time,quality from {SCALES}, got {_quoted(text)}")
     return parts
 
 
@@ -158,7 +159,7 @@ def _range(text: str) -> tuple:
     lo, hi = _flag(_pair(_finite, ":"), "finite lo:hi")(text)
     if not (_real(hi - lo) and hi - lo > 0):
         raise argparse.ArgumentTypeError(
-            f"upper bound must exceed lower bound by a finite span, got {text!r}")
+            f"upper bound must exceed lower bound by a finite span, got {_quoted(text)}")
     return lo, hi
 
 
@@ -208,14 +209,33 @@ def _cmd_stats(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Parser, and parser class of its subcommands, that rejects a flag value of
-    exactly ``--``. Python 3.11's argparse drops that value before the flag's
-    converter runs, leaving an empty list as the flag's value."""
+    exactly ``--``, and whose own messages quote a rejected argument through
+    :func:`~attainbench.properties._quoted`. Python 3.11's argparse drops a ``--`` value
+    before the flag's converter runs, leaving an empty list as the flag's value."""
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
             self._get_value(action, "--")  # a converter that rejects it names its own rule
             raise argparse.ArgumentError(action, "expects a value, got '--'")
         return super()._get_values(action, arg_strings)
+
+    def _get_value(self, action, arg_string):
+        return _requoted(super()._get_value, action, arg_string)
+
+    def _check_value(self, action, value):
+        return _requoted(super()._check_value, action, value)
+
+
+def _requoted(check, action, value):
+    """``check(action, value)``, whose ``ArgumentError`` is raised again with its first
+    ``repr(value)`` replaced by ``_quoted(value)``, the same text unless it is long:
+    argparse quotes the argument of "invalid choice" and "invalid <type> value" by
+    ``%r``, whole."""
+    try:
+        return check(action, value)
+    except argparse.ArgumentError as exc:
+        message = exc.message.replace(repr(value), _quoted(value), 1)
+        raise argparse.ArgumentError(action, message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -158,8 +158,9 @@ def _rendered(path: Path, run: int, start: int, names: Sequence[str],
                     # The first occurrence of an object is the one checked; list.index
                     # would find an equal reading before it, as 1.0 for 1 or True.
                     event = start + next(i for i, r in enumerate(column) if r is reading)
-                    raise ValueError(f"{path}: run {run}, event {event}: property {name!r} "
-                                     f"reading {reading!r} is not a float or None")
+                    raise ValueError(f"{path}: run {run}, event {event}: property "
+                                     f"{_quoted(name)} reading {_quoted(reading)} is not a "
+                                     "float or None")
                 # float.__repr__, not repr: a float subclass or np.float64 has its own.
                 previous, text = reading, NA if reading is None else float.__repr__(reading)
             rendered.append(text)
@@ -218,7 +219,7 @@ def read_flat_file(path):
     except UnicodeDecodeError:
         raise ValueError(f"{path}:1: not UTF-8 text") from None
     if header is None or header[:3] != ["run", "event", "evaluations"]:
-        raise ValueError(f"{path}: not a flat run log (header {header!r})")
+        raise ValueError(f"{path}: not a flat run log (header {_quoted(header)})")
     names = header[3:]
     try:
         for name in names:
@@ -395,7 +396,7 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
             header, _, block = block.partition(b"\n")
             if header.rstrip(b"\r") != b"run,evaluations,quality":
                 header = header.decode(errors="replace")
-                raise ValueError(f"{path}: not a trajectory file (header {header!r})")
+                raise ValueError(f"{path}: not a trajectory file (header {_quoted(header)})")
             first = 2
         if not block:
             continue

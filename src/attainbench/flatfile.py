@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .fileio import _atomic_writer, _write_run, cell_stem
 from .loggers import Batch, CellKey, Logger
-from .properties import Property
+from .properties import Property, _quoted
 
 
 class FlatFile(Logger):
@@ -66,7 +66,7 @@ class FlatFile(Logger):
             if self._writer is None:
                 path = self.directory / f"{cell_stem(cell)}.csv"
                 if cell in self._started:
-                    raise ValueError(f"{path}: the flat file of {cell} is closed, and a "
+                    raise ValueError(f"{path}: the flat file of {_quoted(cell)} is closed, and a "
                                      "FlatFile writes each cell's file once")
                 writer = _atomic_writer(path, "flat file")
                 self._fh = writer.__enter__()

@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .attainment import Trajectory, _bounds, _minimizing, _runs
-from .properties import _as_whole, _real
+from .properties import _as_whole, _quoted, _real
 
 SCALES = ("linear", "log")
 
@@ -39,9 +39,10 @@ class Axis:
     def __init__(self, buckets: int, origin: float, extent: float, scale: str = "linear"):
         self.buckets = _as_whole("buckets", buckets, 1)
         if not (_real(origin) and _real(extent) and extent > 0):
-            raise ValueError(f"need a finite origin and extent > 0, got {origin!r}, {extent!r}")
+            raise ValueError(f"need a finite origin and extent > 0, got {_quoted(origin)}, "
+                             f"{_quoted(extent)}")
         if scale not in SCALES:
-            raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
+            raise ValueError(f"scale must be one of {SCALES}, got {_quoted(scale)}")
         self.origin = float(origin)
         self.extent = float(extent)
         self.scale = scale
@@ -101,7 +102,7 @@ def fit_discretization(trajectories: Sequence[Trajectory],
     for name, pair in (("buckets", buckets), ("scales", scales)):
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             raise ValueError(f"fit_discretization: {name} must be a (time, quality) pair, "
-                             f"got {pair!r}")
+                             f"got {_quoted(pair)}")
     _, direction, columns = _runs(trajectories, "fit_discretization")
     t_lo, t_hi, best, worst = _bounds(columns)
     q_lo, q_hi = np.sort(_minimizing([best, worst], direction))

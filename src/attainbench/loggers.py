@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
-from .properties import Property, _as_whole, _check_distinct
+from .properties import Property, _as_whole, _check_distinct, _quoted
 from .triggers import Any
 
 
@@ -164,8 +164,9 @@ class Logger:
         readings = [prop(batch) for prop in self.properties]
         for prop, reading in zip(self.properties, readings):
             if len(reading) != len(fired):
-                raise ValueError(f"property {prop.name!r} gave {len(reading)} reading(s) for "
-                                 f"{len(fired)} row(s) from evaluation {batch.evaluations[0]}")
+                raise ValueError(f"property {_quoted(prop.name)} gave {len(reading)} reading(s) "
+                                 f"for {len(fired)} row(s) from evaluation "
+                                 f"{batch.evaluations[0]}")
         return [list(compress(column, fired)) for column in (batch.evaluations, *readings)]
 
 

@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .loggers import Batch, Combine, LogInfo
-from .properties import _as_whole
+from .properties import _as_whole, _quoted
 
 #: Fixed constant mixed with (problem_id, instance) to seed the instance
 #: transformation stream. Published so independent implementations can
@@ -109,7 +109,7 @@ class MetaData:
         name = self.suite_name
         if not name or any(c and c in name for c in (os.sep, os.altsep, "\0")):
             raise ValueError(f"suite_name must be non-empty with no path separator or NUL, "
-                             f"got {name!r}")
+                             f"got {_quoted(name)}")
         for axis in ("problem_id", "instance", "dimension"):
             object.__setattr__(self, axis, _as_whole(axis, getattr(self, axis), 1))
         object.__setattr__(self, "direction", Direction(self.direction))
@@ -189,7 +189,7 @@ class Problem:
         ``_SPLIT_20``); the loggers of this package record the same either way.
         """
         if self._torn_down:
-            raise RuntimeError(f"evaluation after suite teardown: {self.meta}")
+            raise RuntimeError(f"evaluation after suite teardown: {_quoted(self.meta)}")
         X = self._coerce(X)
         raw = self._raw(X)
         if self._shift is None:
@@ -322,7 +322,7 @@ class Suite:
         unknown = [p for p in self.problem_ids if p not in self.roster]
         if unknown:
             raise ValueError(
-                f"unknown problem id(s) {unknown} for suite {self.name!r}; "
+                f"unknown problem id(s) {_quoted(unknown)} for suite {_quoted(self.name)}; "
                 f"known: {sorted(self.roster)}"
             )
         self._loggers: list = []

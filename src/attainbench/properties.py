@@ -7,6 +7,10 @@ batch as one tuple, in row order. A detached external
 binding reads ``None``, never a stale or made-up number, and file backends
 render it as the ``NA`` token; a present NaN stays a float. ``evaluations``
 is a reserved name, because every logged event carries that count already.
+
+:func:`_quoted` is the package's one rule for quoting an input in a message: every
+raised message that quotes a value the caller or a file gave, the command line's
+included, quotes it through this function, bounded and never failing.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def _as_whole(what: str, value, least: int) -> int:
     """``value`` as an ``int`` if :func:`_whole` holds, else a ``ValueError`` naming it."""
     if _whole(value, least):
         return int(value)
-    raise ValueError(f"{what} {value!r} is not an integer in [{least}, 2**63)")
+    raise ValueError(f"{what} {_quoted(value)} is not an integer in [{least}, 2**63)")
 
 
 #: The most characters of a value's ``repr`` that :func:`_quoted` gives: a quoted cell
@@ -57,9 +61,11 @@ def _quoted(value) -> str:
 
 def _check_distinct(names: Sequence[str]) -> None:
     """Reject property names that are not distinct: each heads its own flat-file column."""
-    duplicates = sorted({name for name in names if names.count(name) > 1})
+    seen, duplicates = set(), set()
+    for name in names:
+        (duplicates if name in seen else seen).add(name)
     if duplicates:
-        raise ValueError(f"duplicate property name(s): {duplicates}")
+        raise ValueError(f"duplicate property name(s): {_quoted(sorted(duplicates))}")
 
 
 class Property:
@@ -73,9 +79,9 @@ class Property:
         if not name:
             raise ValueError("property name must be non-empty")
         if any(c in name for c in ',"\r\n'):
-            raise ValueError(f"property name {name!r} contains a comma, quote or line break")
+            raise ValueError(f"property name {_quoted(name)} contains a comma, quote or line break")
         if name == "evaluations":
-            raise ValueError(f"property name {name!r} is reserved for the evaluation count")
+            raise ValueError(f"property name {_quoted(name)} is reserved for the evaluation count")
         self.name = name
 
     def __call__(self, batch) -> tuple:

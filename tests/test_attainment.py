@@ -399,6 +399,11 @@ class TestVolume:
         ls = LevelSet(1, [AttainmentPoint(2, 3.0)], MIN)
         assert volume([ls], (5, 9.0), normalized=True) == 1.0
 
+    @pytest.mark.parametrize("time", [2**62, 2**63 - 1, 2**63, 2**64, 10**30])
+    def test_normalized_full_box_scores_one_at_a_nadir_time_past_int64(self, time):
+        ls = LevelSet(1, [AttainmentPoint(1, 1.0)], MIN)
+        assert volume([ls], (time, 3.0), normalized=True) == 1.0
+
     def test_degenerate_box_is_rejected(self):
         ls = LevelSet(1, [AttainmentPoint(2, 3.0)], MIN)
         with pytest.raises(ValueError, match="degenerate"):

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -465,6 +466,26 @@ def test_an_integer_flag_past_the_int_digit_limit_gets_the_flag_message(ab_file)
     err = run_cli_expecting_usage_error(["stats", "--in", str(ab_file), f"--levels={digits}"])
     assert (f"argument --levels: expects comma-separated integers in [0, 2**63), got '{digits}'"
             in err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["{}"],
+    ["run", "--out", "o", "--suite", "{}"],
+    ["run", "--out", "o", "--solver", "{}"],
+    ["run", "--out", "o", "--log", "{}"],
+    ["run", "--out", "o", "--scale", "{}"],
+    ["stats", "--in", "i", "--levels", "0", "--direction", "{}"],
+    ["stats", "--in", "i", "--levels", "{}"],
+])
+def test_a_rejected_argument_is_quoted_whole_if_short_and_cut_if_long(argv, monkeypatch):
+    short = run_cli_expecting_usage_error([arg.format("bogus") for arg in argv])
+    long = run_cli_expecting_usage_error([arg.format("x" * 10**6) for arg in argv])
+    assert "'bogus'" in short
+    assert "'xxx" in long and "... (1000002 characters in all)" in long
+    assert len(long) < 12_000
+    # argparse's own parser words the short one the same.
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    assert run_cli_expecting_usage_error([arg.format("bogus") for arg in argv]) == short
 
 
 def test_a_grid_past_the_bucket_cap_is_refused_before_the_input_is_read(

@@ -247,6 +247,15 @@ class TestFlatFiles:
         with pytest.raises(ValueError, match=f"x.csv:1: {problem}$"):
             read_flat_file(path)
 
+    def test_a_header_of_100000_distinct_property_names_is_read_in_linear_time(self, tmp_path):
+        names = [f"p{i}" for i in range(100_000)]
+        path = tmp_path / "x.csv"
+        path.write_text(",".join(["run", "event", "evaluations", *names]) + "\n",
+                        encoding="utf-8")
+        start = time.perf_counter()
+        assert read_flat_file(path) == (names, [])
+        assert time.perf_counter() - start < 10  # a quadratic check takes minutes
+
     @pytest.mark.parametrize("line", [1, 2, 3000])
     def test_a_line_that_is_not_utf8_is_named(self, tmp_path, line):
         lines = ["run,event,evaluations,y"] + [f"0,{i},{i + 1},2.5" for i in range(3000)]

@@ -58,6 +58,22 @@ def test_every_top_level_name_is_read_or_imported():
     assert dead == []
 
 
+def test_no_raise_quotes_a_value_by_repr():
+    """A raised message quotes an input through ``properties._quoted``, which bounds the
+    text and never fails: no ``raise`` formats a value with ``!r`` or ``%r`` or calls
+    ``repr``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(part, ast.FormattedValue) and part.conversion == ord("r")
+                    or isinstance(part, ast.Constant) and "%r" in str(part.value)
+                    or isinstance(part, ast.Call) and ast.unparse(part.func) == "repr"
+                    for part in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_the_readme_python_examples_run_in_order(capsys):
     text = README.read_text(encoding="utf-8")
     blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL))
