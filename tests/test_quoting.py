@@ -6,7 +6,8 @@ characters with its full length stated."""
 import pytest
 
 from attainbench.attainment import LevelSelector, LevelSet, Trajectory, eaf_levels, surface
-from attainbench.fileio import read_flat_file, read_trajectories, write_flat_files, write_trajectories
+from attainbench.fileio import (read_flat_file, read_trajectories, write_flat_files,
+                                write_trajectories)
 from attainbench.histogram import Axis, fit_discretization
 from attainbench.loggers import LogInfo, Store
 from attainbench.problems import ContinuousSuite, Direction, MetaData
