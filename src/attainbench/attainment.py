@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .loggers import CellKey, Watcher
-from .problems import Direction, MetaData
+from .problems import Direction, MetaData, _as_direction
 from .properties import TransformedYBest, _as_whole, _quoted, _real, _whole
 from .triggers import OnImprovement
 
@@ -89,7 +89,7 @@ class Trajectory(_Staircase):
 @dataclass
 class LevelSet(_Staircase):
     """Minimal points of the region attained by at least ``level`` runs. The direction
-    is stored as :class:`~attainbench.problems.Direction` reads it."""
+    is stored as :func:`~attainbench.problems._as_direction` reads it."""
 
     level: int
     points: list = field()
@@ -100,7 +100,7 @@ class LevelSet(_Staircase):
     _label = "level set"
 
     def __post_init__(self):
-        self.direction = Direction(self.direction)
+        self.direction = _as_direction(self.direction)
 
     def _leave(self, qualities: np.ndarray) -> np.ndarray:
         # 0.0 and -0.0 tie, so which one the sweep keeps is arbitrary: a level set has 0.0.

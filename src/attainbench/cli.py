@@ -22,7 +22,7 @@ from .fileio import (FlatFile, _finite, _integer, cell_stem, read_trajectories,
                      write_histogram, write_level_sets, write_trajectories)
 from .histogram import Axis, Discretization, SCALES, eah, fit_discretization
 from .problems import Direction, SUITES
-from .properties import TransformedY, TransformedYBest, _quoted, _real
+from .properties import TransformedY, TransformedYBest, _cut, _quoted, _real
 from .solvers import SOLVERS
 from .triggers import Always
 
@@ -207,35 +207,40 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+#: Most characters of a message ``bench`` prints; a longer one is cut as
+#: :func:`~attainbench.properties._cut` cuts. It leaves room for two values quoted by
+#: :func:`~attainbench.properties._quoted`, a path the OS can open (4,096 bytes on Linux)
+#: and the words around them, so a message that quotes its inputs prints whole.
+_PRINTED = 30_000
+
+
 class _Parser(argparse.ArgumentParser):
-    """Parser, and parser class of its subcommands, that rejects a flag value of
-    exactly ``--``, and whose own messages quote a rejected argument through
+    """Parser, and parser class of its subcommands, with one hook, :meth:`_get_values`,
+    that rejects a flag value of exactly ``--`` and quotes a rejected argument through
     :func:`~attainbench.properties._quoted`. Python 3.11's argparse drops a ``--`` value
-    before the flag's converter runs, leaving an empty list as the flag's value."""
+    before the flag's converter runs, leaving an empty list as the flag's value. One hook
+    is enough: argparse converts and checks every argument string in it, quoting it by
+    ``%r`` in "invalid <type> value" and "invalid choice", and no ``choices`` flag has a
+    ``type``, so the value a choice is checked as is the argument string itself.
+    :meth:`error` cuts every message the parser prints to :data:`_PRINTED` characters."""
 
     def _get_values(self, action, arg_strings):
-        if action.option_strings and arg_strings == ["--"]:
-            self._get_value(action, "--")  # a converter that rejects it names its own rule
-            raise argparse.ArgumentError(action, "expects a value, got '--'")
-        return super()._get_values(action, arg_strings)
+        try:
+            if action.option_strings and arg_strings == ["--"]:
+                self._get_value(action, "--")  # a converter that rejects it names its own rule
+                raise argparse.ArgumentError(action, "expects a value, got '--'")
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            message = exc.message
+            for text in arg_strings:
+                message = message.replace(repr(text), _quoted(text))
+            raise argparse.ArgumentError(action, message) from None
 
-    def _get_value(self, action, arg_string):
-        return _requoted(super()._get_value, action, arg_string)
-
-    def _check_value(self, action, value):
-        return _requoted(super()._check_value, action, value)
-
-
-def _requoted(check, action, value):
-    """``check(action, value)``, whose ``ArgumentError`` is raised again with its first
-    ``repr(value)`` replaced by ``_quoted(value)``, the same text unless it is long:
-    argparse quotes the argument of "invalid choice" and "invalid <type> value" by
-    ``%r``, whole."""
-    try:
-        return check(action, value)
-    except argparse.ArgumentError as exc:
-        message = exc.message.replace(repr(value), _quoted(value), 1)
-        raise argparse.ArgumentError(action, message) from None
+    def error(self, message):
+        # This bounds what argparse words outside the hook ("unrecognized arguments",
+        # "ignored explicit argument") and the messages main passes on. It cannot replace
+        # the hook: a cut of the whole message would not state each value's own length.
+        super().error(_cut(message, _PRINTED))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +305,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
+        print(f"bench: {_cut(str(exc), _PRINTED)}", file=sys.stderr)
         return 1
 
 

@@ -72,7 +72,7 @@ from .attainment import (LevelSet, Trajectory, _common_direction, _improving, _m
                          _nadir_pair, _runs, _staircases)
 from .histogram import Histogram
 from .loggers import Store
-from .problems import Direction, MetaData
+from .problems import Direction, MetaData, _as_direction
 from .properties import Property, _as_whole, _check_distinct, _quoted, _real, _whole
 
 #: Token standing in for an absent reading in delimited files.
@@ -385,10 +385,10 @@ def read_trajectories(path, direction: Direction = Direction.MINIMIZATION) -> li
     are rejected as ``path:line``, and a body numpy cannot read for any other
     reason as ``path``, so of several faults in different blocks the first
     block's is named. The trajectories carry placeholder metadata with the
-    given direction, read as :class:`~attainbench.problems.Direction` reads it, so
+    given direction, read as :func:`~attainbench.problems._as_direction` reads it, so
     ``"min"`` is minimization and ``"up"`` a ``ValueError``.
     """
-    path, direction = Path(path), Direction(direction)
+    path, direction = Path(path), _as_direction(direction)
     kept, first = None, 1
     for block in _blocks(path):
         _check_crs(path, block, first)

@@ -93,10 +93,23 @@ class Direction(Enum):
         self.better = operator.lt if minimizing else operator.gt
 
 
+def _as_direction(value) -> Direction:
+    """``value`` read as a :class:`Direction`: a member as it is, else the member whose
+    value it equals, so ``"min"`` is minimization. Anything else is a ``ValueError`` that
+    quotes it by :func:`~attainbench.properties._quoted`. ``Direction(value)`` cannot give
+    that: ``Enum`` formats the value by ``%r``, whole, before its ``_missing_`` hook runs."""
+    if isinstance(value, Direction):
+        return value
+    for member in Direction:
+        if member.value == value:
+            return member
+    raise ValueError(f"{_quoted(value)} is not a valid Direction")
+
+
 @dataclass(frozen=True)
 class MetaData:
     """Identity of a benchmark context, carried on every attach notification. The
-    direction is stored as :class:`Direction` reads it, so ``"min"`` is minimization."""
+    direction is stored as :func:`_as_direction` reads it, so ``"min"`` is minimization."""
 
     suite_name: str
     problem_id: int
@@ -112,7 +125,7 @@ class MetaData:
                              f"got {_quoted(name)}")
         for axis in ("problem_id", "instance", "dimension"):
             object.__setattr__(self, axis, _as_whole(axis, getattr(self, axis), 1))
-        object.__setattr__(self, "direction", Direction(self.direction))
+        object.__setattr__(self, "direction", _as_direction(self.direction))
 
 
 class Problem:

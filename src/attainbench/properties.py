@@ -10,7 +10,10 @@ is a reserved name, because every logged event carries that count already.
 
 :func:`_quoted` is the package's one rule for quoting an input in a message: every
 raised message that quotes a value the caller or a file gave, the command line's
-included, quotes it through this function, bounded and never failing.
+included, quotes it through this function, bounded and never failing. It cuts a long
+``repr`` by :func:`_cut`, which keeps a text's head and states its full length, and the
+command line cuts every message it prints by the same function, at a bound above two
+quoted values.
 """
 
 from __future__ import annotations
@@ -56,7 +59,13 @@ def _quoted(value) -> str:
         text = repr(value)
     except Exception as exc:  # a host value's repr may raise anything, a message must not
         text = f"<{type(value).__name__} whose repr raised {type(exc).__name__}>"
-    return text if len(text) <= _QUOTED else f"{text[:_QUOTED]}... ({len(text)} characters in all)"
+    return _cut(text, _QUOTED)
+
+
+def _cut(text: str, most: int) -> str:
+    """``text`` if it has at most ``most`` characters, else its first ``most`` followed by
+    ``... (N characters in all)``."""
+    return text if len(text) <= most else f"{text[:most]}... ({len(text)} characters in all)"
 
 
 def _check_distinct(names: Sequence[str]) -> None:

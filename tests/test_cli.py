@@ -448,11 +448,13 @@ def test_a_malformed_flag_is_named_by_argparse_and_writes_nothing(
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--runs"), ("run", "--seed"),
-                                           ("stats", "--levels"), ("stats", "--nadir")])
+                                           ("stats", "--levels"), ("stats", "--nadir"),
+                                           ("eaf", "--in"), ("eaf", "--out"), ("run", "--out")])
 def test_a_flag_value_of_two_dashes_is_rejected_by_the_subcommand(
         tmp_path, capsys, ab_file, command, flag):
     out = tmp_path / "out"
     valid = {"run": ["--out", str(out)],
+             "eaf": ["--in", str(ab_file), "--levels", "0", "--out", str(out)],
              "stats": ["--in", str(ab_file), "--levels", "0"]}[command]
     err = run_cli_expecting_usage_error([command, *valid, f"{flag}=--"])
     assert f"bench {command}: error: argument {flag}: expects " in err
@@ -486,6 +488,52 @@ def test_a_rejected_argument_is_quoted_whole_if_short_and_cut_if_long(argv, monk
     # argparse's own parser words the short one the same.
     monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
     assert run_cli_expecting_usage_error([arg.format("bogus") for arg in argv]) == short
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--in", "i", "--levels", "0", "{}"],
+    ["stats", "--in", "i", "--levels", "0", "--normalized={}"],
+])
+def test_a_message_argparse_words_outside_the_hook_is_cut_where_it_is_printed(
+        argv, monkeypatch):
+    short = run_cli_expecting_usage_error([arg.format("bogus") for arg in argv])
+    long = run_cli_expecting_usage_error([arg.format("x" * 10**6) for arg in argv])
+    assert long.startswith(short[:short.index("bogus")] + "xxx")
+    assert long.endswith(" characters in all)\n") and len(long) < 31_000
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    assert run_cli_expecting_usage_error([arg.format("bogus") for arg in argv]) == short
+
+
+def run_cli_expecting_an_io_error(argv):
+    """Run ``bench`` in process; return its stderr after checking it returned 1."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(argv) == 1
+    return err.getvalue()
+
+
+def test_an_io_error_naming_a_long_path_is_cut_where_it_is_printed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as exc:
+        read_trajectories("bogus")
+    short = run_cli_expecting_an_io_error(["stats", "--in", "bogus", "--levels", "0"])
+    assert short == f"bench: {exc.value}\n"
+    long = run_cli_expecting_an_io_error(["stats", "--in", "x" * 10**6, "--levels", "0"])
+    assert long.startswith("bench: cannot read trajectory file xxx")
+    assert long.endswith(" characters in all)\n") and len(long) < 31_000
+
+
+def help_texts(parser):
+    """The help of ``parser`` and of each of its subcommands, by name."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {"bench": parser.format_help(),
+            **{name: p.format_help() for name, p in sub.choices.items()}}
+
+
+def test_the_parser_hooks_change_no_help_text(monkeypatch):
+    ours = help_texts(cli.build_parser())
+    assert sorted(ours) == ["bench", "eaf", "eah", "run", "stats"]
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    assert help_texts(cli.build_parser()) == ours
 
 
 def test_a_grid_past_the_bucket_cap_is_refused_before_the_input_is_read(

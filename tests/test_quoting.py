@@ -43,6 +43,11 @@ HUGE_CASES = {
     "eaf_levels time": (lambda _: eaf_levels([Trajectory(META, 0, [(HUGE, 1.0)])]),
                         "run 0 is not a strict staircase of finite qualities at integral times "
                         f"in [1, 2**63), at point {TUPLE}"),
+    "MetaData direction": (lambda _: MetaData("s", 1, 1, 1, HUGE),
+                           f"{INT} is not a valid Direction"),
+    "LevelSet direction": (lambda _: LevelSet(1, [], HUGE), f"{INT} is not a valid Direction"),
+    "read_trajectories direction": (lambda tmp: read_trajectories(trajectory_file(tmp), HUGE),
+                                    f"{INT} is not a valid Direction"),
 }
 
 
@@ -82,6 +87,10 @@ def header_file(tmp_path, text):
     return path
 
 
+def trajectory_file(tmp_path):
+    return header_file(tmp_path, "run,evaluations,quality\n0,1,1\n")
+
+
 LONG_CASES = {
     "eaf_levels levels": (lambda _: eaf_levels(TWO_RUNS, range(3, 3 + 10**6)),
                           "attainment level(s) [3, 4, 5,"),
@@ -106,6 +115,10 @@ LONG_CASES = {
                           "not a trajectory file (header 'xxx"),
     "flat-file header": (lambda tmp: read_flat_file(header_file(tmp, f"{LONG}\n")),
                          "not a flat run log (header ['xxx"),
+    "MetaData direction": (lambda _: MetaData("s", 1, 1, 1, LONG), "'xxx"),
+    "LevelSet direction": (lambda _: LevelSet(1, [], LONG), "'xxx"),
+    "read_trajectories direction": (lambda tmp: read_trajectories(trajectory_file(tmp), LONG),
+                                    "'xxx"),
 }
 
 
